@@ -26,10 +26,10 @@ from ..cocycles import (
 )
 from ..lyapunov import closed_form_oracle, lyapunov_qr
 from ..rotation import (
-    _tracked_raw_angle,
     lift_theta_family,
     rho_measure,
     theta_ell_rho_check,
+    tracked_raw_angle,
 )
 from ..shadowing import (
     ToralAutomorphism,
@@ -223,7 +223,7 @@ def _locate_collision(fam, w, lift, scan_points: int, tol: float):
     prev_mod = None
     for s in np.linspace(0.0, 1.0, scan_points):
         try:
-            ang, mod, is_real, _ = _tracked_raw_angle(fam.at(float(s)), w, prev_mod)
+            ang, mod, is_real, _ = tracked_raw_angle(fam.at(float(s)), w, prev_mod)
         except ValueError:
             prev_mod = None
             continue
@@ -236,10 +236,10 @@ def _locate_collision(fam, w, lift, scan_points: int, tol: float):
         lo, hi = sorted((float(th[i]), float(th[i + 1])))
         if math.ceil(lo / TWO_PI) * TWO_PI > hi:
             continue
-        anchor_mod = _tracked_raw_angle(fam.at(float(sv[i])), w, None)[1]
+        anchor_mod = tracked_raw_angle(fam.at(float(sv[i])), w, None)[1]
 
         def raw(s):
-            ang, _, _, _ = _tracked_raw_angle(fam.at(s), w, anchor_mod)
+            ang, _, _, _ = tracked_raw_angle(fam.at(s), w, anchor_mod)
             return ang
 
         a, b = float(sv[i]), float(sv[i + 1])

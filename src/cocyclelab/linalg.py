@@ -371,34 +371,27 @@ def wedge_basis(d: int, k: int) -> list:
 def exterior_power(M, k: int) -> np.ndarray:
     """Matrix of the induced map on the k-th exterior power, lexicographic basis.
 
-    Entry (I, J) is the minor det M[I, J].  Functorial: ext(AB) = ext(A) ext(B).
+    M may be a single matrix (d, d) or a stack (..., d, d); the result has
+    shape (..., C, C) with C = binom(d, k).  Entry (I, J) is the minor
+    det M[I, J], taken with one det call per index-set pair over the whole
+    stack, so memory stays linear in the stack size.  Functorial:
+    ext(AB) = ext(A) ext(B).
     """
-    M = _as_matrix(M)
-    d = M.shape[0]
+    M = np.asarray(M, dtype=float)
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {M.shape}")
+    d = M.shape[-1]
     if not 0 <= k <= d:
         raise ValueError(f"exterior power degree {k} out of range for d={d}")
     if k == 0:
-        return np.eye(1)
+        return np.ones(M.shape[:-2] + (1, 1))
     basis = wedge_basis(d, k)
-    out = np.empty((len(basis), len(basis)))
+    out = np.empty(M.shape[:-2] + (len(basis), len(basis)))
     for a, I in enumerate(basis):
+        rows = M[..., I, :]
         for b, J in enumerate(basis):
-            out[a, b] = np.linalg.det(M[np.ix_(I, J)])
+            out[..., a, b] = np.linalg.det(rows[..., J])
     return out
-
-
-def _wedge_full_coefficient(psi: np.ndarray, I: tuple, Iprime: tuple) -> float:
-    """Coefficient of e_1^...^e_d in (psi e_I) ^ e_I'  (0-based index tuples)."""
-    d = psi.shape[0]
-    cols = np.empty((d, d))
-    m = len(I)
-    if m:
-        cols[:, :m] = psi[:, list(I)]
-    for a, idx in enumerate(Iprime):
-        col = np.zeros(d)
-        col[idx] = 1.0
-        cols[:, m + a] = col
-    return float(np.linalg.det(cols))
 
 
 def twisting_check(psi, d: int | None = None, tol: float = TWISTING_TOL):
@@ -406,7 +399,10 @@ def twisting_check(psi, d: int | None = None, tol: float = TWISTING_TOL):
 
     For every pair of index sets I, I' with |I| + |I'| = d the wedge
     (ext^{|I|} psi)(e_I) ^ e_{I'} must be nonzero beyond tol, scaled by
-    ||psi||^|I|.  Returns (ok, failing_pairs) with 1-based index tuples.
+    ||psi||^|I|.  Up to sign that wedge is the minor det psi[I'^c, I], the
+    entry of exterior_power(psi, |I|) at row complement(I'), column I.
+    Returns (ok, failing_pairs) with 1-based index tuples, ordered by |I|,
+    then I, then I' lexicographically.
     """
     psi = check_invertible(psi)
     if d is None:
@@ -417,10 +413,12 @@ def twisting_check(psi, d: int | None = None, tol: float = TWISTING_TOL):
     failing = []
     for k in range(d + 1):
         thresh = tol * opnorm**k
-        for I in itertools.combinations(range(d), k):
-            for Ip in itertools.combinations(range(d), d - k):
-                coeff = _wedge_full_coefficient(psi, I, Ip)
-                if abs(coeff) <= thresh:
+        ext = exterior_power(psi, k)
+        # complement reverses lexicographic order, so the row of the j-th I'
+        # is the j-th from the end
+        for b, I in enumerate(wedge_basis(d, k)):
+            for j, Ip in enumerate(wedge_basis(d, d - k)):
+                if abs(ext[-1 - j, b]) <= thresh:
                     failing.append((tuple(i + 1 for i in I), tuple(i + 1 for i in Ip)))
     return (not failing), failing
 

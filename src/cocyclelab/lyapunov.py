@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from math import comb
 
 import numpy as np
 
@@ -107,14 +108,22 @@ def qr_spectrum(mats: np.ndarray, logdet: np.ndarray, block_size: int, n_batches
     )
 
 
-def lyapunov_qr(A: CocycleSpec, mu: MarkovMeasure, n_steps: int, seed: int, n_batches: int = DEFAULT_BATCHES) -> LyapunovEstimate:
-    """Sample a mu-orbit of the base shift and accumulate the QR spectrum."""
+def _sampled_spectrum(A: CocycleSpec, mu: MarkovMeasure, n_steps: int, seed: int, n_batches: int):
+    """Sample a mu-orbit, build its step matrices and run the blocked QR.
+
+    Returns (mats, logdet, block_size, estimate) so callers can reuse the
+    same path."""
     if n_steps < MIN_STEPS:
         raise ValueError(f"need at least {MIN_STEPS} steps for a stable estimate")
     symbols = mu.sample_orbit(n_steps + A.window - 1, seed)
     mats, logdet = A.path_matrices(np.asarray(symbols))
     B = _adaptive_block(A, n_steps, n_batches)
-    est = qr_spectrum(mats, logdet, B, n_batches)
+    return mats, logdet, B, qr_spectrum(mats, logdet, B, n_batches)
+
+
+def lyapunov_qr(A: CocycleSpec, mu: MarkovMeasure, n_steps: int, seed: int, n_batches: int = DEFAULT_BATCHES) -> LyapunovEstimate:
+    """Sample a mu-orbit of the base shift and accumulate the QR spectrum."""
+    *_, est = _sampled_spectrum(A, mu, n_steps, seed, n_batches)
     mult = tuple(multiplicity_cluster(est.exponents, n_steps=est.n_steps))
     return replace(est, multiplicities=mult, seed=seed)
 
@@ -265,31 +274,14 @@ class ExteriorCheck:
     consistent: bool
 
 
-def _exterior_path(mats: np.ndarray, k: int) -> np.ndarray:
-    d = mats.shape[1]
-    combos = list(itertools.combinations(range(d), k))
-    T = mats.shape[0]
-    out = np.empty((T, len(combos), len(combos)))
-    for a, rows in enumerate(combos):
-        sub_rows = mats[:, rows, :]
-        for b, cols in enumerate(combos):
-            out[:, a, b] = np.linalg.det(sub_rows[:, :, cols])
-    return out
-
-
 def exterior_sum_check(A: CocycleSpec, mu: MarkovMeasure, k: int, n_steps: int, seed: int, n_batches: int = DEFAULT_BATCHES) -> ExteriorCheck:
     """Same-path comparison of sum of top-k exponents against the top
     exponent of the k-th exterior power."""
     d = A.dim
     if not (1 <= k <= d):
         raise ValueError("exterior order out of range")
-    symbols = np.asarray(mu.sample_orbit(n_steps + A.window - 1, seed))
-    mats, logdet = A.path_matrices(symbols)
-    B = _adaptive_block(A, n_steps, n_batches)
-    base = qr_spectrum(mats, logdet, B, n_batches)
-    from math import comb
-
-    mats_k = _exterior_path(mats, k)
+    mats, logdet, B, base = _sampled_spectrum(A, mu, n_steps, seed, n_batches)
+    mats_k = la.exterior_power(mats, k)
     logdet_k = logdet * comb(d - 1, k - 1)
     Bk = max(1, B // 2)
     ext = qr_spectrum(mats_k, logdet_k, Bk, n_batches)

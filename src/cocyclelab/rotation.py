@@ -22,8 +22,6 @@ from .suspension import SuspensionSystem
 from . import linalg as la
 
 TWO_PI = 2.0 * math.pi
-GRID_SIZE = 512
-REFINE_TOL = 1e-8
 RHO_TOL = 1e-10
 MAX_LIFT_ITER = 10_000
 _RENORM_SPREAD = 0.2
@@ -307,54 +305,10 @@ def _time_slice(C: CircleCocycle, t: float, start: int):
     return mats
 
 
-def _displacement_fn(mats):
-    lifts = [projectivize_block(M) for M in mats]
-
-    def disp(phi):
-        w = np.asarray(phi, dtype=float)
-        for f in lifts:
-            w = f.lift(w)
-        return w - phi
-
-    return disp
-
-
-def _refine_extremum(fn, grid, idx, sign):
-    """Golden-section refinement of fn*sign around grid index idx."""
-    step = grid[1] - grid[0]
-    a = grid[idx] - step
-    b = grid[idx] + step
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = sign * fn(c)
-    fd = sign * fn(d)
-    while b - a > REFINE_TOL:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = sign * fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = sign * fn(d)
-    return sign * max(fc, fd)
-
-
 def sigma_tau(C: CircleCocycle, t: float, start: int = 0):
     """Extremal doubled lift displacements over all start angles at flow
-    time t: a 512-point grid bracket refined by golden-section search."""
-    mats = _time_slice(C, t, start)
-    if not mats:
-        return 0.0, 0.0
-    disp = _displacement_fn(mats)
-    grid = np.linspace(0.0, TWO_PI, GRID_SIZE, endpoint=False)
-    vals = disp(grid)
-    sigma = _refine_extremum(disp, grid, int(np.argmax(vals)), 1.0)
-    tau = _refine_extremum(disp, grid, int(np.argmin(vals)), -1.0)
-    sigma = max(sigma, float(np.max(vals)))
-    tau = min(tau, float(np.min(vals)))
-    return float(sigma), float(tau)
+    time t, in closed form from the polar data of the composed map."""
+    return _path_extremes(_time_slice(C, t, start))
 
 
 def rho_periodic(C: CircleCocycle, tol: float = RHO_TOL) -> float:
@@ -423,9 +377,10 @@ class ThetaLift:
         return float(self.theta_values[-1] - self.theta_values[0])
 
 
-def _tracked_raw_angle(A: CocycleSpec, word, prev_modulus: float | None):
-    """(raw |arg| in [0, pi], modulus, is_real) of the tracked pair of the
-    return matrix, matching blocks to the previous modulus when given."""
+def tracked_raw_angle(A: CocycleSpec, word, prev_modulus: float | None):
+    """(raw |arg| in [0, pi], modulus, is_real, gap) of the tracked pair of
+    the return matrix, matching blocks to the previous modulus when given;
+    gap is the distance to the nearest other eigenvalue modulus."""
     p = periodic_point(A.base, parse_word(word))
     M = evaluate(A, p, len(parse_word(word)))
     rec = la.sorted_spectrum(M)
@@ -474,7 +429,7 @@ def lift_theta_family(family, sys: SuspensionSystem, word, grid,
     A0 = family(grid[0])
     C0 = circle_cocycle(A0, sys, word)
     anchor_halved = rho_periodic(C0) * C0.period
-    raw0, mod0, real0, _ = _tracked_raw_angle(A0, word, None)
+    raw0, mod0, real0, _ = tracked_raw_angle(A0, word, None)
     if real0:
         raise ValueError("family must start with a complex pair on the tracked block")
     # match the anchor to the signed branch consistent with the raw angle
@@ -499,7 +454,7 @@ def lift_theta_family(family, sys: SuspensionSystem, word, grid,
     def advance(s_a, th_a, s_b, depth):
         nonlocal prev_mod
         A = family(s_b)
-        raw, mod, is_real, gap = _tracked_raw_angle(A, word, prev_mod)
+        raw, mod, is_real, gap = tracked_raw_angle(A, word, prev_mod)
         if gap < _BLOCK_GAP_TOL and not is_real:
             raise ValueError("tracked block modulus gap degenerated")
         # aim at the linear continuation of the lift: near a fold of the
@@ -549,7 +504,10 @@ class RhoMeasureEstimate:
 
 def _path_extremes(mats):
     """Exact (sigma, tau) of the composed displacement: polar center plus or
-    minus the spread, branch pinned by one lift iteration."""
+    minus the spread, branch pinned by one lift iteration.  An empty path
+    does not move."""
+    if not mats:
+        return 0.0, 0.0
     w = 0.0
     comp = np.eye(2)
     for M in mats:
@@ -596,7 +554,7 @@ def rho_measure(A: CocycleSpec, sys: SuspensionSystem, mu, t: float,
         if acc + r >= t:
             u = (t - acc) / r
             path = mats + [_fractional_map(M, u)] if u > 0 else mats
-            hi, lo = _path_extremes(path) if path else (0.0, 0.0)
+            hi, lo = _path_extremes(path)
             num_hi += weight * hi
             num_lo += weight * lo
             continue
@@ -626,7 +584,7 @@ def rho_measure(A: CocycleSpec, sys: SuspensionSystem, mu, t: float,
                 mats.append(M)
                 acc += r
                 k += 1
-            hi, lo = _path_extremes(mats) if mats else (0.0, 0.0)
+            hi, lo = _path_extremes(mats)
             his.append(hi)
             los.append(lo)
         num_hi = float(np.mean(his))

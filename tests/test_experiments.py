@@ -1,4 +1,5 @@
 """Experiment configs, runners, reports, and the command line driver."""
+import ast
 import json
 import os
 from pathlib import Path
@@ -152,6 +153,22 @@ def run_shipped(name):
 
 
 class TestRunners:
+    def test_runners_import_no_private_library_names(self):
+        tree = ast.parse(Path(rn.__file__).read_text())
+        private = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                # relative imports in the runners module resolve inside cocyclelab
+                if node.level or (node.module or "").split(".")[0] == "cocyclelab":
+                    private += [a.name for a in node.names if a.name.startswith("_")]
+            elif isinstance(node, ast.Import):
+                private += [
+                    a.name for a in node.names
+                    if a.name.split(".")[0] == "cocyclelab"
+                    and any(part.startswith("_") for part in a.name.split("."))
+                ]
+        assert private == []
+
     def test_e1_reduced(self):
         cfg = load("e1.json")
         cfg["n_steps"] = 20000

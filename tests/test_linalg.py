@@ -1,4 +1,6 @@
 """Spectral / symplectic linear algebra unit tests."""
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,30 @@ RNG = np.random.default_rng(20240811)
 def rotation2(theta):
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s], [s, c]])
+
+
+def sparse_invertible(rng, d, zero_share=0.4):
+    """Random d x d matrix with exact zero entries, far from singular."""
+    while True:
+        M = rng.normal(size=(d, d))
+        M[rng.random((d, d)) < zero_share] = 0.0
+        if abs(np.linalg.det(M)) > 1e-3:
+            return M
+
+
+def wedge_twisting_reference(psi, tol=la.TWISTING_TOL):
+    """Twisting check from the full wedge coefficient det[psi e_I | e_I']."""
+    d = psi.shape[0]
+    eye = np.eye(d)
+    opnorm = max(1.0, float(np.linalg.norm(psi, 2)))
+    failing = []
+    for k in range(d + 1):
+        for I in itertools.combinations(range(d), k):
+            for Ip in itertools.combinations(range(d), d - k):
+                coeff = np.linalg.det(np.column_stack([psi[:, list(I)], eye[:, list(Ip)]]))
+                if abs(coeff) <= tol * opnorm**k:
+                    failing.append((tuple(i + 1 for i in I), tuple(i + 1 for i in Ip)))
+    return (not failing), failing
 
 
 def random_symplectic4(rng):
@@ -202,6 +228,22 @@ class TestExteriorPower:
             scale = max(1.0, np.max(np.abs(lhs)))
             assert np.allclose(lhs, rhs, atol=1e-10 * scale)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_stack_matches_single_matrices(self, d):
+        rng = np.random.default_rng(100 + d)
+        stack = rng.normal(size=(3, 4, d, d))
+        stack[rng.random(stack.shape) < 0.3] = 0.0
+        for k in range(d + 1):
+            out = la.exterior_power(stack, k)
+            each = np.array([[la.exterior_power(M, k) for M in row] for row in stack])
+            assert out.shape == each.shape
+            assert np.array_equal(out, each)
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 4), (2, 3, 4)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            la.exterior_power(np.ones(shape), 1)
+
 
 class TestTwisting:
     def test_identity_fails_with_diagonal_pair(self):
@@ -225,6 +267,15 @@ class TestTwisting:
             ok2, fail2 = la.twisting_check(2.5 * psi)
             assert ok1 == ok2
             assert fail1 == fail2
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_matches_wedge_reference(self, d):
+        # exact zeros make some minors vanish structurally, so failing pairs
+        # appear and their order is compared too
+        rng = np.random.default_rng(200 + d)
+        for _ in range(40):
+            psi = sparse_invertible(rng, d)
+            assert la.twisting_check(psi) == wedge_twisting_reference(psi)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_witness(self, n):

@@ -226,3 +226,9 @@ class TestExteriorCheck:
         mu = sh.parry_measure(FULL2)
         with pytest.raises(ValueError, match="order"):
             ly.exterior_sum_check(A, mu, k=3, n_steps=1000, seed=0)
+
+    def test_short_path_rejected(self):
+        A = lc(FULL2, np.diag([2.0, 0.5]), np.diag([3.0, 1.0 / 3.0]))
+        mu = sh.parry_measure(FULL2)
+        with pytest.raises(ValueError, match="at least"):
+            ly.exterior_sum_check(A, mu, k=1, n_steps=ly.MIN_STEPS - 1, seed=0)

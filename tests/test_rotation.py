@@ -285,6 +285,36 @@ class TestSigmaTau:
         with pytest.raises(ValueError, match="nonnegative"):
             ro.sigma_tau(C, -1.0)
 
+    @pytest.mark.parametrize("seed", range(50))
+    def test_brackets_dense_grid_of_composed_lifts(self, seed):
+        # independent of the closed form: compose the per-step lifts over a
+        # 4096-point angle grid.  Flow time ends on a return, so no step is
+        # fractional, and the shear stays mild enough for the grid spacing to
+        # resolve the extrema to 1e-6.
+        rng = np.random.default_rng(seed)
+        gens = tuple(
+            rng.uniform(0.5, 2.0) * rot(rng.uniform(-math.pi, math.pi))
+            @ np.diag([s, 1.0 / s]) @ rot(rng.uniform(-math.pi, math.pi))
+            for s in rng.uniform(1.0, 1.4, size=2)
+        )
+        roofs = tuple(rng.uniform(0.5, 2.0, size=2))
+        C = ro.CircleCocycle((0, 1), roofs, gens)
+        start, n = int(rng.integers(2)), int(rng.integers(1, 6))
+        t = 0.0
+        for k in range(n):
+            t += roofs[(start + k) % 2]
+        phi = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
+        w = phi
+        for k in range(n):
+            w = ro.projectivize_block(gens[(start + k) % 2]).lift(w)
+        disp = w - phi
+        sigma, tau = ro.sigma_tau(C, t, start)
+        # 1e-12 allows for round-off where a grid point hits an extremum
+        assert tau <= disp.min() + 1e-12
+        assert disp.max() <= sigma + 1e-12
+        assert sigma - disp.max() < 1e-6
+        assert disp.min() - tau < 1e-6
+
 
 class TestRhoPeriodic:
     def test_conformal_unit_roof(self):
