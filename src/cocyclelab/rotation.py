@@ -11,6 +11,7 @@ eigenvalue arguments.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -280,35 +281,59 @@ def lift_record(C: CircleCocycle, theta: float, n_returns: int) -> LiftRecord:
     return LiftRecord(np.array(times), np.array(values), float(theta))
 
 
-def _time_slice(C: CircleCocycle, t: float, start: int):
-    """Per-step matrices covering flow time t from step index start, the
-    last one interpolated fractionally."""
-    if t < 0:
-        raise ValueError("flow time must be nonnegative")
-    mats = []
+# a walk is the state (w, comp): the lifted image of angle 0 and the
+# det-normalised composite; every step builds a new composite
+_START = (0.0, np.eye(2))
+_START[1].flags.writeable = False
+
+
+def _step(state, M):
+    """Advance the walk by the map of M."""
+    w, comp = state
+    return projectivize_block(M).lift(w), _normalize_det(M) @ comp
+
+
+def _extremes(state):
+    """Exact (sigma, tau) of the walked displacement: polar center plus or
+    minus the spread, branch pinned by the lifted image of angle 0."""
+    w, comp = state
+    beta, _ = _polar2(comp)
+    half = _spread(comp)
+    j = round((w - 2.0 * beta) / TWO_PI)
+    center = TWO_PI * j + 2.0 * beta
+    return center + half, center - half
+
+
+def _advance(state, acc: float, M, r: float, t: float):
+    """(state, acc, done) after one step of roof r towards flow time t: once
+    acc + r >= t the step enters as M^u, u = (t - acc) / r, or not at all
+    when u = 0, and the walk is done."""
+    if acc + r >= t:
+        u = (t - acc) / r
+        return (_step(state, _fractional_map(M, u)) if u > 0.0 else state), t, True
+    return _step(state, M), acc + r, False
+
+
+def _walk_to(state, steps, t: float):
+    """Walk the (matrix, roof) pairs of steps from flow time 0 to t."""
     acc = 0.0
-    k = start
-    n = len(C.roofs)
-    while True:
-        r = C.roofs[k % n]
-        if acc + r <= t:
-            mats.append(C.maps[k % n])
-            acc += r
-            k += 1
-            if acc == t:
-                break
-        else:
-            u = (t - acc) / r
-            if u > 0.0:
-                mats.append(_fractional_map(C.maps[k % n], u))
-            break
-    return mats
+    for M, r in steps:
+        state, acc, done = _advance(state, acc, M, r, t)
+        if done:
+            return state
+    raise ValueError("the steps end before flow time t")
 
 
 def sigma_tau(C: CircleCocycle, t: float, start: int = 0):
     """Extremal doubled lift displacements over all start angles at flow
-    time t, in closed form from the polar data of the composed map."""
-    return _path_extremes(_time_slice(C, t, start))
+    time t, in closed form from the polar data of the composed map.  Steps
+    run cyclically from index start; the first with acc + r >= t enters as
+    the fractional map M^u, u = (t - acc) / r, and is skipped when u = 0."""
+    if t < 0:
+        raise ValueError("flow time must be nonnegative")
+    n = len(C.roofs)
+    steps = ((C.maps[k % n], C.roofs[k % n]) for k in itertools.count(start))
+    return _extremes(_walk_to(_START, steps, t))
 
 
 def rho_periodic(C: CircleCocycle, tol: float = RHO_TOL) -> float:
@@ -326,6 +351,11 @@ def eigen_argument(M) -> float:
         raise ValueError("real spectrum: no eigenvalue argument")
     lam = ev[int(np.argmax(ev.imag))]
     return float(abs(np.angle(lam)))
+
+
+def _circ(a: float) -> float:
+    """Distance of the angle a from 0 on the circle of length 2*pi."""
+    return abs((a + math.pi) % TWO_PI - math.pi)
 
 
 @dataclass(frozen=True)
@@ -352,11 +382,7 @@ def theta_ell_rho_check(A: CocycleSpec, sys: SuspensionSystem, word,
     except ValueError:
         return ThetaEllRhoReport(math.nan, None, rho, C.period, True)
     doubled = 2.0 * C.period * rho
-
-    def circ(a):
-        return abs((a + math.pi) % TWO_PI - math.pi)
-
-    residual = min(circ(doubled - 2.0 * theta), circ(doubled + 2.0 * theta)) / 2.0
+    residual = min(_circ(doubled - 2.0 * theta), _circ(doubled + 2.0 * theta)) / 2.0
     return ThetaEllRhoReport(float(residual), theta, rho, C.period, False)
 
 
@@ -433,11 +459,7 @@ def lift_theta_family(family, sys: SuspensionSystem, word, grid,
     if real0:
         raise ValueError("family must start with a complex pair on the tracked block")
     # match the anchor to the signed branch consistent with the raw angle
-
-    def circ(a):
-        return abs((a + math.pi) % TWO_PI - math.pi)
-
-    theta0 = raw0 if circ(2 * anchor_halved - 2 * raw0) <= circ(2 * anchor_halved + 2 * raw0) else -raw0
+    theta0 = raw0 if _circ(2 * anchor_halved - 2 * raw0) <= _circ(2 * anchor_halved + 2 * raw0) else -raw0
     s_out = [grid[0]]
     th_out = [theta0]
     crossings = []
@@ -502,24 +524,6 @@ class RhoMeasureEstimate:
     exact: bool
 
 
-def _path_extremes(mats):
-    """Exact (sigma, tau) of the composed displacement: polar center plus or
-    minus the spread, branch pinned by one lift iteration.  An empty path
-    does not move."""
-    if not mats:
-        return 0.0, 0.0
-    w = 0.0
-    comp = np.eye(2)
-    for M in mats:
-        w = projectivize_block(M).lift(w)
-        comp = _normalize_det(M) @ comp
-    beta, _ = _polar2(comp)
-    half = _spread(comp)
-    j = round((w - 2.0 * beta) / TWO_PI)
-    center = TWO_PI * j + 2.0 * beta
-    return center + half, center - half
-
-
 def rho_measure(A: CocycleSpec, sys: SuspensionSystem, mu, t: float,
                 path_limit: int = 200_000, seed: int = 0, n_samples: int = 2000) -> RhoMeasureEstimate:
     """Measure-averaged rotation number with a monotone bracket: the upper
@@ -527,34 +531,42 @@ def rho_measure(A: CocycleSpec, sys: SuspensionSystem, mu, t: float,
     one the infimum; halved convention per unit flow time.
 
     Paths are enumerated cylinder-exactly while their count stays within
-    path_limit, otherwise sampled from the measure with the given seed.
+    path_limit, otherwise sampled from the measure with the given seed; each
+    path stops at flow time t by the rule of sigma_tau.  ValueError rejects a
+    cocycle that is not 2x2 or not locally constant (Hoelder bumps), t that
+    is not positive and finite, and n_samples < 1.
     """
     if A.dim != 2:
         raise ValueError("measure-averaged rotation numbers need a 2x2 cocycle")
+    if not A.is_locally_constant:
+        raise ValueError("measure-averaged rotation numbers need a locally constant cocycle")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite, got {t!r}")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples!r}")
     win = max(A.window, sys.roof.window)
     aw, rw = A.window, sys.roof.window
 
     def step_data(wrd):
         return A.generator[wrd[:aw]], sys.roof.values[wrd[:rw]]
 
-    # iterative DFS over stopping-time paths: extend until roof sum >= t
+    # iterative DFS over stopping-time paths; children share their prefix's walk
     start_words = A.base.admissible_words(win)
-    stack = [(w, mu.cylinder(w), 0.0, []) for w in start_words]
+    stack = [(w, mu.cylinder(w), 0.0, _START) for w in start_words]
     num_hi = 0.0
     num_lo = 0.0
     exact = True
     expanded = 0
     while stack:
-        wrd, weight, acc, mats = stack.pop()
+        wrd, weight, acc, state = stack.pop()
         expanded += 1
         if expanded > path_limit:
             exact = False
             break
         M, r = step_data(wrd)
-        if acc + r >= t:
-            u = (t - acc) / r
-            path = mats + [_fractional_map(M, u)] if u > 0 else mats
-            hi, lo = _path_extremes(path)
+        state, acc, done = _advance(state, acc, M, r, t)
+        if done:
+            hi, lo = _extremes(state)
             num_hi += weight * hi
             num_lo += weight * lo
             continue
@@ -564,27 +576,14 @@ def rho_measure(A: CocycleSpec, sys: SuspensionSystem, mu, t: float,
                 p = mu.P[a, b]
                 if p > 0:
                     nxt = (wrd[1:] + (b,)) if win > 1 else (b,)
-                    stack.append((nxt, weight * p, acc + r, mats + [M]))
+                    stack.append((nxt, weight * p, acc, state))
     if not exact:
         rng_orbit_len = int(t / min(sys.roof.values.values())) + win + 2
         his, los = [], []
         for i in range(n_samples):
             symbols = tuple(int(s) for s in mu.sample_orbit(rng_orbit_len, seed=seed + i))
-            acc = 0.0
-            mats = []
-            k = 0
-            while True:
-                wrd = symbols[k : k + win]
-                M, r = step_data(wrd)
-                if acc + r >= t:
-                    u = (t - acc) / r
-                    if u > 0:
-                        mats.append(_fractional_map(M, u))
-                    break
-                mats.append(M)
-                acc += r
-                k += 1
-            hi, lo = _path_extremes(mats)
+            steps = (step_data(symbols[k : k + win]) for k in range(rng_orbit_len - win + 1))
+            hi, lo = _extremes(_walk_to(_START, steps, t))
             his.append(hi)
             los.append(lo)
         num_hi = float(np.mean(his))

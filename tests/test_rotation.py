@@ -1,5 +1,6 @@
 """Projective circle maps, rotation numbers and their flow-time averages."""
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ import cocyclelab.cocycles as cc
 import cocyclelab.rotation as ro
 import cocyclelab.shifts as sh
 import cocyclelab.suspension as sp
+from cocyclelab.experiments import config as cfgmod
+
+E5_CONFIG = Path(cfgmod.__file__).parent / "configs" / "e5.json"
 
 FULL2 = sh.SftSpec.full_shift(2, theta=0.5)
 TWO_PI = 2.0 * math.pi
@@ -33,6 +37,78 @@ def unit_flow(base=FULL2, value=1.0):
 
 
 finite = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+def path_extremes_reference(mats):
+    """Reference closed form: fold the whole matrix list of one path from
+    scratch, then take the polar center plus or minus the spread."""
+    if not mats:
+        return 0.0, 0.0
+    w = 0.0
+    comp = np.eye(2)
+    for M in mats:
+        w = ro.projectivize_block(M).lift(w)
+        comp = ro._normalize_det(M) @ comp
+    beta, _ = ro._polar2(comp)
+    half = ro._spread(comp)
+    j = round((w - 2.0 * beta) / TWO_PI)
+    center = TWO_PI * j + 2.0 * beta
+    return center + half, center - half
+
+
+def rho_measure_reference(A, sys, mu, t, path_limit, seed=0, n_samples=2000):
+    """(value, lower, upper, exact) of rho_measure on the same paths, with
+    each DFS leaf and each sampled path keeping its full matrix list for
+    path_extremes_reference."""
+    win = max(A.window, sys.roof.window)
+
+    def step_data(wrd):
+        return A.generator[wrd[:A.window]], sys.roof.values[wrd[:sys.roof.window]]
+
+    stack = [(w, mu.cylinder(w), 0.0, []) for w in A.base.admissible_words(win)]
+    num_hi = num_lo = 0.0
+    exact, expanded = True, 0
+    while stack:
+        wrd, weight, acc, mats = stack.pop()
+        expanded += 1
+        if expanded > path_limit:
+            exact = False
+            break
+        M, r = step_data(wrd)
+        if acc + r >= t:
+            u = (t - acc) / r
+            hi, lo = path_extremes_reference(
+                mats + [ro._fractional_map(M, u)] if u > 0 else mats)
+            num_hi += weight * hi
+            num_lo += weight * lo
+            continue
+        for b in range(A.base.alphabet_size):
+            p = mu.P[wrd[-1], b]
+            if A.base.is_allowed(wrd[-1], b) and p > 0:
+                nxt = (wrd[1:] + (b,)) if win > 1 else (b,)
+                stack.append((nxt, weight * p, acc + r, mats + [M]))
+    if not exact:
+        n = int(t / min(sys.roof.values.values())) + win + 2
+        his, los = [], []
+        for i in range(n_samples):
+            symbols = tuple(int(s) for s in mu.sample_orbit(n, seed=seed + i))
+            acc, mats, k = 0.0, [], 0
+            while True:
+                M, r = step_data(symbols[k : k + win])
+                if acc + r >= t:
+                    u = (t - acc) / r
+                    if u > 0:
+                        mats.append(ro._fractional_map(M, u))
+                    break
+                mats.append(M)
+                acc += r
+                k += 1
+            hi, lo = path_extremes_reference(mats)
+            his.append(hi)
+            los.append(lo)
+        num_hi, num_lo = float(np.mean(his)), float(np.mean(los))
+    upper, lower = num_hi / (2.0 * t), num_lo / (2.0 * t)
+    return 0.5 * (upper + lower), lower, upper, exact
 
 
 class TestProjectivize:
@@ -315,6 +391,32 @@ class TestSigmaTau:
         assert sigma - disp.max() < 1e-6
         assert disp.min() - tau < 1e-6
 
+    @pytest.mark.parametrize("seed", range(36))
+    def test_return_time_matches_folding_whole_maps(self, seed):
+        # t is a float sum of m roofs, so the last roof can cross t with
+        # (t - acc) / r rounding just below 1: that step then enters as a
+        # fractional map, which may move the result by round-off only
+        rng = np.random.default_rng(1000 + seed)
+        n, m = int(rng.integers(1, 4)), seed % 6
+        gens = tuple(
+            rng.uniform(0.5, 2.0) * rot(rng.uniform(-math.pi, math.pi))
+            @ np.diag([s, 1.0 / s]) @ rot(rng.uniform(-math.pi, math.pi))
+            for s in rng.uniform(1.0, 3.0, size=n)
+        )
+        roofs = tuple(rng.uniform(0.3, 2.0, size=n))
+        C = ro.CircleCocycle(tuple(range(n)), roofs, gens)
+        start = int(rng.integers(n))
+        t = 0.0
+        for k in range(m):
+            t += roofs[(start + k) % n]
+        sigma, tau = ro.sigma_tau(C, t, start)
+        ref_sigma, ref_tau = path_extremes_reference(
+            [gens[(start + k) % n] for k in range(m)])
+        if m == 0:
+            assert (sigma, tau) == (0.0, 0.0)
+        assert sigma == pytest.approx(ref_sigma, abs=1e-12)
+        assert tau == pytest.approx(ref_tau, abs=1e-12)
+
 
 class TestRhoPeriodic:
     def test_conformal_unit_roof(self):
@@ -515,6 +617,48 @@ class TestRhoMeasure:
         est = ro.rho_measure(A, sys, mu, t=9.0)
         assert est.exact
         assert est.value == pytest.approx(0.25, abs=1e-9)
+
+    @pytest.mark.parametrize("case", ["e5-t6", "e5-t12", "window2-roof", "fallback"])
+    def test_same_paths_as_full_path_fold(self, case):
+        if case == "window2-roof":
+            A = const_cocycle(1.1 * rot(0.4), rot(0.3) @ np.diag([1.2, 1 / 1.2]))
+            mu = sh.parry_measure(FULL2)
+            roof = sp.RoofFunction(FULL2, 2, {"00": 1.0, "01": 2.0, "10": 0.7, "11": 1.3})
+            sys, t, kw = sp.SuspensionSystem(FULL2, roof), 5.5, {}
+        else:
+            cfg = cfgmod.load_config(str(E5_CONFIG))
+            base = cfgmod.build_base(cfg["base"])
+            A = cfgmod.build_cocycle(base, cfg["cocycle"])
+            mu = cfgmod.build_measure(base, cfg["measure"])
+            sys = sp.SuspensionSystem(base, cfgmod.build_roof(base, cfg["roof"]))
+            t = 6.0 if case == "e5-t6" else 12.0
+            kw = {"path_limit": 300, "n_samples": 400} if case == "fallback" else {}
+        est = ro.rho_measure(A, sys, mu, t, **kw)
+        ref = rho_measure_reference(A, sys, mu, t, kw.get("path_limit", 200_000),
+                                    n_samples=kw.get("n_samples", 2000))
+        assert est.exact == (case != "fallback")
+        assert (est.value, est.lower, est.upper, est.exact) == ref
+
+    def test_hoelder_bumps_rejected(self):
+        mu = sh.parry_measure(FULL2)
+        twin = const_cocycle(1.2 * rot(0.5), rot(0.5))
+        assert ro.rho_measure(twin, unit_flow(), mu, t=3.0).exact
+        bump = cc.HoelderPerturbation(nu=1.0, bumps=(cc.HoelderBump((0,), 0.3),))
+        A = cc.CocycleSpec(FULL2, 1, twin.generator, bump)
+        with pytest.raises(ValueError, match="locally constant"):
+            ro.rho_measure(A, unit_flow(), mu, t=3.0)
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.inf, math.nan])
+    def test_time_must_be_positive_and_finite(self, t):
+        A = const_cocycle(1.2 * rot(0.5), rot(0.5))
+        with pytest.raises(ValueError, match="^t must be positive and finite"):
+            ro.rho_measure(A, unit_flow(), sh.parry_measure(FULL2), t=t)
+
+    def test_sample_count_must_be_positive(self):
+        A = const_cocycle(1.2 * rot(0.5), rot(0.5))
+        with pytest.raises(ValueError, match="^n_samples must be at least 1"):
+            ro.rho_measure(A, unit_flow(), sh.parry_measure(FULL2), t=3.0,
+                           path_limit=1, n_samples=0)
 
     def test_high_dimension_rejected(self):
         g = np.eye(4)
