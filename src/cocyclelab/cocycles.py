@@ -135,14 +135,9 @@ class CocycleSpec:
             raise ValueError(f"point visits inadmissible window {word}") from None
         if self.is_locally_constant:
             return M
-        d = self.dim
-        out = M
         for b, g in zip(self.perturbation.bumps, self.bump_log_field(x)):
-            D = b.direction_for(d)
-            lam, V = np.linalg.eig(D)
-            E = (V @ np.diag(np.exp(g * lam)) @ np.linalg.inv(V)).real
-            out = out @ E
-        return out
+            M = M @ _bump_factors(b.direction_for(self.dim), np.array([g]))[0]
+        return M
 
     # -- norm envelopes ------------------------------------------------------
 
@@ -152,15 +147,21 @@ class CocycleSpec:
         sup_inv = max(
             float(np.linalg.norm(np.linalg.inv(M), 2)) for M in self.generator.values()
         )
+        growth = self._bump_growth()
+        return sup_a * growth, sup_inv * growth
+
+    def _bump_growth(self) -> float:
+        """Upper bound on the norm of one step's bump factors (1 when locally
+        constant): exp(sum |a_b| sup S_b ||D_b||)."""
         if self.is_locally_constant:
-            return sup_a, sup_inv
+            return 1.0
         q = self.base.theta**self.perturbation.nu
         s_max = (1.0 + q) / (1.0 - q)
         bump = sum(
             abs(b.amplitude) * s_max * float(np.linalg.norm(b.direction_for(self.dim), 2))
             for b in self.perturbation.bumps
         )
-        return sup_a * np.exp(bump), sup_inv * np.exp(bump)
+        return np.exp(bump)
 
     def bump_hoelder_constant(self) -> float:
         """Hoelder constant of x -> A(x) restricted to the bump factors."""
@@ -190,31 +191,19 @@ class CocycleSpec:
         steps = len(symbols) - w + 1
         if steps <= 0:
             raise ValueError("path shorter than the window")
-        codes = np.zeros(steps, dtype=np.int64)
-        for j in range(w):
-            codes += symbols[j : j + steps] * m**j
-        code_of = {}
-        mats = []
-        dets = []
-        for word, M in sorted(self.generator.items()):
-            code_of[sum(s * m**j for j, s in enumerate(word))] = len(mats)
-            mats.append(M)
-            dets.append(np.log(abs(np.linalg.det(M))))
-        lookup = np.full(m**w, -1, dtype=np.int64)
-        for c, i in code_of.items():
-            lookup[c] = i
+        codes = _window_code([symbols[j : j + steps] for j in range(w)], m)
+        stack, lookup = self._generator_table()
         idx = lookup[codes]
         if np.any(idx < 0):
             raise ValueError("path visits an inadmissible window")
-        out = np.stack(mats)[idx]
-        logdet = np.asarray(dets)[idx]
+        out = stack[idx]
+        logdet = np.log(np.abs(np.linalg.det(stack)))[idx]
         if self.is_locally_constant:
             return out, logdet
         nu = self.perturbation.nu
         theta = self.base.theta
         K = int(np.ceil(-40.0 / (nu * np.log(theta))))  # theta^(nu K) < e^-40
         kernel = theta ** (nu * np.abs(np.arange(-K, K + 1)))
-        d = self.dim
         for b in self.perturbation.bumps:
             bw = b.word
             bl = len(bw)
@@ -225,14 +214,34 @@ class CocycleSpec:
             ind_full = np.zeros(len(symbols))
             ind_full[: len(ind)] = ind
             g = b.amplitude * np.convolve(ind_full, kernel, mode="same")[:steps]
-            D = b.direction_for(d)
-            lam, V = np.linalg.eig(D)
-            Vinv = np.linalg.inv(V)
-            phase = np.exp(g[:, None] * lam[None, :])
-            E = np.einsum("ij,tj,jk->tik", V, phase, Vinv).real
-            out = out @ E
+            D = b.direction_for(self.dim)
+            out = out @ _bump_factors(D, g)
             logdet = logdet + g * float(np.trace(D))
         return out, logdet
+
+    def _generator_table(self):
+        """(stack, lookup): the generators stacked in sorted-word order, and
+        for each window code sum_j s_j m^j (first symbol least significant)
+        the stack index of its word, -1 where no generator is given."""
+        m = self.base.alphabet_size
+        words = sorted(self.generator)
+        lookup = np.full(m**self.window, -1, dtype=np.int64)
+        for i, word in enumerate(words):
+            lookup[_window_code(word, m)] = i
+        return np.stack([self.generator[word] for word in words]), lookup
+
+
+def _window_code(word, m: int):
+    """Code sum_j s_j m^j of a window word, first symbol least significant;
+    symbols given as arrays code many windows at once."""
+    return sum(s * m**j for j, s in enumerate(word))
+
+
+def _bump_factors(D: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """(len(g), d, d) stack of the bump factors exp(g_t D)."""
+    lam, V = np.linalg.eig(D)
+    phase = np.exp(g[:, None] * lam[None, :])
+    return np.einsum("ij,tj,jk->tik", V, phase, np.linalg.inv(V)).real
 
 
 def evaluate(A: CocycleSpec, x: SymbolicPoint, n: int) -> np.ndarray:
@@ -266,47 +275,37 @@ def domination_check(A: CocycleSpec, nu: float | None = None, max_power: int = 6
 
     Cylinder sups are exact for enumerable powers; beyond the enumeration
     budget they are bounded through submultiplicative composition, which can
-    only under-report domination, never fake it.
+    only under-report domination, never fake it.  All cylinder products of
+    one power form one stack, and ||P|| ||P^-1|| is its batched condition
+    number cond_2(P) = s_max / s_min.  A product that is singular at working
+    precision gets cond_2 of order 1/eps (inf when s_min is exactly 0), so
+    it blocks domination at that power instead of raising LinAlgError.
     """
     if nu is None:
         nu = A.perturbation.nu if A.perturbation is not None else 1.0
     theta = A.base.theta
     m = A.base.alphabet_size
-    w = A.window
-    if A.is_locally_constant:
-        env_factor = 1.0
-    else:
-        sup_a, sup_inv = A.norm_envelope()
-        base_a = max(float(np.linalg.norm(M, 2)) for M in A.generator.values())
-        base_i = max(float(np.linalg.norm(np.linalg.inv(M), 2)) for M in A.generator.values())
-        env_factor = (sup_a / base_a) * (sup_inv / base_i)
+    top = m ** (A.window - 1)
+    env_factor = A._bump_growth() ** 2
+    G, lookup = A._generator_table()
 
-    # products over cylinders, extended one symbol at a time
+    # products over cylinders, extended one symbol at a time; codes[i] is the
+    # window code of the last A.window symbols of product i's word
+    codes = np.array([_window_code(w_, m) for w_ in A.base.admissible_words(A.window)])
+    P = G[lookup[codes]]
     best = {}
-    products = {w_: A.generator[w_].copy() for w_ in A.base.admissible_words(w)}
     N = 1
     while True:
-        cost = len(products) * m
-        if N > 1 and cost > _DOMINATION_BUDGET:
+        if N > 1 and len(codes) * m > _DOMINATION_BUDGET:
             break
-        ratio = max(
-            float(np.linalg.norm(P, 2) * np.linalg.norm(np.linalg.inv(P), 2))
-            for P in products.values()
-        )
-        best[N] = ratio * env_factor**N * theta ** (nu * N)
+        best[N] = float(np.max(np.linalg.cond(P, 2))) * env_factor**N * theta ** (nu * N)
         if best[N] < 1.0:
             return DominationResult(True, N, 1.0 - best[N], A.is_locally_constant)
         if N >= max_power:
             break
-        nxt = {}
-        for word, P in products.items():
-            for s in range(m):
-                if not A.base.is_allowed(word[-1], s):
-                    continue
-                new_word = word + (s,)
-                step = A.generator[new_word[-w:]]
-                nxt[new_word] = step @ P
-        products = nxt
+        rows, syms = np.nonzero(A.base.transitions[codes // top])
+        codes = codes[rows] // m + syms * top
+        P = G[lookup[codes]] @ P[rows]
         N += 1
 
     for target in range(2, max_power + 1):
@@ -333,38 +332,32 @@ class HolonomyResult:
     truncation_error: float
 
 
-def _forward_agreement_index(x: SymbolicPoint, y: SymbolicPoint) -> int:
-    """Least i0 >= 0 with x_i = y_i for all i >= i0."""
+def _agreement_index(x: SymbolicPoint, y: SymbolicPoint, sign: int) -> int:
+    """Least i0 >= 0 with x_i = y_i for all sign * i >= i0 (sign +1: forward
+    tails, sign -1: backward tails)."""
     bound = x._compare_bound(y)
     # agreement across [bound, 2 bound] is decisive: both tails are periodic
     # with the joint period folded into the comparison bound
-    if any(x.symbol_at(i) != y.symbol_at(i) for i in range(bound, 2 * bound + 1)):
-        raise ValueError("points are not forward asymptotic")
+    if any(x.symbol_at(sign * i) != y.symbol_at(sign * i) for i in range(bound, 2 * bound + 1)):
+        side = "forward" if sign > 0 else "backward"
+        raise ValueError(f"points are not {side} asymptotic")
     i0 = bound
-    while i0 > 0 and x.symbol_at(i0 - 1) == y.symbol_at(i0 - 1):
+    while i0 > 0 and x.symbol_at(sign * (i0 - 1)) == y.symbol_at(sign * (i0 - 1)):
         i0 -= 1
     return i0
 
 
-def _backward_agreement_index(x: SymbolicPoint, y: SymbolicPoint) -> int:
-    """Least i0 >= 0 with x_i = y_i for all i <= -i0."""
-    bound = x._compare_bound(y)
-    if any(x.symbol_at(-i) != y.symbol_at(-i) for i in range(bound, 2 * bound + 1)):
-        raise ValueError("points are not backward asymptotic")
-    i0 = bound
-    while i0 > 0 and x.symbol_at(-(i0 - 1)) == y.symbol_at(-(i0 - 1)):
-        i0 -= 1
-    return i0
-
-
-def _holonomy_series(step_x, step_y, tol):
+def _series_holonomy(A: CocycleSpec, step_x, step_y, tol) -> HolonomyResult:
     """Limit of (prod step_y)^-1 (prod step_x) via its telescoping series.
 
     step_x(k), step_y(k) give the k-th step matrices.  Terms are
     conj-sandwiched differences, summed until the geometric tail estimate
-    drops below tol.  Returns (matrix, depth, tail_estimate).
+    drops below tol.  The series needs domination, so a cocycle that
+    domination_check does not find dominated is rejected first.
     """
-    d = step_x(0).shape[0]
+    if not domination_check(A).dominated:
+        raise ValueError("non-dominated cocycle without the locally constant fallback")
+    d = A.dim
     H = np.eye(d)
     Px = np.eye(d)
     Py_inv = np.eye(d)
@@ -384,7 +377,7 @@ def _holonomy_series(step_x, step_y, tol):
             rho = min(0.95, tn / prev) if prev > 0 else 0.5
             tail = tn * rho / (1.0 - rho)
             if tn + tail < tol:
-                return H, k + 1, tail
+                return HolonomyResult(H, k + 1, tail)
         Px = Sx @ Px
         nx = float(np.linalg.norm(Px, 2))
         Px /= nx
@@ -403,41 +396,35 @@ def stable_holonomy(A: CocycleSpec, x: SymbolicPoint, y: SymbolicPoint, tol: flo
     Exact (identity conjugated through the agreement prefix) for locally
     constant cocycles; a dominated-convergent series otherwise.
     """
-    i0 = _forward_agreement_index(x, y)
+    i0 = _agreement_index(x, y, 1)
     if A.is_locally_constant:
         n = i0
         H = np.linalg.solve(evaluate(A, y, n), evaluate(A, x, n))
         return HolonomyResult(H, n, 0.0)
-    dom = domination_check(A)
-    if not dom.dominated:
-        raise ValueError("non-dominated cocycle without the locally constant fallback")
-    H, depth, tail = _holonomy_series(
+    return _series_holonomy(
+        A,
         lambda k: A.value_at(x.shift(k)),
         lambda k: A.value_at(y.shift(k)),
         tol,
     )
-    return HolonomyResult(H, depth, tail)
 
 
 def unstable_holonomy(A: CocycleSpec, x: SymbolicPoint, y: SymbolicPoint, tol: float = 1e-12) -> HolonomyResult:
     """Holonomy fiber(x) -> fiber(y) along the unstable set, the limit of
     A^n(shift^-n y) (A^n(shift^-n x))^-1."""
-    i0 = _backward_agreement_index(x, y)
+    i0 = _agreement_index(x, y, -1)
     if A.is_locally_constant:
         n = i0 + A.window - 1
         H = evaluate(A, y.shift(-n), n) @ np.linalg.inv(evaluate(A, x.shift(-n), n))
         return HolonomyResult(H, n, 0.0)
-    dom = domination_check(A)
-    if not dom.dominated:
-        raise ValueError("non-dominated cocycle without the locally constant fallback")
     # feeding inverse backward steps into the stable-side series gives
     # lim prod_y (prod_x)^-1 directly, which is the unstable holonomy
-    H, depth, tail = _holonomy_series(
+    return _series_holonomy(
+        A,
         lambda k: np.linalg.inv(A.value_at(x.shift(-k - 1))),
         lambda k: np.linalg.inv(A.value_at(y.shift(-k - 1))),
         tol,
     )
-    return HolonomyResult(H, depth, tail)
 
 
 def holonomy_constants(A: CocycleSpec, nu: float | None = None):
@@ -516,10 +503,14 @@ def periodic_eigendata(A: CocycleSpec, p: SymbolicPoint):
 PINCHING_GAP_TOL = 1e-9
 
 
+def _pinched(rec: la.SpectrumRecord) -> bool:
+    """Real spectrum with pairwise distinct moduli (relative gap tol)."""
+    return rec.all_real() and rec.min_relative_gap() > PINCHING_GAP_TOL
+
+
 def pinching_check(A: CocycleSpec, p: SymbolicPoint) -> bool:
     """Real return spectrum with pairwise distinct moduli (relative gap tol)."""
-    _, rec = periodic_eigendata(A, p)
-    return rec.all_real() and rec.min_relative_gap() > PINCHING_GAP_TOL
+    return _pinched(periodic_eigendata(A, p)[1])
 
 
 def _normalized_eigenbasis(M: np.ndarray, rec: la.SpectrumRecord) -> np.ndarray:
@@ -559,8 +550,7 @@ def simplicity_check(A: CocycleSpec, p_word, bridge) -> SimplicityReport:
     p = periodic_point(A.base, p_word)
     z, N = homoclinic_point(A.base, parse_word(p_word), parse_word(bridge))
     M, rec = periodic_eigendata(A, p)
-    pinching = rec.all_real() and rec.min_relative_gap() > PINCHING_GAP_TOL
-    if not pinching:
+    if not _pinched(rec):
         return SimplicityReport(False, False, False, rec, (), None)
     Q = _normalized_eigenbasis(M, rec)
     trans = psi_transition(A, p, z, N)
@@ -632,7 +622,7 @@ def extend_splitting(
     d = A.dim
     if splitting is None:
         M, rec = periodic_eigendata(A, p)
-        if not (rec.all_real() and rec.min_relative_gap() > PINCHING_GAP_TOL):
+        if not _pinched(rec):
             raise ValueError("splitting requires a real simple return spectrum")
         Q = _normalized_eigenbasis(M, rec)
         blocks_at_p = [Q[:, j : j + 1] for j in range(d)]

@@ -190,8 +190,12 @@ class CircleCocycle:
         for M in mats:
             if M.shape != (2, 2) or np.linalg.det(M) <= 0.0:
                 raise ValueError("orientation-reversing block: determinant must be positive")
+        roofs = tuple(float(r) for r in self.roofs)
+        # a zero or negative roof would stall the roof-timed walk in sigma_tau
+        if not all(0.0 < r < math.inf for r in roofs):
+            raise ValueError(f"roofs must be positive and finite, got {roofs}")
         object.__setattr__(self, "maps", mats)
-        object.__setattr__(self, "roofs", tuple(float(r) for r in self.roofs))
+        object.__setattr__(self, "roofs", roofs)
 
     @property
     def period(self) -> float:

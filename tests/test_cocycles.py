@@ -35,6 +35,97 @@ def brute_bump_field(x, word, theta, nu, span=4000):
     return total
 
 
+def reference_domination(A, nu=None, max_power=64):
+    """domination_check as a search over a dict of cylinder words: one
+    product per word, extended word by word, each ratio from
+    norm(P) * norm(inv(P)), the envelope from norm_envelope over the
+    generator norm sups."""
+    if nu is None:
+        nu = A.perturbation.nu if A.perturbation is not None else 1.0
+    theta = A.base.theta
+    m = A.base.alphabet_size
+    w = A.window
+    if A.is_locally_constant:
+        env_factor = 1.0
+    else:
+        sup_a, sup_inv = A.norm_envelope()
+        base_a = max(float(np.linalg.norm(M, 2)) for M in A.generator.values())
+        base_i = max(float(np.linalg.norm(np.linalg.inv(M), 2)) for M in A.generator.values())
+        env_factor = (sup_a / base_a) * (sup_inv / base_i)
+    best = {}
+    products = {w_: A.generator[w_].copy() for w_ in A.base.admissible_words(w)}
+    N = 1
+    while True:
+        if N > 1 and len(products) * m > cc._DOMINATION_BUDGET:
+            break
+        ratio = max(
+            float(np.linalg.norm(P, 2) * np.linalg.norm(np.linalg.inv(P), 2))
+            for P in products.values()
+        )
+        best[N] = ratio * env_factor**N * theta ** (nu * N)
+        if best[N] < 1.0:
+            return cc.DominationResult(True, N, 1.0 - best[N], A.is_locally_constant)
+        if N >= max_power:
+            break
+        nxt = {}
+        for word, P in products.items():
+            for s in range(m):
+                if A.base.is_allowed(word[-1], s):
+                    new_word = word + (s,)
+                    nxt[new_word] = A.generator[new_word[-w:]] @ P
+        products = nxt
+        N += 1
+    for target in range(2, max_power + 1):
+        if target in best:
+            continue
+        best[target] = min(
+            (best[a] * best[target - a] for a in best if (target - a) in best),
+            default=np.inf,
+        )
+        if best[target] < 1.0:
+            return cc.DominationResult(True, target, 1.0 - best[target], A.is_locally_constant)
+    return cc.DominationResult(False, None, 0.0, A.is_locally_constant)
+
+
+def random_cocycle(seed):
+    """Near-orthogonal generators, d = 2 or 3, window 1 on the full 2-shift
+    or window 2 on the golden mean shift.  Seeds 0..19 give 7 dominated
+    cocycles (powers 1, 2, 3 and 5) and 13 that are not."""
+    rng = np.random.default_rng(seed)
+    d = 2 + seed % 2
+    w = 1 + (seed // 2) % 2
+    theta = float(rng.uniform(0.5, 0.95))
+    base = sh.SftSpec.full_shift(2, theta) if w == 1 else sh.SftSpec.golden_mean(theta)
+    eps = float(rng.uniform(0.02, 0.4))
+    gens = {}
+    for word in base.admissible_words(w):
+        Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        gens[word] = Q @ (np.eye(d) + eps * rng.normal(size=(d, d)))
+    return cc.CocycleSpec(base, w, gens)
+
+
+def bumped(base, g0, g1, word, amplitude):
+    pert = cc.HoelderPerturbation(nu=1.0, bumps=(cc.HoelderBump(word, amplitude),))
+    return cc.CocycleSpec(base, 1, {"0": g0, "1": g1}, pert)
+
+
+SAME_PATH_CASES = {
+    "diagonal-tight": lambda: lc(FULL2_TIGHT, D2, D2),
+    "diagonal-loose": lambda: lc(sh.SftSpec.full_shift(2, theta=0.9), D2, D2),
+    "conformal": lambda: lc(FULL2, 1.7 * rot(0.4), 1.7 * rot(0.4)),
+    "antidiagonal": lambda g=np.array([[0.0, 2.0], [-0.5, 0.0]]): lc(
+        sh.SftSpec.full_shift(2, theta=0.3), g, g
+    ),
+    "elliptic": lambda g=rot(1.0) @ np.diag([1.2, 1 / 1.2]): lc(
+        sh.SftSpec.full_shift(2, theta=0.9), g, g
+    ),
+    "bump-envelope": lambda: bumped(FULL2_TIGHT, D2, D2, (0,), 0.05),
+    "bump-rotations": lambda: bumped(FULL2, 1.5 * rot(0.3), 1.2 * rot(-0.2), (0, 1), 0.1),
+    "golden-window-2": lambda: cc.CocycleSpec(GOLDEN, 2, {"00": D2, "01": SHEAR, "10": POS}),
+    **{f"random-{seed}": (lambda seed=seed: random_cocycle(seed)) for seed in range(20)},
+}
+
+
 class TestCocycleSpec:
     def test_missing_word_rejected(self):
         with pytest.raises(ValueError, match="missing"):
@@ -191,6 +282,27 @@ class TestDomination:
         assert r1.dominated
         assert r1.margin < r0.margin
 
+    def test_singular_product_is_not_dominated(self):
+        # from N = 11 some powers of g are singular at working precision
+        # (np.linalg.inv raises); their cond_2 is near 1/eps, so the search
+        # runs to its budget without raising and finds no domination
+        g = np.array([[1.0, 1.0], [1.0, 1.1]])
+        res = cc.domination_check(lc(FULL2, g, g))
+        assert not res.dominated and res.power is None
+
+    @pytest.mark.parametrize("case", list(SAME_PATH_CASES))
+    def test_same_path_as_word_dict_search(self, case, monkeypatch):
+        # a small budget makes the undominated cases reach the budget stop
+        # and the composition bound in a fraction of a second on both sides
+        monkeypatch.setattr(cc, "_DOMINATION_BUDGET", 2000)
+        A = SAME_PATH_CASES[case]()
+        ref = reference_domination(A)
+        res = cc.domination_check(A)
+        assert (res.dominated, res.power, res.locally_constant) == (
+            ref.dominated, ref.power, ref.locally_constant
+        )
+        assert res.margin == pytest.approx(ref.margin, rel=1e-12, abs=0.0)
+
 
 class TestStableHolonomy:
     def test_locally_constant_exact_value(self):
@@ -267,6 +379,14 @@ class TestStableHolonomy:
 
 
 class TestUnstableHolonomy:
+    def test_not_backward_asymptotic_rejected(self):
+        A = lc(FULL2, D2, SHEAR)
+        p = sh.periodic_point(FULL2, "0")
+        x = sh.make_point("1", "11", "0")
+        cc.stable_holonomy(A, x, p)   # the forward tails agree
+        with pytest.raises(ValueError, match="backward asymptotic"):
+            cc.unstable_holonomy(A, x, p)
+
     def test_window_two_matches_stabilized_products(self):
         gen = {"00": D2, "01": SHEAR, "10": POS}
         A = cc.CocycleSpec(GOLDEN, 2, gen)

@@ -299,6 +299,11 @@ class TestCircleCocycle:
         with pytest.raises(ValueError, match="equal length"):
             ro.CircleCocycle((0, 1), (1.0,), (np.eye(2), np.eye(2)))
 
+    @pytest.mark.parametrize("roof", [0.0, -1.0, math.inf, math.nan])
+    def test_roofs_must_be_positive_and_finite(self, roof):
+        with pytest.raises(ValueError, match=r"roofs must be positive and finite, got \(1\.0, "):
+            ro.CircleCocycle((0, 1), (1.0, roof), (np.eye(2), np.eye(2)))
+
 
 class TestLiftRecord:
     def test_conformal_record_is_linear(self):
