@@ -1,9 +1,11 @@
 """Lyapunov spectra of sampled cocycle orbits via blocked QR accumulation.
 
 The sampled step matrices are tree-reduced into short block products with
-per-matrix scale tracking, then a single QR recurrence walks the blocks.
-Block length adapts to the per-step conditioning so block products never
-exceed a safe condition number before re-orthonormalization.
+per-matrix scale tracking, then contiguous segments of blocks run the QR
+recurrence in lockstep, one batched QR per step, each later segment from a
+warm-up frame (see qr_spectrum).  Block length adapts to the per-step
+conditioning so block products never exceed a safe condition number before
+re-orthonormalization.
 """
 from __future__ import annotations
 
@@ -21,6 +23,10 @@ MAX_BLOCK_LOG_COND = 30.0
 DEFAULT_BATCHES = 20
 VOLUME_TOL = 1e-8
 MIN_STEPS = 1000
+# lockstep QR: at most this many segments per stderr batch, and every
+# segment at least this many steps long
+_MAX_SEGMENTS_PER_BATCH = 10
+_MIN_SEGMENT_STEPS = 4096
 
 
 @dataclass(frozen=True)
@@ -60,35 +66,81 @@ def _tree_reduce(mats: np.ndarray, B: int):
     while width > 1:
         P = P[:, 1::2] @ P[:, 0::2]
         width //= 2
-        s = np.abs(P).max(axis=(2, 3))
+        # max |entry| without an |P| temporary, and scaled in place: two
+        # copies of P would double the peak memory of a long path
+        s = np.maximum(P.max(axis=(2, 3)), -P.min(axis=(2, 3)))
         s = np.maximum(s, 1e-300)
-        P = P / s[..., None, None]
+        P /= s[..., None, None]
         logs += np.log(s).sum(axis=1)
     return P[:, 0], logs
 
 
 def qr_spectrum(mats: np.ndarray, logdet: np.ndarray, block_size: int, n_batches: int = DEFAULT_BATCHES) -> LyapunovEstimate:
-    """Blocked QR estimate from explicit step matrices along one path."""
+    """Blocked QR estimate from explicit step matrices along one path.
+
+    The nb block products are cut into S contiguous segments of L blocks
+    (the last may be shorter), with S at most _MAX_SEGMENTS_PER_BATCH *
+    n_batches and every segment at least _MIN_SEGMENT_STEPS steps long; a
+    path shorter than two such segments is one segment (S = 1).  Segment 0
+    starts from the identity frame at block 0 and never warms up.  Every
+    later segment starts from the identity one full segment early and
+    discards those L warm-up blocks; segment 1's warm-up is segment 0's
+    own run.  All segments advance together, one batched QR of an
+    (S - 1, d, d) stack per step, at most 2L steps in all.  Each stderr
+    batch sums its blocks' log|R_ii| in order, as one sequential recurrence
+    over all blocks would.
+
+    The frame forgets its start at the rate of the smallest gap between
+    distinct exponents (Benettin et al. 1980; Ershov and Potapov 1998),
+    and QR of M D, D a diagonal sign matrix, has the same Q as QR of M.
+    Once a warmed-up frame equals the sequential one to the last bit the
+    two runs stay equal, and exponents and stderr are those of the
+    sequential recurrence bit for bit; on well-separated spectra this
+    happens inside the warm-up, and for S = 1 there is nothing to warm up.
+    Otherwise the result moves by the frame's own rounding.
+
+    Where exponents are equal (conformal blocks) the frame never forgets
+    its start.  Over a segment with product P, the sum of the top k
+    log|R_ii| is the log k-volume of P applied to the first k columns of
+    the starting frame, which lies between the sums of the k smallest and
+    the k largest log singular values of P.  A segment start after the
+    second therefore moves that sum by at most k log cond_2(P), and the
+    sum of all d not at all (log|det P|), so it moves every exponent by
+    at most (2d - 3) log cond_2(P) / n_steps (d >= 2).  For a conformal
+    cocycle conjugated by W, cond_2(P) <= cond_2(W)^2 on every segment.
+    """
     T, d, _ = mats.shape
     B = block_size
     nb = T // B
+    if nb < 1:
+        raise ValueError(f"path of {T} steps is shorter than one block of {B}")
+    if n_batches < 1:
+        raise ValueError(f"need at least one stderr batch, got {n_batches}")
     if nb < n_batches:
-        n_batches = max(1, nb)
+        n_batches = nb
     used = nb * B
     prods, logs = _tree_reduce(mats[:used].reshape(nb, B, d, d), B)
-    Q = np.eye(d)
-    batch_sums = np.zeros((n_batches, d))
-    batch_steps = np.zeros(n_batches)
-    for i in range(nb):
-        M = prods[i] @ Q
-        Q, R = np.linalg.qr(M)
-        diag = np.abs(np.diag(R))
-        b = i * n_batches // nb
-        batch_sums[b] += np.log(diag) + logs[i]
-        batch_steps[b] += B
+    S = min(_MAX_SEGMENTS_PER_BATCH * n_batches, nb // -(-_MIN_SEGMENT_STEPS // B))
+    L = nb if S < 2 else -(-nb // S)
+    # stack row c starts from the identity at block c L: row 0 runs
+    # segments 0 and 1, row c > 0 warms up on segment c and keeps c + 1
+    starts = np.arange(0, max(nb - L, 1), L)
+    Q = np.broadcast_to(np.eye(d), (len(starts), d, d))
+    diag = np.empty((nb, d))
+    for j in range(min(2 * L, nb)):
+        idx = np.minimum(starts + j, nb - 1)
+        Q, R = np.linalg.qr(prods[idx] @ Q)
+        keep = (starts + j < nb) & ((starts == 0) | (j >= L))
+        diag[idx[keep]] = np.abs(np.diagonal(R[keep], axis1=1, axis2=2))
+    terms = np.log(diag) + logs[:, None]
+    # block i falls in stderr batch i * n_batches // nb, which starts at
+    # block bounds[b]
+    bounds = -(-np.arange(n_batches + 1) * nb // n_batches)
+    batch_sums = np.array([np.cumsum(terms[a:b], axis=0)[-1]
+                           for a, b in zip(bounds[:-1], bounds[1:])])
     total = batch_sums.sum(axis=0)
     exponents = total / used
-    means = batch_sums / batch_steps[:, None]
+    means = batch_sums / (B * np.diff(bounds))[:, None]
     if n_batches > 1:
         stderr = means.std(axis=0, ddof=1) / np.sqrt(n_batches)
     else:

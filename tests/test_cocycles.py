@@ -290,6 +290,15 @@ class TestDomination:
         res = cc.domination_check(lc(FULL2, g, g))
         assert not res.dominated and res.power is None
 
+    @pytest.mark.parametrize("budget,power", [(15, None), (16, 3)])
+    def test_budget_bounds_the_powers_searched(self, budget, power, monkeypatch):
+        # first dominated at power 3, whose 8 cylinders on the full 2-shift
+        # are searched only when 8 * 2 fits the budget
+        monkeypatch.setattr(cc, "_DOMINATION_BUDGET", budget)
+        g = rot(1.0) @ np.diag([1.2, 1 / 1.2])
+        res = cc.domination_check(lc(sh.SftSpec.full_shift(2, theta=0.9), g, g))
+        assert (res.dominated, res.power) == (power is not None, power)
+
     @pytest.mark.parametrize("case", list(SAME_PATH_CASES))
     def test_same_path_as_word_dict_search(self, case, monkeypatch):
         # a small budget makes the undominated cases reach the budget stop
@@ -376,6 +385,20 @@ class TestStableHolonomy:
         res = cc.stable_holonomy(A, z, p, tol=1e-13)
         dist = sh.metric(z, p, FULL2)
         assert np.linalg.norm(res.matrix - np.eye(2), 2) <= c1 * dist + 1e-10
+
+    def test_overflowing_series_raises(self, monkeypatch):
+        # hyperbolic generators with a bump: C - I stalls at round-off
+        # while the scale gap grows, so the terms overflow (from term 491);
+        # the series must stop at the first term that is not finite instead
+        # of running on to the depth cap, here lowered so that a missing
+        # check fails in seconds rather than hours
+        monkeypatch.setattr(cc, "HOLONOMY_DEPTH_CAP", 1000)
+        pert = cc.HoelderPerturbation(nu=1.0, bumps=(cc.HoelderBump((0, 1), 0.01),))
+        A = cc.CocycleSpec(FULL2_TIGHT, 1, {"0": D2, "1": POS}, pert)
+        x = sh.make_point((0,), (1, 0, 1), (0, 1))
+        y = sh.make_point((1,), (0, 0, 1), (0, 1))
+        with pytest.raises(ArithmeticError, match="not finite"):
+            cc.stable_holonomy(A, x, y)
 
 
 class TestUnstableHolonomy:

@@ -1,8 +1,13 @@
 """Blocked QR Lyapunov estimates against closed-form and brute-force oracles."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import cocyclelab.cocycles as cc
+import cocyclelab.experiments as ex
+import cocyclelab.experiments.config as cf
+import cocyclelab.linalg as la
 import cocyclelab.lyapunov as ly
 import cocyclelab.shifts as sh
 
@@ -232,3 +237,176 @@ class TestExteriorCheck:
         mu = sh.parry_measure(FULL2)
         with pytest.raises(ValueError, match="at least"):
             ly.exterior_sum_check(A, mu, k=1, n_steps=ly.MIN_STEPS - 1, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# lockstep segments against one sequential QR recurrence
+# ---------------------------------------------------------------------------
+
+def sequential_qr_spectrum(mats, logdet, block_size, n_batches=ly.DEFAULT_BATCHES):
+    """qr_spectrum as one QR recurrence walking every block in order from
+    the identity frame, one d x d QR per block."""
+    T, d, _ = mats.shape
+    B = block_size
+    nb = T // B
+    if nb < n_batches:
+        n_batches = max(1, nb)
+    used = nb * B
+    prods, logs = ly._tree_reduce(mats[:used].reshape(nb, B, d, d), B)
+    Q = np.eye(d)
+    batch_sums = np.zeros((n_batches, d))
+    batch_steps = np.zeros(n_batches)
+    for i in range(nb):
+        M = prods[i] @ Q
+        Q, R = np.linalg.qr(M)
+        diag = np.abs(np.diag(R))
+        b = i * n_batches // nb
+        batch_sums[b] += np.log(diag) + logs[i]
+        batch_steps[b] += B
+    total = batch_sums.sum(axis=0)
+    exponents = total / used
+    means = batch_sums / batch_steps[:, None]
+    if n_batches > 1:
+        stderr = means.std(axis=0, ddof=1) / np.sqrt(n_batches)
+    else:
+        stderr = np.full(d, np.inf)
+    order = np.argsort(-exponents, kind="stable")
+    exponents = exponents[order]
+    stderr = stderr[order]
+    vol = abs(float(exponents.sum() - logdet[:used].mean()))
+    return ly.LyapunovEstimate(exponents, stderr, used, B, vol)
+
+
+def sampled_path(A, mu, n_steps, seed):
+    """Step matrices, log|det| and the lyapunov_qr block size of one path."""
+    symbols = np.asarray(mu.sample_orbit(n_steps + A.window - 1, seed))
+    mats, logdet = A.path_matrices(symbols)
+    return mats, logdet, ly._adaptive_block(A, n_steps, ly.DEFAULT_BATCHES)
+
+
+def assert_same_estimate(new, ref):
+    assert np.array_equal(new.exponents, ref.exponents)
+    assert np.array_equal(new.stderr, ref.stderr)
+    assert (new.n_steps, new.block_size, new.volume_residual) == (
+        ref.n_steps, ref.block_size, ref.volume_residual)
+
+
+E1_CONFIG = cf.load_config(str(Path(ex.__file__).parent / "configs" / "e1.json"))
+E1_MEMBERS = E1_CONFIG["suite"] + [E1_CONFIG["control"], E1_CONFIG["informative"]]
+E1_PAIRS = [(m, mc) for m in E1_MEMBERS for mc in m["measures"]]
+
+
+def conjugated(C, diag):
+    return C @ np.diag(diag) @ np.linalg.inv(C)
+
+
+C2 = np.array([[1.0, 0.4], [-0.3, 1.2]])
+C3 = np.array([[1.0, 0.3, 0.0], [0.2, 1.1, -0.4], [-0.1, 0.2, 0.9]])
+C4 = np.eye(4) + 0.25 * np.arange(16).reshape(4, 4) / 16.0
+# the conjugated generator pairs of acceptance criterion 1, then seeded
+# Gaussian pairs at d = 2, 3, 4
+NON_DEGENERATE = {
+    "conj-d2-a": (conjugated(C2, [2.0, 0.5]), conjugated(C2, [3.0, 1 / 3.0])),
+    "conj-d2-b": (conjugated(C2, [1.7, 0.7]), conjugated(C2, [0.8, 1.9])),
+    "conj-d3": (conjugated(C3, [2.2, 1.1, 0.4]), conjugated(C3, [1.5, 0.8, 0.6])),
+    "conj-d4": (conjugated(C4, [2.0, 1.3, 0.7, 0.4]),
+                conjugated(C4, [1.8, 1.2, 0.6, 0.35])),
+}
+
+
+def random_pair(seed):
+    rng = np.random.default_rng(seed)
+    d = 2 + seed % 3
+    return rng.normal(size=(d, d)), rng.normal(size=(d, d))
+
+
+NON_DEGENERATE.update({f"random-{s}-d{2 + s % 3}": random_pair(s) for s in range(6)})
+
+
+def conformal_conjugated(W):
+    Winv = np.linalg.inv(W)
+    return lc(FULL2, W @ (1.5 * rot(0.7)) @ Winv, W @ (0.8 * rot(-0.3)) @ Winv)
+
+
+class TestLockstepSamePath:
+    @pytest.mark.parametrize("n_steps", [9_000, 60_000])
+    @pytest.mark.parametrize(
+        "member,measure", E1_PAIRS,
+        ids=[f"{m['name']}-{mc.get('name', mc['kind'])}" for m, mc in E1_PAIRS])
+    def test_e1_paths_bit_identical(self, member, measure, n_steps):
+        spec = cf.build_base(E1_CONFIG["base"])
+        A = cf.build_cocycle(spec, member["cocycle"])
+        mu = cf.build_measure(spec, measure)
+        mats, logdet, B = sampled_path(A, mu, n_steps, seed=E1_CONFIG["seed"])
+        assert_same_estimate(ly.qr_spectrum(mats, logdet, B),
+                             sequential_qr_spectrum(mats, logdet, B))
+
+    @pytest.mark.parametrize("block_size", [1, 8, 64])
+    def test_single_segment_bit_identical(self, block_size):
+        # under two minimum-length segments there is one segment and no
+        # warm-up, so even a conformal cocycle, whose frame never forgets
+        # its start, reproduces the sequential run
+        A = conformal_conjugated(np.array([[3.0, 1.0], [0.0, 0.5]]))
+        mats, logdet, _ = sampled_path(A, sh.parry_measure(FULL2), 5_000, seed=3)
+        assert_same_estimate(ly.qr_spectrum(mats, logdet, block_size),
+                             sequential_qr_spectrum(mats, logdet, block_size))
+
+    @pytest.mark.parametrize("name", sorted(NON_DEGENERATE))
+    def test_non_degenerate_within_rounding(self, name):
+        A = lc(FULL2, *NON_DEGENERATE[name])
+        mats, logdet, B = sampled_path(A, sh.parry_measure(FULL2), 30_000, seed=5)
+        paths = [(mats, logdet, B)]
+        if A.dim > 2:
+            paths.append((la.exterior_power(mats, 2), logdet * (A.dim - 1), max(1, B // 2)))
+        for m, ld, b in paths:
+            new = ly.qr_spectrum(m, ld, b)
+            ref = sequential_qr_spectrum(m, ld, b)
+            assert np.max(np.abs(new.exponents - ref.exponents)) <= 1e-9
+            assert np.all(np.abs(new.stderr - ref.stderr) <= 1e-5 * ref.stderr)
+
+    def test_conformal_moves_within_seam_bound(self):
+        # the qr_spectrum docstring's bound: each segment start after the
+        # second moves every exponent by at most (2d - 3) log cond_2(P) /
+        # n_steps with cond_2(P) <= cond_2(W)^2, and there are at most
+        # _MAX_SEGMENTS_PER_BATCH * n_batches segments
+        W = np.array([[3.0, 1.0], [0.0, 0.5]])
+        A = conformal_conjugated(W)
+        mats, logdet, B = sampled_path(A, sh.parry_measure(FULL2), 60_000, seed=3)
+        new = ly.qr_spectrum(mats, logdet, B)
+        ref = sequential_qr_spectrum(mats, logdet, B)
+        seams = ly._MAX_SEGMENTS_PER_BATCH * ly.DEFAULT_BATCHES - 2
+        bound = seams * 2.0 * np.log(np.linalg.cond(W)) / new.n_steps
+        assert np.max(np.abs(new.exponents - ref.exponents)) <= bound + 1e-12
+        assert new.volume_residual < ly.VOLUME_TOL
+
+    def test_batched_qr_calls(self, monkeypatch):
+        calls = []
+        qr = np.linalg.qr
+
+        def counting_qr(M):
+            calls.append(M.shape)
+            return qr(M)
+
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        A = lc(FULL2, np.diag([2.0, 0.5]), np.array([[1.0, 1.0], [0.5, 2.0]]))
+        mats, logdet, _ = sampled_path(A, sh.parry_measure(FULL2), 200_000, seed=1)
+        ly.qr_spectrum(mats, logdet, block_size=8)
+        nb = 200_000 // 8
+        # the sizing rule: at most 10 segments per stderr batch, each at
+        # least 4096 steps long
+        segments = min(ly._MAX_SEGMENTS_PER_BATCH * ly.DEFAULT_BATCHES,
+                       nb // -(-ly._MIN_SEGMENT_STEPS // 8))
+        assert segments > 2
+        assert len(calls) <= 2 * -(-nb // segments)
+        assert all(shape[0] == calls[0][0] > 1 for shape in calls)
+
+    def test_path_shorter_than_a_block_rejected(self):
+        mats = np.tile(np.eye(2), (3, 1, 1))
+        with pytest.raises(ValueError, match="shorter than one block"):
+            ly.qr_spectrum(mats, np.zeros(3), block_size=4)
+
+    @pytest.mark.parametrize("n_batches", [0, -3])
+    def test_batch_count_must_be_positive(self, n_batches):
+        mats = np.tile(np.eye(2), (64, 1, 1))
+        with pytest.raises(ValueError, match="at least one stderr batch"):
+            ly.qr_spectrum(mats, np.zeros(64), block_size=4, n_batches=n_batches)
