@@ -178,20 +178,44 @@ class CocycleSpec:
 
     # -- fast path for orbit samples ----------------------------------------
 
-    def path_matrices(self, symbols: np.ndarray):
+    def path_matrices(self, symbols: np.ndarray, start: int = 0, stop: int | None = None):
         """(steps, d, d) step matrices and per-step log|det| along a sample path.
 
-        Bump fields are evaluated by convolution with the theta^(nu|k|)
-        kernel truncated at double precision; path ends contribute nothing
-        outside the sampled stretch.
+        Step t reads the window symbols[t : t + window]; start and stop
+        select the steps [start, stop) (default: every step).  Bump fields
+        are evaluated by convolution with the theta^(nu|k|) kernel, |k| <= K,
+        truncated at double precision; path ends contribute nothing outside
+        the sampled stretch.  A range of steps reads only a halo of 2K
+        symbols plus the longest bump word on each side of its own windows,
+        and its fields equal those of the whole path bit for bit: every
+        step's kernel lies inside the halo, and the halo is long enough that
+        numpy convolves the stretch exactly as it would the whole path.
         """
         symbols = np.asarray(symbols, dtype=np.int64)
         m = self.base.alphabet_size
         w = self.window
-        steps = len(symbols) - w + 1
-        if steps <= 0:
+        n_steps = len(symbols) - w + 1
+        if n_steps <= 0:
             raise ValueError("path shorter than the window")
-        codes = _window_code([symbols[j : j + steps] for j in range(w)], m)
+        if stop is None:
+            stop = n_steps
+        if not 0 <= start < stop <= n_steps:
+            raise ValueError(f"steps [{start}, {stop}) do not lie in the path's {n_steps} steps")
+        if self.is_locally_constant:
+            halo = 0
+        else:
+            nu = self.perturbation.nu
+            theta = self.base.theta
+            K = int(np.ceil(-40.0 / (nu * np.log(theta))))  # theta^(nu K) < e^-40
+            kernel = theta ** (nu * np.abs(np.arange(-K, K + 1)))
+            halo = 2 * K + max(len(b.word) for b in self.perturbation.bumps)
+        lo = max(start - halo, 0)
+        symbols = symbols[lo : stop + w - 1 + halo]
+        first, steps = start - lo, stop - start
+        if symbols.min() < 0 or symbols.max() >= m:
+            bad = symbols[(symbols < 0) | (symbols >= m)][0]
+            raise ValueError(f"path symbol {bad} outside [0, {m})")
+        codes = _window_code([symbols[first + j : first + j + steps] for j in range(w)], m)
         stack, lookup = self._generator_table()
         idx = lookup[codes]
         if np.any(idx < 0):
@@ -200,10 +224,6 @@ class CocycleSpec:
         logdet = np.log(np.abs(np.linalg.det(stack)))[idx]
         if self.is_locally_constant:
             return out, logdet
-        nu = self.perturbation.nu
-        theta = self.base.theta
-        K = int(np.ceil(-40.0 / (nu * np.log(theta))))  # theta^(nu K) < e^-40
-        kernel = theta ** (nu * np.abs(np.arange(-K, K + 1)))
         for b in self.perturbation.bumps:
             bw = b.word
             bl = len(bw)
@@ -213,7 +233,7 @@ class CocycleSpec:
                 ind *= symbols[j : j + positions] == s
             ind_full = np.zeros(len(symbols))
             ind_full[: len(ind)] = ind
-            g = b.amplitude * np.convolve(ind_full, kernel, mode="same")[:steps]
+            g = b.amplitude * np.convolve(ind_full, kernel, mode="same")[first : first + steps]
             D = b.direction_for(self.dim)
             out = out @ _bump_factors(D, g)
             logdet = logdet + g * float(np.trace(D))

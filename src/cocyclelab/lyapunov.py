@@ -1,11 +1,13 @@
 """Lyapunov spectra of sampled cocycle orbits via blocked QR accumulation.
 
-The sampled step matrices are tree-reduced into short block products with
-per-matrix scale tracking, then contiguous segments of blocks run the QR
-recurrence in lockstep, one batched QR per step, each later segment from a
-warm-up frame (see qr_spectrum).  Block length adapts to the per-step
-conditioning so block products never exceed a safe condition number before
-re-orthonormalization.
+Two stages.  The block stage builds the step matrices of a sampled path
+_CHUNK_BLOCKS whole blocks at a time (path_matrices over a range of steps)
+and tree-reduces each chunk into short block products with per-matrix
+scale tracking, so a path's T x d x d step matrices are never held at
+once.  The recurrence then runs contiguous segments of blocks in lockstep,
+one batched QR per step, each later segment from a warm-up frame (see
+qr_spectrum).  Block length adapts to the per-step conditioning so block
+products never exceed a safe condition number before re-orthonormalization.
 """
 from __future__ import annotations
 
@@ -27,6 +29,8 @@ MIN_STEPS = 1000
 # segment at least this many steps long
 _MAX_SEGMENTS_PER_BATCH = 10
 _MIN_SEGMENT_STEPS = 4096
+# block stage: whole blocks built and tree-reduced at a time
+_CHUNK_BLOCKS = 4096
 
 
 @dataclass(frozen=True)
@@ -67,7 +71,7 @@ def _tree_reduce(mats: np.ndarray, B: int):
         P = P[:, 1::2] @ P[:, 0::2]
         width //= 2
         # max |entry| without an |P| temporary, and scaled in place: two
-        # copies of P would double the peak memory of a long path
+        # copies of P would double the peak memory of a chunk
         s = np.maximum(P.max(axis=(2, 3)), -P.min(axis=(2, 3)))
         s = np.maximum(s, 1e-300)
         P /= s[..., None, None]
@@ -75,8 +79,54 @@ def _tree_reduce(mats: np.ndarray, B: int):
     return P[:, 0], logs
 
 
-def qr_spectrum(mats: np.ndarray, logdet: np.ndarray, block_size: int, n_batches: int = DEFAULT_BATCHES) -> LyapunovEstimate:
-    """Blocked QR estimate from explicit step matrices along one path.
+@dataclass(frozen=True)
+class _PathSteps:
+    """The step matrices of A along a symbol path, or their k-th exterior
+    powers, built a chunk at a time: chunk(a, b) returns those of steps a
+    to b - 1 and their log|det|.  shape is that of the whole (T, C, C)
+    array, C = binom(d, k), which is never built."""
+
+    A: CocycleSpec
+    symbols: np.ndarray
+    k: int = 1
+
+    @property
+    def shape(self):
+        C = comb(self.A.dim, self.k)
+        return (len(self.symbols) - self.A.window + 1, C, C)
+
+    def chunk(self, a: int, b: int):
+        mats, logdet = self.A.path_matrices(self.symbols, a, b)
+        if self.k == 1:
+            return mats, logdet
+        return la.exterior_power(mats, self.k), logdet * comb(self.A.dim - 1, self.k - 1)
+
+
+def _block_products(chunk, nb: int, B: int):
+    """Block stage: the first nb blocks of B steps, _CHUNK_BLOCKS whole
+    blocks at a time, chunk(a, b) giving the step matrices and log|det| of
+    steps a to b - 1.  Returns (products (nb, d, d), logscale (nb,),
+    logdet (nb B,)).  _tree_reduce reduces every block on its own, so the
+    chunks change no bit of the result."""
+    for lo in range(0, nb, _CHUNK_BLOCKS):
+        hi = min(lo + _CHUNK_BLOCKS, nb)
+        mats, ld = chunk(lo * B, hi * B)
+        d = mats.shape[-1]
+        if lo == 0:
+            prods, logs, logdet = np.empty((nb, d, d)), np.empty(nb), np.empty(nb * B)
+        prods[lo:hi], logs[lo:hi] = _tree_reduce(mats.reshape(hi - lo, B, d, d), B)
+        logdet[lo * B : hi * B] = ld
+    return prods, logs, logdet
+
+
+def qr_spectrum(mats: np.ndarray | _PathSteps, logdet: np.ndarray | None, block_size: int, n_batches: int = DEFAULT_BATCHES) -> LyapunovEstimate:
+    """Blocked QR estimate from the step matrices along one path.
+
+    mats is the (T, d, d) array of step matrices and logdet their log|det|,
+    or a _PathSteps (logdet None) that builds both a chunk at a time.
+    Either way the block stage (_block_products) reduces the first nb =
+    T // block_size blocks, and the recurrence below runs over the (nb, d,
+    d) products and their log scales.
 
     The nb block products are cut into S contiguous segments of L blocks
     (the last may be shorter), with S at most _MAX_SEGMENTS_PER_BATCH *
@@ -118,8 +168,13 @@ def qr_spectrum(mats: np.ndarray, logdet: np.ndarray, block_size: int, n_batches
         raise ValueError(f"need at least one stderr batch, got {n_batches}")
     if nb < n_batches:
         n_batches = nb
+    if isinstance(mats, _PathSteps):
+        chunk = mats.chunk
+    else:
+        def chunk(a, b):
+            return mats[a:b], logdet[a:b]
+    prods, logs, logdet = _block_products(chunk, nb, B)
     used = nb * B
-    prods, logs = _tree_reduce(mats[:used].reshape(nb, B, d, d), B)
     S = min(_MAX_SEGMENTS_PER_BATCH * n_batches, nb // -(-_MIN_SEGMENT_STEPS // B))
     L = nb if S < 2 else -(-nb // S)
     # stack row c starts from the identity at block c L: row 0 runs
@@ -150,7 +205,7 @@ def qr_spectrum(mats: np.ndarray, logdet: np.ndarray, block_size: int, n_batches
     order = np.argsort(-exponents, kind="stable")
     exponents = exponents[order]
     stderr = stderr[order]
-    vol = abs(float(exponents.sum() - logdet[:used].mean()))
+    vol = abs(float(exponents.sum() - logdet.mean()))
     return LyapunovEstimate(
         exponents=exponents,
         stderr=stderr,
@@ -161,16 +216,15 @@ def qr_spectrum(mats: np.ndarray, logdet: np.ndarray, block_size: int, n_batches
 
 
 def _sampled_spectrum(A: CocycleSpec, mu: MarkovMeasure, n_steps: int, seed: int, n_batches: int):
-    """Sample a mu-orbit, build its step matrices and run the blocked QR.
+    """Sample a mu-orbit once and run the blocked QR over its steps, built
+    a chunk at a time.
 
-    Returns (mats, logdet, block_size, estimate) so callers can reuse the
-    same path."""
+    Returns (path, block_size, estimate) so callers can reuse the path."""
     if n_steps < MIN_STEPS:
         raise ValueError(f"need at least {MIN_STEPS} steps for a stable estimate")
-    symbols = mu.sample_orbit(n_steps + A.window - 1, seed)
-    mats, logdet = A.path_matrices(np.asarray(symbols))
+    path = _PathSteps(A, mu.sample_orbit(n_steps + A.window - 1, seed))
     B = _adaptive_block(A, n_steps, n_batches)
-    return mats, logdet, B, qr_spectrum(mats, logdet, B, n_batches)
+    return path, B, qr_spectrum(path, None, B, n_batches)
 
 
 def lyapunov_qr(A: CocycleSpec, mu: MarkovMeasure, n_steps: int, seed: int, n_batches: int = DEFAULT_BATCHES) -> LyapunovEstimate:
@@ -332,11 +386,8 @@ def exterior_sum_check(A: CocycleSpec, mu: MarkovMeasure, k: int, n_steps: int, 
     d = A.dim
     if not (1 <= k <= d):
         raise ValueError("exterior order out of range")
-    mats, logdet, B, base = _sampled_spectrum(A, mu, n_steps, seed, n_batches)
-    mats_k = la.exterior_power(mats, k)
-    logdet_k = logdet * comb(d - 1, k - 1)
-    Bk = max(1, B // 2)
-    ext = qr_spectrum(mats_k, logdet_k, Bk, n_batches)
+    path, B, base = _sampled_spectrum(A, mu, n_steps, seed, n_batches)
+    ext = qr_spectrum(replace(path, k=k), None, max(1, B // 2), n_batches)
     top_sum = float(base.exponents[:k].sum())
     ext_top = float(ext.exponents[0])
     tol = 3.0 * float(np.sqrt((base.stderr[:k] ** 2).sum()) + ext.stderr[0]) + 1e-6

@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 _SYMS = "0123456789abcdefghijklmnopqrstuvwxyz"
+# vectorized passes of sample_orbit before its sequential walk
+_SAMPLER_PASSES = 6
 
 
 def parse_word(word) -> tuple:
@@ -333,25 +336,62 @@ class MarkovMeasure:
             out *= self.P[a, b]
         return float(out)
 
-    def sample_orbit(self, length: int, seed: int) -> np.ndarray:
-        """Deterministic stationary sample path of the chain."""
-        rng = np.random.default_rng(seed)
-        u = rng.random(length)
+    @cached_property
+    def _step_table(self):
+        """(start, edges, table, fixed) for sample_orbit.
+
+        start is the cumulative stationary distribution.  From state s a
+        draw u moves to the number of entries of the cumulative row s (its
+        last entry set to 1) that are <= u.  For u in [edges[k - 1],
+        edges[k]) that count is table[k, s], and 0 below edges[0]; the
+        extra last column of table is -1, so an open state -1 stays open.
+        fixed[k] is the next state when it is the same from every state,
+        else -1."""
         cum = np.cumsum(self.P, axis=1)
         cum[:, -1] = 1.0
-        cum_rows = [tuple(row) for row in cum]
-        out = np.empty(length, dtype=np.int64)
-        s = int(np.searchsorted(np.cumsum(self.pi), u[0], side="right"))
-        s = min(s, self.spec.alphabet_size - 1)
-        out[0] = s
-        for t in range(1, length):
-            row = cum_rows[s]
-            ut = u[t]
-            ns = 0
-            while row[ns] <= ut:
-                ns += 1
-            s = ns
-            out[t] = s
+        edges = np.sort(cum, axis=None)
+        m = len(cum)
+        table = np.full((len(edges) + 1, m + 1), -1, dtype=np.int64)
+        table[0, :m] = 0
+        table[1:, :m] = (cum[None, :, :] <= edges[:, None, None]).sum(axis=2)
+        same = (table[:, :m] == table[:, :1]).all(axis=1)
+        fixed = np.where(same, table[:, 0], -1)
+        return np.cumsum(self.pi), edges, table, fixed
+
+    def sample_orbit(self, length: int, seed: int) -> np.ndarray:
+        """Deterministic stationary sample path of the chain.
+
+        Draws u = rng.random(length).  The start state inverts the
+        stationary distribution at u[0]; step t moves from state s to the
+        number of entries of the cumulative row s that are <= u[t].  Steps
+        whose next state is the same from every state are fixed at once.
+        The others are filled from their resolved predecessors in up to
+        _SAMPLER_PASSES vectorized passes, each resolving the first open
+        step of every run of open steps, and a sequential walk finishes
+        the runs still open (rows that rarely agree, such as a nearly
+        permuting P, leave long runs).
+        """
+        if length < 1:
+            raise ValueError(f"orbit length must be at least 1, got {length}")
+        start, edges, table, fixed = self._step_table
+        u = np.random.default_rng(seed).random(length)
+        which = np.searchsorted(edges, u, side="right")
+        out = fixed[which]
+        s = int(np.searchsorted(start, u[0], side="right"))
+        out[0] = min(s, self.spec.alphabet_size - 1)
+        todo = np.flatnonzero(out < 0)
+        for _ in range(_SAMPLER_PASSES):
+            if not todo.size:
+                return out
+            out[todo] = table[which[todo], out[todo - 1]]
+            todo = todo[out[todo] < 0]
+        # an open predecessor is the previous entry of todo, walked just before
+        rows = table.tolist()
+        walked = []
+        for p, k in zip(out[todo - 1].tolist(), which[todo].tolist()):
+            s = rows[k][s if p < 0 else p]
+            walked.append(s)
+        out[todo] = walked
         return out
 
 

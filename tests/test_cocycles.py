@@ -239,6 +239,50 @@ class TestPathMatrices:
         with pytest.raises(ValueError, match="inadmissible"):
             A.path_matrices(np.array([0, 1, 1, 0]))
 
+    def test_symbol_out_of_range_rejected(self):
+        # window 1: -1 used to wrap around to the generator of word 1
+        A = lc(FULL2, D2, SHEAR)
+        with pytest.raises(ValueError, match=r"^path symbol -1 outside \[0, 2\)$"):
+            A.path_matrices(np.array([0, -1, 1]))
+        # window 2: the path 30 used to read as the word 11
+        A2 = cc.CocycleSpec(FULL2, 2, {"00": D2, "01": SHEAR, "10": POS, "11": D2})
+        with pytest.raises(ValueError, match=r"^path symbol 3 outside \[0, 2\)$"):
+            A2.path_matrices(np.array([3, 0]))
+
+    def test_symbol_out_of_range_rejected_in_a_step_range(self):
+        A = lc(FULL2, D2, SHEAR)
+        sym = np.zeros(100, dtype=int)
+        sym[60] = 2
+        A.path_matrices(sym, 0, 50)
+        with pytest.raises(ValueError, match=r"^path symbol 2 outside \[0, 2\)$"):
+            A.path_matrices(sym, 50, 70)
+
+    @pytest.mark.parametrize("start,stop", [(-1, 5), (3, 3), (0, 100)])
+    def test_step_range_outside_path_rejected(self, start, stop):
+        A = lc(FULL2, D2, SHEAR)
+        with pytest.raises(ValueError, match=r"^steps \["):
+            A.path_matrices(np.zeros(99, dtype=int), start, stop)
+
+    @pytest.mark.parametrize("theta,nu,length", [
+        (0.5, 1.0, 3000),   # kernel half-width K = 58, far shorter than the path
+        (0.9, 0.5, 1000),   # K = 760: the whole path is shorter than the kernel
+    ])
+    def test_step_ranges_equal_whole_path(self, theta, nu, length):
+        # fields of a step range, read through its halo, equal the whole
+        # path's convolution bit for bit, true path ends included
+        base = sh.SftSpec.full_shift(2, theta)
+        bumps = (cc.HoelderBump((0, 1), 0.3),
+                 cc.HoelderBump((1, 1, 0), -0.2, np.array([[0.5, 1.0], [-1.0, 0.2]])))
+        A = cc.CocycleSpec(base, 2, {"00": D2, "01": SHEAR, "10": POS, "11": D2},
+                           cc.HoelderPerturbation(nu, bumps))
+        sym = np.random.default_rng(4).integers(0, 2, size=length)
+        mats, logdet = A.path_matrices(sym)
+        T = len(logdet)
+        for start, stop in [(0, 1), (0, 200), (1, 2), (137, 901), (T - 300, T), (T - 1, T)]:
+            part, part_ld = A.path_matrices(sym, start, stop)
+            assert np.array_equal(part, mats[start:stop])
+            assert np.array_equal(part_ld, logdet[start:stop])
+
 
 class TestDomination:
     def test_diagonal_tight_base_power_one(self):

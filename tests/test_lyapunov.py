@@ -1,4 +1,5 @@
 """Blocked QR Lyapunov estimates against closed-form and brute-force oracles."""
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -410,3 +411,87 @@ class TestLockstepSamePath:
         mats = np.tile(np.eye(2), (64, 1, 1))
         with pytest.raises(ValueError, match="at least one stderr batch"):
             ly.qr_spectrum(mats, np.zeros(64), block_size=4, n_batches=n_batches)
+
+
+# ---------------------------------------------------------------------------
+# the streamed block stage against one whole-path tree reduction
+# ---------------------------------------------------------------------------
+
+def whole_path_blocks(mats, logdet, B):
+    """Block products, log scales and log|det| of the first nb B steps,
+    tree-reduced from the whole (T, d, d) path at once."""
+    nb = len(mats) // B
+    d = mats.shape[-1]
+    prods, logs = ly._tree_reduce(mats[: nb * B].reshape(nb, B, d, d), B)
+    return prods, logs, logdet[: nb * B]
+
+
+def assert_same_blocks(path, mats, logdet, B):
+    nb = len(mats) // B
+    streamed = ly._block_products(path.chunk, nb, B)
+    for new, ref in zip(streamed, whole_path_blocks(mats, logdet, B)):
+        assert np.array_equal(new, ref)
+
+
+def hoelder_bump_cocycle():
+    """A d = 3 cocycle in the style of the benchmark's Hoelder ensemble:
+    conjugated scaled rotations on the full 2-shift, theta = 0.7, nu = 1,
+    with one skew bump and one bump whose direction has a trace."""
+    base = sh.SftSpec.full_shift(2, theta=0.7)
+    S = np.array([[1.0, 0.3, 0.0], [0.2, 1.1, -0.4], [-0.1, 0.2, 0.9]])
+    Si = np.linalg.inv(S)
+    R = np.eye(3)
+    R[:2, :2] = rot(0.9)
+    R2 = np.eye(3)
+    R2[:2, :2] = rot(-2.1)
+    bumps = (cc.HoelderBump((0, 1), 0.006),
+             cc.HoelderBump((1, 1), -0.004, np.diag([1.0, 0.5, -0.2])))
+    return cc.CocycleSpec(base, 1, {"0": 1.3 * S @ R @ Si, "1": 0.8 * S @ R2 @ Si},
+                          cc.HoelderPerturbation(1.0, bumps))
+
+
+class TestStreamedBlocks:
+    @pytest.mark.parametrize(
+        "member,measure", E1_PAIRS,
+        ids=[f"{m['name']}-{mc.get('name', mc['kind'])}" for m, mc in E1_PAIRS])
+    def test_e1_paths_same_blocks(self, member, measure):
+        spec = cf.build_base(E1_CONFIG["base"])
+        A = cf.build_cocycle(spec, member["cocycle"])
+        mu = cf.build_measure(spec, measure)
+        B = ly._adaptive_block(A, E1_CONFIG["n_steps"], ly.DEFAULT_BATCHES)
+        # two full chunks, a partial one, and a few steps past the last block
+        n_steps = (2 * ly._CHUNK_BLOCKS + 37) * B + 5
+        symbols = mu.sample_orbit(n_steps + A.window - 1, E1_CONFIG["seed"])
+        mats, logdet = A.path_matrices(symbols)
+        assert_same_blocks(ly._PathSteps(A, symbols), mats, logdet, B)
+
+    def test_bump_path_same_blocks(self):
+        A = hoelder_bump_cocycle()
+        mu = sh.parry_measure(A.base)
+        symbols = mu.sample_orbit(50_000, seed=2024)
+        mats, logdet = A.path_matrices(symbols)
+        assert 8 * ly._CHUNK_BLOCKS < len(mats)
+        assert_same_blocks(ly._PathSteps(A, symbols), mats, logdet, 8)
+        assert_same_estimate(ly.qr_spectrum(ly._PathSteps(A, symbols), None, 8),
+                             ly.qr_spectrum(mats, logdet, 8))
+
+    def test_exterior_path_same_blocks(self):
+        A = hoelder_bump_cocycle()
+        symbols = sh.parry_measure(A.base).sample_orbit(40_000, seed=5)
+        mats, logdet = A.path_matrices(symbols)
+        assert_same_blocks(ly._PathSteps(A, symbols, 2), la.exterior_power(mats, 2),
+                           logdet * 2, 4)
+
+    def test_generic_d4_peak_memory(self):
+        # the whole path's 10^6 step matrices alone are 122 MiB at d = 4
+        spec = cf.build_base(E1_CONFIG["base"])
+        member = next(m for m in E1_CONFIG["suite"] if m["name"] == "generic-d4")
+        A = cf.build_cocycle(spec, member["cocycle"])
+        mu = sh.parry_measure(spec)
+        tracemalloc.start()
+        try:
+            ly.lyapunov_qr(A, mu, 10**6, seed=E1_CONFIG["seed"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20

@@ -1,11 +1,14 @@
 """Shift space, symbolic points, and Markov/Gibbs measure tests."""
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cocyclelab.experiments as ex
+import cocyclelab.experiments.config as cf
 from cocyclelab import shifts as sh
 
 FULL2 = sh.SftSpec.full_shift(2, theta=0.5)
@@ -228,3 +231,99 @@ class TestSampling:
         for (a, b) in [(0, 0), (0, 1), (1, 0)]:
             freq = float(np.mean(codes == a * 2 + b))
             assert abs(freq - mu.cylinder((a, b))) < bound2, f"word {a}{b}"
+
+
+# ---------------------------------------------------------------------------
+# the coalescence sampler against the sequential loop it replaced
+# ---------------------------------------------------------------------------
+
+def loop_sample_orbit(mu, length, seed):
+    """sample_orbit as one Python loop over the steps: from state s the
+    next state is the first index of the cumulative row s above u[t]."""
+    rng = np.random.default_rng(seed)
+    u = rng.random(length)
+    cum = np.cumsum(mu.P, axis=1)
+    cum[:, -1] = 1.0
+    cum_rows = [tuple(row) for row in cum]
+    out = np.empty(length, dtype=np.int64)
+    s = int(np.searchsorted(np.cumsum(mu.pi), u[0], side="right"))
+    s = min(s, mu.spec.alphabet_size - 1)
+    out[0] = s
+    for t in range(1, length):
+        row = cum_rows[s]
+        ut = u[t]
+        ns = 0
+        while row[ns] <= ut:
+            ns += 1
+        s = ns
+        out[t] = s
+    return out
+
+
+def shipped_measures():
+    """Every measure of the shipped E1 and E4 configs, by name."""
+    out = {}
+    for name in ("e1", "e4"):
+        cfg = cf.load_config(str(Path(ex.__file__).parent / "configs" / f"{name}.json"))
+        spec = cf.build_base(cfg["base"])
+        members = [] if name == "e4" else cfg["suite"] + [cfg["control"], cfg["informative"]]
+        docs = [m for member in members for m in member["measures"]]
+        if name == "e4":
+            docs.append(cfg["measure"])
+        for doc in docs:
+            out[f"{name}-{doc.get('name', doc['kind'])}"] = cf.build_measure(spec, doc)
+    return out
+
+
+NEAR_PERMUTATION = sh.MarkovMeasure(
+    FULL2, np.array([[0.001, 0.999], [0.999, 0.001]]), np.array([0.5, 0.5]), 0.0, 0.0)
+SAMPLER_CASES = {
+    **shipped_measures(),
+    "golden-parry": sh.parry_measure(GOLDEN),
+    "near-permutation": NEAR_PERMUTATION,
+    "full3-gibbs": sh.gibbs_locally_constant(
+        sh.SftSpec.full_shift(3), [[0.4, -0.2, 0.0], [-0.5, 0.1, 0.9], [0.3, 0.0, -0.6]]),
+}
+
+
+def longest_open_run(mu, length, seed):
+    """Longest run of steps whose next state depends on the current one."""
+    _, edges, _, fixed = mu._step_table
+    u = np.random.default_rng(seed).random(length)
+    open_steps = np.concatenate([[0], fixed[np.searchsorted(edges, u[1:], side="right")] < 0, [0]])
+    edges_of_runs = np.flatnonzero(np.diff(open_steps))
+    return int(np.max(np.diff(edges_of_runs)[::2], initial=0))
+
+
+class TestCoalescenceSampler:
+    @pytest.mark.parametrize("name", sorted(SAMPLER_CASES))
+    def test_same_path_as_loop(self, name):
+        mu = SAMPLER_CASES[name]
+        for seed in (2024, 7):
+            new = mu.sample_orbit(10**5, seed)
+            assert new.dtype == np.int64
+            assert np.array_equal(new, loop_sample_orbit(mu, 10**5, seed))
+
+    def test_near_permutation_reaches_the_walk(self):
+        # the passes resolve one step per run each; runs longer than the
+        # cap are finished by the sequential walk
+        assert longest_open_run(NEAR_PERMUTATION, 10**5, 2024) > 10 * sh._SAMPLER_PASSES
+
+    @pytest.mark.parametrize("name", sorted(SAMPLER_CASES))
+    def test_short_orbits_same_path_as_loop(self, name):
+        # 15 symbols: the orbit length of the rho_measure fallback
+        mu = SAMPLER_CASES[name]
+        for seed in range(50):
+            assert np.array_equal(mu.sample_orbit(15, seed), loop_sample_orbit(mu, 15, seed))
+
+    def test_length_one(self):
+        mu = sh.parry_measure(GOLDEN)
+        for seed in range(20):
+            path = mu.sample_orbit(1, seed)
+            assert path.shape == (1,)
+            assert np.array_equal(path, loop_sample_orbit(mu, 1, seed))
+
+    @pytest.mark.parametrize("length", [0, -3])
+    def test_length_must_be_positive(self, length):
+        with pytest.raises(ValueError, match=rf"^orbit length must be at least 1, got {length}$"):
+            sh.parry_measure(GOLDEN).sample_orbit(length, seed=1)
