@@ -8,16 +8,25 @@ closed form), which keeps holonomy limits and transition maps reproducible.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import linalg as la
-from .shifts import SftSpec, SymbolicPoint, homoclinic_point, parse_word, periodic_point
+from .shifts import (
+    SftSpec, SymbolicPoint, homoclinic_point, make_point, parse_word, periodic_point,
+)
 
 HOLONOMY_DEPTH_CAP = 10**4
+# holonomy series steps whose step matrices are read at once
+_HOLONOMY_CHUNK = 64
 # enumeration budget for exact cylinder sups in the domination search
 _DOMINATION_BUDGET = 150_000
+# bump directions whose eigenvector matrix is worse conditioned are rejected
+_DIRECTION_COND_MAX = np.finfo(float).eps ** -0.5
 
 
 def _skew_plane(d: int) -> np.ndarray:
@@ -106,6 +115,9 @@ class CocycleSpec:
             if w not in gen:
                 raise ValueError(f"generator missing admissible word {w}")
         object.__setattr__(self, "generator", gen)
+        if not self.is_locally_constant:
+            for b in self.perturbation.bumps:
+                _diagonalize(b.direction_for(dim))
 
     @property
     def dim(self) -> int:
@@ -114,6 +126,25 @@ class CocycleSpec:
     @property
     def is_locally_constant(self) -> bool:
         return self.perturbation is None or not self.perturbation.bumps
+
+    @cached_property
+    def _domination(self) -> "DominationResult":
+        """domination_check with default arguments, computed once."""
+        return domination_check(self)
+
+    @cached_property
+    def _kernel(self):
+        """(kernel, halo) of the convolved bump fields: theta^(nu|k|) for
+        |k| <= K, truncated where theta^(nu K) < e^-40, and the 2K symbols
+        plus the longest bump word that a step range reads on each side
+        (None and 0 when locally constant)."""
+        if self.is_locally_constant:
+            return None, 0
+        nu = self.perturbation.nu
+        theta = self.base.theta
+        K = int(np.ceil(-40.0 / (nu * np.log(theta))))
+        kernel = theta ** (nu * np.abs(np.arange(-K, K + 1)))
+        return kernel, 2 * K + max(len(b.word) for b in self.perturbation.bumps)
 
     # -- pointwise evaluation ------------------------------------------------
 
@@ -201,29 +232,41 @@ class CocycleSpec:
             stop = n_steps
         if not 0 <= start < stop <= n_steps:
             raise ValueError(f"steps [{start}, {stop}) do not lie in the path's {n_steps} steps")
-        if self.is_locally_constant:
-            halo = 0
-        else:
-            nu = self.perturbation.nu
-            theta = self.base.theta
-            K = int(np.ceil(-40.0 / (nu * np.log(theta))))  # theta^(nu K) < e^-40
-            kernel = theta ** (nu * np.abs(np.arange(-K, K + 1)))
-            halo = 2 * K + max(len(b.word) for b in self.perturbation.bumps)
+        halo = self._kernel[1]
         lo = max(start - halo, 0)
         symbols = symbols[lo : stop + w - 1 + halo]
         first, steps = start - lo, stop - start
         if symbols.min() < 0 or symbols.max() >= m:
             bad = symbols[(symbols < 0) | (symbols >= m)][0]
             raise ValueError(f"path symbol {bad} outside [0, {m})")
-        codes = _window_code([symbols[first + j : first + j + steps] for j in range(w)], m)
-        stack, lookup = self._generator_table()
-        idx = lookup[codes]
-        if np.any(idx < 0):
-            raise ValueError("path visits an inadmissible window")
+        stack, idx = self._window_generators(symbols, first, steps)
         out = stack[idx]
         logdet = np.log(np.abs(np.linalg.det(stack)))[idx]
         if self.is_locally_constant:
             return out, logdet
+        for b, g in zip(self.perturbation.bumps, self._bump_fields(symbols, first, steps)):
+            D = b.direction_for(self.dim)
+            out = out @ _bump_factors(D, g)
+            logdet = logdet + g * float(np.trace(D))
+        return out, logdet
+
+    def _window_generators(self, symbols, first: int, steps: int):
+        """(stack, idx): the generator stack and, for each of the steps
+        reading symbols[first + t : first + t + window], its stack index."""
+        m = self.base.alphabet_size
+        codes = _window_code([symbols[first + j : first + j + steps] for j in range(self.window)], m)
+        stack, lookup = self._generator_table()
+        idx = lookup[codes]
+        if np.any(idx < 0):
+            raise ValueError("path visits an inadmissible window")
+        return stack, idx
+
+    def _bump_fields(self, symbols, first: int, steps: int) -> list:
+        """Per-bump fields a_b S_b at the steps [first, first + steps) of a
+        symbol stretch, by convolution with the truncated kernel; the
+        stretch's ends contribute nothing beyond it."""
+        kernel = self._kernel[0]
+        fields = []
         for b in self.perturbation.bumps:
             bw = b.word
             bl = len(bw)
@@ -233,11 +276,8 @@ class CocycleSpec:
                 ind *= symbols[j : j + positions] == s
             ind_full = np.zeros(len(symbols))
             ind_full[: len(ind)] = ind
-            g = b.amplitude * np.convolve(ind_full, kernel, mode="same")[first : first + steps]
-            D = b.direction_for(self.dim)
-            out = out @ _bump_factors(D, g)
-            logdet = logdet + g * float(np.trace(D))
-        return out, logdet
+            fields.append(b.amplitude * np.convolve(ind_full, kernel, mode="same")[first : first + steps])
+        return fields
 
     def _generator_table(self):
         """(stack, lookup): the generators stacked in sorted-word order, and
@@ -257,11 +297,28 @@ def _window_code(word, m: int):
     return sum(s * m**j for j, s in enumerate(word))
 
 
-def _bump_factors(D: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """(len(g), d, d) stack of the bump factors exp(g_t D)."""
+def _diagonalize(D: np.ndarray):
+    """(eigenvalues, V, V^-1) of a bump direction D = V diag(eigenvalues) V^-1.
+
+    exp(g D) built from them loses about cond(V) eps of relative accuracy,
+    and nothing at all warns of a defective D, whose V is singular: for
+    D = [[0, 1], [0, 0]] it would give the identity.  So a direction whose
+    V is singular or ill-conditioned at working precision (cond(V) at
+    least eps^-1/2) is rejected.
+    """
     lam, V = np.linalg.eig(D)
-    phase = np.exp(g[:, None] * lam[None, :])
-    return np.einsum("ij,tj,jk->tik", V, phase, np.linalg.inv(V)).real
+    if not np.linalg.cond(V) < _DIRECTION_COND_MAX:
+        raise ValueError("bump direction is not diagonalizable at working precision")
+    return lam, V, np.linalg.inv(V)
+
+
+def _bump_factors(D: np.ndarray, g: np.ndarray, minus_identity: bool = False) -> np.ndarray:
+    """(len(g), d, d) stack of the bump factors exp(g_t D), or with
+    minus_identity of expm1(g_t D) = exp(g_t D) - I, formed without the
+    subtraction."""
+    lam, V, V_inv = _diagonalize(D)
+    phase = (np.expm1 if minus_identity else np.exp)(g[:, None] * lam[None, :])
+    return np.einsum("ij,tj,jk->tik", V, phase, V_inv).real
 
 
 def evaluate(A: CocycleSpec, x: SymbolicPoint, n: int) -> np.ndarray:
@@ -357,53 +414,182 @@ def _agreement_index(x: SymbolicPoint, y: SymbolicPoint, sign: int) -> int:
     return i0
 
 
-def _series_holonomy(A: CocycleSpec, step_x, step_y, tol) -> HolonomyResult:
+def _reflect(x: SymbolicPoint) -> SymbolicPoint:
+    """The point i -> x_(-i)."""
+    return make_point(x.right[::-1], x.core[::-1], x.left[::-1], 1 - x.core_start - len(x.core))
+
+
+def _indicator(x: SymbolicPoint, word: tuple, start: int, count: int) -> np.ndarray:
+    """1 at the positions start, ..., start + count - 1 where x shows word, else 0."""
+    windows = sliding_window_view(x.word_array(start, count + len(word) - 1), len(word))
+    return np.all(windows == np.array(word), axis=1).astype(np.int64)
+
+
+def _field_difference(x: SymbolicPoint, y: SymbolicPoint, word: tuple, q: float, side: int):
+    """Exact field differences along the holonomy series: a function of
+    step arrays k >= 0 giving S(x_k) - S(y_k), S the bump field of word
+    with per-symbol ratio q = theta^nu.
+
+    Side +1 (forward asymptotic points) has x_k = shift^k x; side -1
+    (backward asymptotic) has x_k = shift^(-k-1) x, computed by the same
+    rule on the reflected points i -> x_(-i) and the reversed word, whose
+    step k sits at centre c = k + 2 - len(word).  The difference is
+    sum_p q^|p - c| (I_x(p) - I_y(p)), I_z(p) = [z shows word at p],
+    summed only where the indicators differ: at finitely many positions
+    near the cores and, below p0, where both indicators repeat with the
+    joint period of the left tails, in closed form.  No two fields are
+    subtracted.  Beyond the last differing position k0 every term shrinks
+    by q per step, so the difference advances as q^(c - k0) times its
+    value at k0.
+    """
+    if side < 0:
+        x, y, word = _reflect(x), _reflect(y), tuple(reversed(word))
+    L = len(word)
+    offset = 0 if side > 0 else 2 - L
+    i0 = _agreement_index(x, y, 1)
+    # at and below p0 (the first centre at most) both indicators read left
+    # tails only
+    p0 = min(x.core_start - L, y.core_start - L, offset)
+    period = math.lcm(len(x.left), len(y.left))
+    lo = p0 - period + 1
+    hi = max(i0, p0 + 1)
+    diff = _indicator(x, word, lo, hi - lo) - _indicator(y, word, lo, hi - lo)
+    # sum over p <= p0 of diff(p) q^(p0 - p)
+    tail = float(diff[period - 1 :: -1] @ q ** np.arange(period)) / (1.0 - q**period)
+    near = diff[period:]
+    pos = np.arange(p0 + 1, hi)[near != 0]
+    sign = near[near != 0]
+
+    def direct(c):
+        return (sign * q ** np.abs(pos - c[:, None])).sum(axis=1) + q ** (c - p0) * tail
+
+    k0 = int(pos[-1]) if pos.size else p0
+    at_k0 = direct(np.array([k0]))[0]
+
+    def at(k):
+        c = np.asarray(k) + offset
+        return np.where(c >= k0, at_k0 * q ** np.maximum(c - k0, 0), direct(np.minimum(c, k0)))
+
+    return at
+
+
+def _factor_gap(dg, gx, gy, directions, side: int) -> np.ndarray:
+    """(n, d, d) stack of G(y)^-1 G(x) - I (side +1) or G(y) G(x)^-1 - I
+    (side -1), G = prod_b exp(g_b D_b) in bump order, formed from the field
+    differences dg_b = g_b(x) - g_b(y) without subtracting.  Over the bumps,
+    in bump order on side +1 and reversed on side -1,
+        X <- exp(-side g_b(y) D_b) X exp(side g_b(x) D_b) + expm1(side dg_b D_b),
+    starting from X = 0; so gx and gy are read from the second bump taken on."""
+    X = 0.0
+    for i, b in enumerate(range(len(dg))[::side]):
+        D = directions[b]
+        if i:
+            X = _bump_factors(D, -side * gy[b]) @ X @ _bump_factors(D, side * gx[b])
+        X = X + _bump_factors(D, side * dg[b], minus_identity=True)
+    return X
+
+
+def _series_holonomy(A: CocycleSpec, x: SymbolicPoint, y: SymbolicPoint, side: int, tol) -> HolonomyResult:
     """Limit of (prod step_y)^-1 (prod step_x) via its telescoping series.
 
-    step_x(k), step_y(k) give the k-th step matrices.  Terms are
-    conj-sandwiched differences, summed until the geometric tail estimate
-    drops below tol.  The series needs domination, so a cocycle that
-    domination_check does not find dominated is rejected first.
+    Side +1 steps are A(shift^k x) and A(shift^k y), k >= 0, whose limit is
+    the stable holonomy.  Side -1 steps are A(shift^(-k-1) x)^-1 and
+    A(shift^(-k-1) y)^-1, whose limit lim prod_y (prod_x)^-1 is the
+    unstable holonomy.  Term k is Py^-1 (C_k - I) Px with C_k =
+    step_y(k)^-1 step_x(k); terms are summed until the geometric tail
+    estimate drops below tol.  Step matrices come from path_matrices on
+    symbol windows of both points, _HOLONOMY_CHUNK steps at a time.
 
-    Cocycles whose scale gap exp(scale_x - scale_y) grows faster than the
-    differences C - I shrink are not yet supported: once C - I stalls at
-    the round-off floor the terms grow until they overflow, and the first
-    term that is not finite raises ArithmeticError.
+    Where the generator words of step k agree (from the agreement index on,
+    and wherever else they happen to), C_k - I is formed without
+    subtracting, from the exact field differences of _field_difference:
+    expm1(dg D) for one bump, the _factor_gap recursion for several, and
+    conjugated by the common generator on side -1.  It then keeps shrinking
+    like theta^(nu k) instead of stalling at round-off, so a scale gap that
+    grows more slowly, as domination provides, no longer makes the terms
+    grow: fiber-bunched cocycles with hyperbolic generators converge.
+    Where the words differ, C_k - I = step_y(k)^-1 step_x(k) - I.
+
+    The series needs domination, so a cocycle that domination_check does
+    not find dominated is rejected first; a term that is not finite raises
+    ArithmeticError, and so does reaching HOLONOMY_DEPTH_CAP.
     """
-    if not domination_check(A).dominated:
+    if not A._domination.dominated:
         raise ValueError("non-dominated cocycle without the locally constant fallback")
     d = A.dim
+    w = A.window
+    halo = A._kernel[1]
+    bumps = A.perturbation.bumps
+    q = A.base.theta**A.perturbation.nu
+    gaps = [_field_difference(x, y, b.word, q, side) for b in bumps]
+    directions = [b.direction_for(d) for b in bumps]
+    order = slice(None) if side > 0 else slice(None, None, -1)
     H = np.eye(d)
     Px = np.eye(d)
     Py_inv = np.eye(d)
-    scale_x = 0.0
-    scale_y = 0.0
+    scale = 0.0
     last_norms = []
-    for k in range(HOLONOMY_DEPTH_CAP):
-        Sx = step_x(k)
-        Sy = step_y(k)
-        C = np.linalg.solve(Sy, Sx)
-        with np.errstate(over="ignore", invalid="ignore"):
-            T = Py_inv @ (C - np.eye(d)) @ Px * np.exp(scale_x - scale_y)
-        if not np.all(np.isfinite(T)):
-            raise ArithmeticError(f"holonomy series term {k} is not finite")
-        H = H + T
-        tn = float(np.linalg.norm(T, 2))
-        last_norms.append(tn)
-        if len(last_norms) >= 3:
-            prev = last_norms[-2]
-            rho = min(0.95, tn / prev) if prev > 0 else 0.5
-            tail = tn * rho / (1.0 - rho)
-            if tn + tail < tol:
-                return HolonomyResult(H, k + 1, tail)
-        Px = Sx @ Px
-        nx = float(np.linalg.norm(Px, 2))
-        Px /= nx
-        scale_x += np.log(nx)
-        Py_inv = Py_inv @ np.linalg.inv(Sy)
-        ny = float(np.linalg.norm(Py_inv, 2))
-        Py_inv /= ny
-        scale_y -= np.log(ny)
+    k0 = 0
+    while k0 < HOLONOMY_DEPTH_CAP:
+        n = min(_HOLONOMY_CHUNK, HOLONOMY_DEPTH_CAP - k0)
+        # symbols around the steps shift^j, j in [first, first + n); side -1
+        # takes them in reverse, as k = -j - 1
+        first = k0 if side > 0 else -k0 - n
+        sym_x = x.word_array(first - halo, n + w - 1 + 2 * halo)
+        sym_y = y.word_array(first - halo, n + w - 1 + 2 * halo)
+        Ax = A.path_matrices(sym_x, halo, halo + n)[0][order]
+        Ay = A.path_matrices(sym_y, halo, halo + n)[0][order]
+        if side > 0:
+            U, V = Ax, np.linalg.inv(Ay)
+        else:
+            U, V = np.linalg.inv(Ax), Ay
+        gap = V @ U - np.eye(d)
+        same = sliding_window_view(sym_x == sym_y, w)[halo : halo + n].all(axis=1)[order]
+        if same.any():
+            ks = np.arange(k0, k0 + n)
+            dg = [b.amplitude * g(ks) for b, g in zip(bumps, gaps)]
+            gx = gy = None
+            if len(bumps) > 1:
+                gx = [g[order] for g in A._bump_fields(sym_x, halo, n)]
+                gy = [g[order] for g in A._bump_fields(sym_y, halo, n)]
+            exact = _factor_gap(dg, gx, gy, directions, side)
+            if side < 0:
+                # A(y') A(x')^-1 = M G(y) G(x)^-1 M^-1 for the common generator M
+                stack, idx = A._window_generators(sym_x, halo, n)
+                exact = stack[idx][order] @ exact @ np.linalg.inv(stack)[idx][order]
+            gap[same] = exact[same]
+        # running products before each step, kept at unit Frobenius norm,
+        # and the log of the scale factor that their terms carry
+        Pxs = np.empty((n, d, d))
+        Pys = np.empty((n, d, d))
+        log_scale = np.empty(n)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for t in range(n):
+                Pxs[t], Pys[t], log_scale[t] = Px, Py_inv, scale
+                Px = U[t] @ Px
+                Py_inv = Py_inv @ V[t]
+                nx = np.linalg.norm(Px)
+                ny = np.linalg.norm(Py_inv)
+                Px = Px / nx
+                Py_inv = Py_inv / ny
+                scale += np.log(nx) + np.log(ny)
+            terms = Pys @ gap @ Pxs * np.exp(log_scale)[:, None, None]
+        finite = np.isfinite(terms).all(axis=(1, 2))
+        norms = np.zeros(n)
+        norms[finite] = np.linalg.norm(terms[finite], 2, axis=(1, 2))
+        for t in range(n):
+            if not finite[t]:
+                raise ArithmeticError(f"holonomy series term {k0 + t} is not finite")
+            H = H + terms[t]
+            tn = float(norms[t])
+            last_norms.append(tn)
+            if len(last_norms) >= 3:
+                prev = last_norms[-2]
+                rho = min(0.95, tn / prev) if prev > 0 else 0.5
+                tail = tn * rho / (1.0 - rho)
+                if tn + tail < tol:
+                    return HolonomyResult(H, k0 + t + 1, tail)
+        k0 += n
     raise ArithmeticError("holonomy series did not converge within the depth cap")
 
 
@@ -412,39 +598,36 @@ def stable_holonomy(A: CocycleSpec, x: SymbolicPoint, y: SymbolicPoint, tol: flo
     (A^n_y)^-1 A^n_x.
 
     Exact (identity conjugated through the agreement prefix) for locally
-    constant cocycles; a dominated-convergent series otherwise.  Bump
-    cocycles whose series terms overflow are not yet supported and raise
-    ArithmeticError (see _series_holonomy).
+    constant cocycles.  Bump cocycles need domination and take the series
+    of _series_holonomy, whose terms from the agreement index on are formed
+    from exact field differences, expm1(dg D) for one bump, never by
+    subtracting I; it raises ArithmeticError when a term overflows or the
+    depth cap is reached.
     """
     i0 = _agreement_index(x, y, 1)
     if A.is_locally_constant:
         n = i0
         H = np.linalg.solve(evaluate(A, y, n), evaluate(A, x, n))
         return HolonomyResult(H, n, 0.0)
-    return _series_holonomy(
-        A,
-        lambda k: A.value_at(x.shift(k)),
-        lambda k: A.value_at(y.shift(k)),
-        tol,
-    )
+    return _series_holonomy(A, x, y, 1, tol)
 
 
 def unstable_holonomy(A: CocycleSpec, x: SymbolicPoint, y: SymbolicPoint, tol: float = 1e-12) -> HolonomyResult:
     """Holonomy fiber(x) -> fiber(y) along the unstable set, the limit of
-    A^n(shift^-n y) (A^n(shift^-n x))^-1."""
+    A^n(shift^-n y) (A^n(shift^-n x))^-1.
+
+    Exact for locally constant cocycles.  Bump cocycles take the series
+    of _series_holonomy over the inverse backward steps; once the backward
+    generator words agree, its terms are formed from exact field
+    differences, M expm1(-dg D) M^-1 for one bump and the common generator
+    M, never by subtracting I.
+    """
     i0 = _agreement_index(x, y, -1)
     if A.is_locally_constant:
         n = i0 + A.window - 1
         H = evaluate(A, y.shift(-n), n) @ np.linalg.inv(evaluate(A, x.shift(-n), n))
         return HolonomyResult(H, n, 0.0)
-    # feeding inverse backward steps into the stable-side series gives
-    # lim prod_y (prod_x)^-1 directly, which is the unstable holonomy
-    return _series_holonomy(
-        A,
-        lambda k: np.linalg.inv(A.value_at(x.shift(-k - 1))),
-        lambda k: np.linalg.inv(A.value_at(y.shift(-k - 1))),
-        tol,
-    )
+    return _series_holonomy(A, x, y, -1, tol)
 
 
 def holonomy_constants(A: CocycleSpec, nu: float | None = None):
@@ -453,12 +636,13 @@ def holonomy_constants(A: CocycleSpec, nu: float | None = None):
     rate is the per-step contraction ratio*theta^nu used by the series bound;
     C1 folds the bump Hoelder constant and the inverse-norm envelope.
     """
-    if nu is None:
+    default_nu = nu is None
+    if default_nu:
         nu = A.perturbation.nu if A.perturbation is not None else 1.0
     sup_a, sup_inv = A.norm_envelope()
     rate = sup_a * sup_inv * A.base.theta**nu
     if rate >= 1.0:
-        dom = domination_check(A, nu=nu)
+        dom = A._domination if default_nu else domination_check(A, nu=nu)
         if not dom.dominated:
             return (np.inf, rate) if not A.is_locally_constant else (0.0, rate)
         rate = (1.0 - dom.margin) ** (1.0 / dom.power)

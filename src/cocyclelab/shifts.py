@@ -14,8 +14,10 @@ from functools import cached_property
 import numpy as np
 
 _SYMS = "0123456789abcdefghijklmnopqrstuvwxyz"
-# vectorized passes of sample_orbit before its sequential walk
+# vectorized passes of sample_orbit before its sequential walk, and the
+# share of the open steps a pass must resolve for the next pass to run
 _SAMPLER_PASSES = 6
+_SAMPLER_MIN_SHARE = 0.25
 
 
 def parse_word(word) -> tuple:
@@ -145,6 +147,16 @@ class SymbolicPoint:
 
     def word_at(self, start: int, length: int) -> tuple:
         return tuple(self.symbol_at(start + j) for j in range(length))
+
+    def word_array(self, start: int, length: int) -> np.ndarray:
+        """word_at as an int64 array, read without a Python loop."""
+        j = np.arange(start - self.core_start, start - self.core_start + length)
+        n = len(self.core)
+        out = np.asarray(self.right, dtype=np.int64)[(j - n) % len(self.right)]
+        out[j < 0] = np.asarray(self.left, dtype=np.int64)[j[j < 0] % len(self.left)]
+        inside = (j >= 0) & (j < n)
+        out[inside] = np.asarray(self.core, dtype=np.int64)[j[inside]]
+        return out
 
     def shift(self, k: int = 1) -> "SymbolicPoint":
         return make_point(self.left, self.core, self.right, self.core_start - k)
@@ -369,7 +381,10 @@ class MarkovMeasure:
         _SAMPLER_PASSES vectorized passes, each resolving the first open
         step of every run of open steps, and a sequential walk finishes
         the runs still open (rows that rarely agree, such as a nearly
-        permuting P, leave long runs).
+        permuting P, leave long runs).  A pass that resolves less than
+        _SAMPLER_MIN_SHARE of the open steps sends the rest to the walk at
+        once: such runs are long, and further passes would each shorten
+        them by one step.
         """
         if length < 1:
             raise ValueError(f"orbit length must be at least 1, got {length}")
@@ -384,7 +399,10 @@ class MarkovMeasure:
             if not todo.size:
                 return out
             out[todo] = table[which[todo], out[todo - 1]]
+            open_before = todo.size
             todo = todo[out[todo] < 0]
+            if todo.size > (1.0 - _SAMPLER_MIN_SHARE) * open_before:
+                break
         # an open predecessor is the previous entry of todo, walked just before
         rows = table.tolist()
         walked = []

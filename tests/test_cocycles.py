@@ -1,4 +1,8 @@
 """Cocycle evaluation, domination, holonomies, transitions, perturbations."""
+import importlib.util
+from decimal import Decimal, localcontext
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -171,6 +175,156 @@ class TestEvaluate:
         lhs = cc.evaluate(A, z, n + m)
         rhs = cc.evaluate(A, z.shift(n), m) @ cc.evaluate(A, z, n)
         assert np.allclose(lhs, rhs, atol=1e-9)
+
+
+# -- the holonomy series before exact differences, kept as a reference -------
+
+def reference_bump_field(x, word, theta, nu):
+    """Exact bump field by a scan of every window position near the core,
+    geometric tails summed in closed form."""
+    L = len(word)
+    q = theta**nu
+
+    def matches(k):
+        return all(x.symbol_at(k + j) == word[j] for j in range(L))
+
+    B = abs(x.core_start) + len(x.core) + L + 2
+    total = sum(q ** abs(k) for k in range(-B, B + 1) if matches(k))
+    p_r = len(x.right)
+    for k0 in range(B + 1, B + p_r + 1):
+        if matches(k0):
+            total += q**k0 / (1.0 - q**p_r)
+    p_l = len(x.left)
+    for k0 in range(-B - p_l, -B):
+        if matches(k0):
+            total += q ** (-k0) / (1.0 - q**p_l)
+    return total
+
+
+def reference_value_at(A, x):
+    """A(x) from the generator and the eigen-decomposed bump factors."""
+    M = A.generator[x.word_at(0, A.window)]
+    for b in A.perturbation.bumps:
+        g = b.amplitude * reference_bump_field(x, b.word, A.base.theta, A.perturbation.nu)
+        lam, V = np.linalg.eig(b.direction_for(A.dim))
+        M = M @ (V @ np.diag(np.exp(g * lam)) @ np.linalg.inv(V)).real
+    return M
+
+
+def subtracting_series_holonomy(A, step_x, step_y, tol):
+    """The telescoping holonomy series with step matrices from shifted
+    points and C_k - I formed by subtraction."""
+    d = A.dim
+    H, Px, Py_inv = np.eye(d), np.eye(d), np.eye(d)
+    scale_x = scale_y = 0.0
+    last_norms = []
+    for k in range(cc.HOLONOMY_DEPTH_CAP):
+        Sx, Sy = step_x(k), step_y(k)
+        C = np.linalg.solve(Sy, Sx)
+        with np.errstate(over="ignore", invalid="ignore"):
+            T = Py_inv @ (C - np.eye(d)) @ Px * np.exp(scale_x - scale_y)
+        if not np.all(np.isfinite(T)):
+            raise ArithmeticError(f"holonomy series term {k} is not finite")
+        H = H + T
+        tn = float(np.linalg.norm(T, 2))
+        last_norms.append(tn)
+        if len(last_norms) >= 3:
+            prev = last_norms[-2]
+            rho = min(0.95, tn / prev) if prev > 0 else 0.5
+            tail = tn * rho / (1.0 - rho)
+            if tn + tail < tol:
+                return H
+        Px = Sx @ Px
+        nx = float(np.linalg.norm(Px, 2))
+        Px /= nx
+        scale_x += np.log(nx)
+        Py_inv = Py_inv @ np.linalg.inv(Sy)
+        ny = float(np.linalg.norm(Py_inv, 2))
+        Py_inv /= ny
+        scale_y -= np.log(ny)
+    raise ArithmeticError("holonomy series did not converge within the depth cap")
+
+
+def subtracting_holonomy(A, x, y, side, tol=1e-12):
+    """Stable (side +1) or unstable (side -1) holonomy by the subtracting series."""
+    if side > 0:
+        return subtracting_series_holonomy(
+            A, lambda k: reference_value_at(A, x.shift(k)),
+            lambda k: reference_value_at(A, y.shift(k)), tol)
+    return subtracting_series_holonomy(
+        A, lambda k: np.linalg.inv(reference_value_at(A, x.shift(-k - 1))),
+        lambda k: np.linalg.inv(reference_value_at(A, y.shift(-k - 1))), tol)
+
+
+def holonomy(A, x, y, side, tol=1e-12):
+    fn = cc.stable_holonomy if side > 0 else cc.unstable_holonomy
+    return fn(A, x, y, tol)
+
+
+# -- decimal references --------------------------------------------------------
+
+def decimal_field_differences(x, y, word, q, side, steps, span=400):
+    """S(x_k) - S(y_k) for k < steps as a 50-digit sum over |p| <= span of
+    q^|p - c| (I_x(p) - I_y(p)), c = k (side +1) or -k - 1 (side -1)."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        powers = [Decimal(q) ** n for n in range(steps + 2 * span + 2)]
+        L = len(word)
+        diff = {}
+        for p in range(-span, span + 1):
+            v = (x.word_at(p, L) == word) - (y.word_at(p, L) == word)
+            if v:
+                diff[p] = v
+        out = []
+        for k in range(steps):
+            c = k if side > 0 else -k - 1
+            out.append(float(sum((v * powers[abs(p - c)] for p, v in diff.items()), Decimal(0))))
+    return np.array(out)
+
+
+def _dmul(P, Q):
+    return [[sum((P[i][k] * Q[k][j] for k in range(len(Q))), Decimal(0))
+             for j in range(len(Q[0]))] for i in range(len(P))]
+
+
+def _dexp(G, terms=60):
+    """Taylor series of the matrix exponential."""
+    out = [[Decimal(int(i == j)) for j in range(len(G))] for i in range(len(G))]
+    power = [row[:] for row in out]
+    for n in range(1, terms):
+        power = [[v / n for v in row] for row in _dmul(power, G)]
+        out = [[a + b for a, b in zip(r, s)] for r, s in zip(out, power)]
+    return out
+
+
+def decimal_stable_holonomy(A, x, y, steps, span=80):
+    """(A^n_y)^-1 A^n_x at n = steps for a one-bump d = 2 cocycle, with
+    200-digit 2 x 2 products, Taylor-series bump factors and fields summed
+    over |p - k| <= span."""
+    (b,) = A.perturbation.bumps
+    with localcontext() as ctx:
+        ctx.prec = 200
+        q = Decimal(A.base.theta) ** Decimal(A.perturbation.nu)
+
+        def dec(M):
+            return [[Decimal(float(v)) for v in row] for row in np.asarray(M)]
+
+        D = dec(b.direction_for(2))
+
+        def step(z, k):
+            hits = sum((q ** abs(p - k) for p in range(k - span, k + span + 1)
+                        if z.word_at(p, len(b.word)) == b.word), Decimal(0))
+            g = Decimal(b.amplitude) * hits
+            return _dmul(dec(A.generator[z.word_at(k, A.window)]),
+                         _dexp([[g * v for v in row] for row in D]))
+
+        Px = Py = dec(np.eye(2))
+        for k in range(steps):
+            Px, Py = _dmul(step(x, k), Px), _dmul(step(y, k), Py)
+        (a, b_), (c, d) = Py
+        det = a * d - b_ * c
+        H = _dmul([[d / det, -b_ / det], [-c / det, a / det]], Px)
+        return np.array([[float(v) for v in row] for row in H])
 
 
 class TestBumpField:
@@ -430,18 +584,58 @@ class TestStableHolonomy:
         dist = sh.metric(z, p, FULL2)
         assert np.linalg.norm(res.matrix - np.eye(2), 2) <= c1 * dist + 1e-10
 
-    def test_overflowing_series_raises(self, monkeypatch):
-        # hyperbolic generators with a bump: C - I stalls at round-off
-        # while the scale gap grows, so the terms overflow (from term 491);
-        # the series must stop at the first term that is not finite instead
-        # of running on to the depth cap, here lowered so that a missing
-        # check fails in seconds rather than hours
-        monkeypatch.setattr(cc, "HOLONOMY_DEPTH_CAP", 1000)
+    def test_overflow_cocycle_matches_decimal_reference(self):
+        # hyperbolic generators with a bump, fiber bunched: formed by
+        # subtraction, C_k - I stalled at round-off while the scale gap grew,
+        # and the terms overflowed from term 491; formed from the exact
+        # field differences it shrinks like theta^k and the series converges
         pert = cc.HoelderPerturbation(nu=1.0, bumps=(cc.HoelderBump((0, 1), 0.01),))
         A = cc.CocycleSpec(FULL2_TIGHT, 1, {"0": D2, "1": POS}, pert)
         x = sh.make_point((0,), (1, 0, 1), (0, 1))
         y = sh.make_point((1,), (0, 0, 1), (0, 1))
-        with pytest.raises(ArithmeticError, match="not finite"):
+        ref = decimal_stable_holonomy(A, x, y, steps=70)
+        res = cc.stable_holonomy(A, x, y, tol=1e-13)
+        assert res.depth < 40
+        assert np.abs(res.matrix - ref).max() <= 1e-13
+        # the default tolerance stops earlier, within its own bound
+        default = cc.stable_holonomy(A, x, y)
+        assert np.abs(default.matrix - ref).max() <= 1e-12
+
+    def test_undominated_bump_cocycle_rejected(self):
+        # the two-bump cocycle of test_step_ranges_equal_whole_path: its
+        # bump envelope keeps it undominated
+        bumps = (cc.HoelderBump((0, 1), 0.3),
+                 cc.HoelderBump((1, 1, 0), -0.2, np.array([[0.5, 1.0], [-1.0, 0.2]])))
+        A = cc.CocycleSpec(FULL2, 2, {"00": D2, "01": SHEAR, "10": POS, "11": D2},
+                           cc.HoelderPerturbation(1.0, bumps))
+        message = r"^non-dominated cocycle without the locally constant fallback$"
+        with pytest.raises(ValueError, match=message):
+            cc.stable_holonomy(A, Z11, P0)
+        with pytest.raises(ValueError, match=message):
+            cc.unstable_holonomy(A, P0, Z11)
+
+    def test_domination_checked_once_per_cocycle(self, monkeypatch):
+        calls = []
+        check = cc.domination_check
+        monkeypatch.setattr(cc, "domination_check", lambda *a, **k: calls.append(a) or check(*a, **k))
+        A = _rotation_bump((0, 1), 0.1)
+        for _ in range(3):
+            cc.stable_holonomy(A, Z11, P0)
+            cc.unstable_holonomy(A, P0, Z11)
+        cc.holonomy_constants(A)
+        assert len(calls) == 1
+        cc.stable_holonomy(_rotation_bump((0, 1), 0.1), Z11, P0)
+        assert len(calls) == 2
+
+    def test_non_finite_term_raises(self):
+        # conformal generators 1e150 apart in scale, read differently by the
+        # two points on steps 0..2: term 2 is about 1e450, so the series must
+        # stop at the first term that is not finite
+        pert = cc.HoelderPerturbation(nu=1.0, bumps=(cc.HoelderBump((0,), 0.01),))
+        A = cc.CocycleSpec(FULL2_TIGHT, 1, {"0": 1e150 * rot(0.3), "1": rot(-0.2)}, pert)
+        x = sh.make_point("1", "000", "0")
+        y = sh.make_point("0", "111", "0")
+        with pytest.raises(ArithmeticError, match=r"^holonomy series term 2 is not finite$"):
             cc.stable_holonomy(A, x, y)
 
 
@@ -488,6 +682,212 @@ class TestUnstableHolonomy:
         prev = cc.unstable_holonomy(A, p.shift(-1), z.shift(-1), tol=1e-13).matrix
         rhs = A.value_at(z.shift(-1)) @ prev @ np.linalg.inv(A.value_at(p.shift(-1)))
         assert np.allclose(lhs, rhs, atol=1e-9)
+
+
+def field_pair(seed, side):
+    """Two distinct points asymptotic on the given side, whose other tails
+    have different periods, a bump word and a ratio q."""
+    rng = np.random.default_rng(seed)
+    shared = _word(rng, int(rng.integers(1, 4)))
+    while True:
+        tails = [_word(rng, int(rng.integers(1, 4))) for _ in range(2)]
+        cores = [_word(rng, int(rng.integers(0, 5))) for _ in range(2)]
+        starts = [int(rng.integers(-3, 4)) for _ in range(2)]
+        if side > 0:
+            x, y = (sh.make_point(t, c, shared, b) for t, c, b in zip(tails, cores, starts))
+            periods = len(x.left), len(y.left)
+        else:
+            x, y = (sh.make_point(shared, c, t, b) for t, c, b in zip(tails, cores, starts))
+            periods = len(x.right), len(y.right)
+        try:
+            cc._agreement_index(x, y, side)   # the shared tails may be out of phase
+        except ValueError:
+            continue
+        if periods[0] != periods[1]:
+            return x, y, _word(rng, int(rng.integers(1, 4))), float(rng.uniform(0.3, 0.8))
+
+
+def _word(rng, n):
+    return tuple(int(s) for s in rng.integers(0, 2, size=n))
+
+
+class TestFieldDifference:
+    @pytest.mark.parametrize("side", [1, -1])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_decimal_sum(self, seed, side):
+        x, y, word, q = field_pair(seed, side)
+        ref = decimal_field_differences(x, y, word, q, side, 201)
+        got = cc._field_difference(x, y, word, q, side)(np.arange(201))
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+
+    def test_cases_differ(self):
+        # most random pairs above see different bump indicators (18 of 20)
+        assert sum(
+            bool(np.any(decimal_field_differences(*field_pair(seed, side), side, 3) != 0))
+            for seed in range(10) for side in (1, -1)
+        ) >= 15
+
+    def test_reflection(self):
+        x = sh.make_point("01", "110", "001", -2)
+        r = cc._reflect(x)
+        assert all(r.symbol_at(i) == x.symbol_at(-i) for i in range(-30, 31))
+
+    def test_word_array_matches_symbol_at(self):
+        for x in (sh.make_point("01", "110", "001", -2), sh.periodic_point(FULL2, "011")):
+            assert x.word_array(-17, 40).tolist() == list(x.word_at(-17, 40))
+
+
+def two_bump_cocycle():
+    """The two non-commuting bumps of test_step_ranges_equal_whole_path on
+    a window-2 cocycle that is fiber bunched (theta 0.1, near-conformal
+    generators)."""
+    bumps = (cc.HoelderBump((0, 1), 0.3),
+             cc.HoelderBump((1, 1, 0), -0.2, np.array([[0.5, 1.0], [-1.0, 0.2]])))
+    gens = {"00": 1.5 * rot(0.3), "01": 1.2 * rot(-0.2),
+            "10": np.diag([1.3, 1 / 1.3]) @ rot(0.1), "11": 0.9 * rot(1.1)}
+    return cc.CocycleSpec(FULL2_TIGHT, 2, gens, cc.HoelderPerturbation(1.0, bumps))
+
+
+def _rotation_bump(word, amplitude, g1=1.2 * rot(-0.2)):
+    pert = cc.HoelderPerturbation(nu=1.0, bumps=(cc.HoelderBump(word, amplitude),))
+    return cc.CocycleSpec(FULL2, 1, {"0": 1.5 * rot(0.3), "1": g1}, pert)
+
+
+P0 = sh.periodic_point(FULL2, "0")
+Z11 = sh.homoclinic_point(FULL2, "0", "11")[0]
+
+# the bump cases of TestStableHolonomy and TestUnstableHolonomy, and the
+# two-bump cocycle: (cocycle, side, x, y, tol)
+HOLONOMY_SAME_PATH = {
+    "stable-zero-amplitude": lambda: (
+        _rotation_bump((0,), 0.0, np.diag([1.3, 1 / 1.3]) @ rot(0.1)), 1, Z11, P0, 1e-12),
+    "stable-loose": lambda: (_rotation_bump((0, 1), 0.1), 1, Z11, P0, 1e-6),
+    "stable-tight": lambda: (_rotation_bump((0, 1), 0.1), 1, Z11, P0, 1e-13),
+    "unstable-zero-amplitude": lambda: (
+        cc.CocycleSpec(FULL2, 1, {"0": 1.4 * rot(0.5), "1": 1.1 * rot(-0.3)},
+                       cc.HoelderPerturbation(1.0, (cc.HoelderBump((1,), 0.0),))),
+        -1, P0, Z11, 1e-12),
+    "unstable": lambda: (_rotation_bump((0, 1), 0.08), -1, P0, Z11, 1e-13),
+    "unstable-shifted": lambda: (
+        _rotation_bump((0, 1), 0.08), -1, P0.shift(-1), Z11.shift(-1), 1e-13),
+    "two-bump-stable": lambda: (
+        two_bump_cocycle(), 1, sh.make_point("01", "1101", "0", -2),
+        sh.make_point("1", "0", "0", 1), 1e-13),
+    "two-bump-stable-homoclinic": lambda: (two_bump_cocycle(), 1, Z11, P0, 1e-12),
+    "two-bump-unstable": lambda: (
+        two_bump_cocycle(), -1, sh.make_point("011", "10", "1", 1),
+        sh.make_point("011", "0", "01", 1), 1e-13),
+    "two-bump-unstable-homoclinic": lambda: (two_bump_cocycle(), -1, P0, Z11, 1e-12),
+}
+
+
+def load_hoelder_workload():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Hoelder
+
+
+class TestSeriesSamePath:
+    """The series with exact differences against the subtracting series on
+    the cocycles where the latter converges."""
+
+    @pytest.mark.parametrize("case", sorted(HOLONOMY_SAME_PATH))
+    def test_bump_cases(self, case):
+        A, side, x, y, tol = HOLONOMY_SAME_PATH[case]()
+        new = holonomy(A, x, y, side, tol)
+        ref = subtracting_holonomy(A, x, y, side, tol)
+        assert np.abs(new.matrix - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("seed", [2024, 7])
+    def test_hoelder_ensemble(self, seed):
+        work = load_hoelder_workload()(seed)
+        for A, _, _, stable, unstable, _ in work.members:
+            for side, pairs, step in ((1, stable, 1), (-1, unstable, -1)):
+                for x, y in pairs:
+                    for a, b in ((x, y), (x.shift(step), y.shift(step))):
+                        new = holonomy(A, a, b, side).matrix
+                        assert np.abs(new - subtracting_holonomy(A, a, b, side)).max() <= 1e-12
+
+
+def hyperbolic_bump_cocycle(seed):
+    """A fiber-bunched bump cocycle over the full 2-shift at theta 0.1 with
+    hyperbolic generators S diag(e^(s u)) S^-1 (real eigenvalues e^(+-s) at
+    d = 2, and e^(s), 1, e^(-s) at d = 3, s in [0.5, 0.8], S near
+    orthogonal).  Even seeds give d = 2, odd d = 3; seeds 2 and 3 mod 4 add
+    a second bump along a random diagonalizable direction.  Draws that
+    domination_check does not find dominated are redrawn."""
+    rng = np.random.default_rng(seed)
+    d = 2 + seed % 2
+    while True:
+        gens = {}
+        for sym in "01":
+            Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+            S = Q @ (np.eye(d) + 0.1 * rng.normal(size=(d, d)))
+            u = np.linspace(1.0, -1.0, d) * rng.uniform(0.5, 0.8)
+            gens[sym] = S @ np.diag(np.exp(u)) @ np.linalg.inv(S)
+        bumps = [cc.HoelderBump(_word(rng, int(rng.integers(1, 4))), float(rng.uniform(0.005, 0.03)))]
+        if seed % 4 >= 2:
+            S = np.eye(d) + 0.3 * rng.normal(size=(d, d))
+            D = S @ np.diag(rng.uniform(-1.0, 1.0, size=d)) @ np.linalg.inv(S)
+            bumps.append(cc.HoelderBump(_word(rng, int(rng.integers(1, 4))),
+                                        float(rng.uniform(0.005, 0.03)), D))
+        A = cc.CocycleSpec(FULL2_TIGHT, 1, gens, cc.HoelderPerturbation(1.0, tuple(bumps)))
+        if cc.domination_check(A).dominated:
+            return A
+
+
+class TestHyperbolicBumpFamily:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_converges_with_identities(self, seed):
+        A = hyperbolic_bump_cocycle(seed)
+        rng = np.random.default_rng(1000 + seed)
+        shared = _word(rng, int(rng.integers(1, 4)))
+        for side in (1, -1):
+            if side > 0:
+                x, y, z = (sh.make_point(_word(rng, int(rng.integers(1, 4))),
+                                         _word(rng, 3), shared) for _ in range(3))
+            else:
+                x, y, z = (sh.make_point(shared, _word(rng, 3),
+                                         _word(rng, int(rng.integers(1, 4)))) for _ in range(3))
+            h_xy, h_yz, h_xz = (holonomy(A, a, b, side) for a, b in ((x, y), (y, z), (x, z)))
+            moved = holonomy(A, x.shift(side), y.shift(side), side)
+            assert max(h.depth for h in (h_xy, h_yz, h_xz, moved)) < 100
+            scale = max(1.0, float(np.abs(h_xz.matrix).max()))
+            assert np.abs(h_yz.matrix @ h_xy.matrix - h_xz.matrix).max() <= 1e-10 * scale
+            if side > 0:
+                rhs = np.linalg.solve(A.value_at(y), moved.matrix @ A.value_at(x))
+            else:
+                rhs = A.value_at(y.shift(-1)) @ moved.matrix @ np.linalg.inv(A.value_at(x.shift(-1)))
+            assert np.abs(h_xy.matrix - rhs).max() <= 1e-10 * scale
+
+
+class TestBumpDirections:
+    @pytest.mark.parametrize("D", [[[0.0, 1.0], [0.0, 0.0]], [[1.0, 1.0], [0.0, 1.0]]])
+    def test_defective_direction_rejected(self, D):
+        # exp(g D) from eig would be the identity for the nilpotent D and
+        # would drop the off-diagonal entry for the Jordan block
+        pert = cc.HoelderPerturbation(1.0, (cc.HoelderBump((0,), 0.3, np.array(D)),))
+        message = r"^bump direction is not diagonalizable at working precision$"
+        with pytest.raises(ValueError, match=message):
+            cc.CocycleSpec(FULL2, 1, {"0": D2, "1": POS}, pert)
+        with pytest.raises(ValueError, match=message):
+            cc._bump_factors(np.array(D), np.array([0.3]))
+
+    @pytest.mark.parametrize("d,D", [
+        (2, None), (3, None), (3, np.diag([1.0, 0.5, -0.2])),
+        (2, np.array([[0.5, 1.0], [-1.0, 0.2]])),
+    ])
+    def test_directions_in_use_accepted(self, d, D):
+        pert = cc.HoelderPerturbation(1.0, (cc.HoelderBump((0,), 0.3, D),))
+        A = cc.CocycleSpec(FULL2, 1, {"0": np.eye(d), "1": 2.0 * np.eye(d)}, pert)
+        direction = A.perturbation.bumps[0].direction_for(d)
+        g = np.array([1e-20, 1e-3, 0.3])
+        minus = cc._bump_factors(direction, g, minus_identity=True)
+        assert np.allclose(minus, cc._bump_factors(direction, g) - np.eye(d), rtol=0, atol=1e-15)
+        # at tiny g, exp(g D) - I is g D to full relative precision
+        assert np.abs(minus[0] - 1e-20 * direction).max() <= 1e-34
 
 
 class TestPsiTransition:

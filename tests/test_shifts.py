@@ -309,6 +309,14 @@ class TestCoalescenceSampler:
         # cap are finished by the sequential walk
         assert longest_open_run(NEAR_PERMUTATION, 10**5, 2024) > 10 * sh._SAMPLER_PASSES
 
+    @pytest.mark.parametrize("share", [0.0, 1.0])
+    @pytest.mark.parametrize("name", ["e1-markov", "full3-gibbs", "near-permutation"])
+    def test_same_path_at_any_pass_share(self, name, share, monkeypatch):
+        # share 0 runs every pass, share 1 goes to the walk after the first
+        monkeypatch.setattr(sh, "_SAMPLER_MIN_SHARE", share)
+        mu = SAMPLER_CASES[name]
+        assert np.array_equal(mu.sample_orbit(10**4, 11), loop_sample_orbit(mu, 10**4, 11))
+
     @pytest.mark.parametrize("name", sorted(SAMPLER_CASES))
     def test_short_orbits_same_path_as_loop(self, name):
         # 15 symbols: the orbit length of the rho_measure fallback
