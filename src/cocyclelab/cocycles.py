@@ -158,12 +158,14 @@ class CocycleSpec:
             for b in self.perturbation.bumps
         ]
 
-    def value_at(self, x: SymbolicPoint) -> np.ndarray:
-        word = x.word_at(0, self.window)
+    def _generator_at(self, word: tuple) -> np.ndarray:
         try:
-            M = self.generator[word]
+            return self.generator[word]
         except KeyError:
             raise ValueError(f"point visits inadmissible window {word}") from None
+
+    def value_at(self, x: SymbolicPoint) -> np.ndarray:
+        M = self._generator_at(x.word_at(0, self.window))
         if self.is_locally_constant:
             return M
         for b, g in zip(self.perturbation.bumps, self.bump_log_field(x)):
@@ -323,15 +325,22 @@ def _bump_factors(D: np.ndarray, g: np.ndarray, minus_identity: bool = False) ->
 
 def evaluate(A: CocycleSpec, x: SymbolicPoint, n: int) -> np.ndarray:
     """n-step cocycle product at x; negative n inverts the forward product
-    taken from the shifted point, so the cocycle identity holds for all signs."""
+    taken from the shifted point, so the cocycle identity holds for all signs.
+    A locally constant cocycle reads the n windows from one symbol stretch;
+    bump cocycles evaluate each shifted point."""
     d = A.dim
     if n == 0:
         return np.eye(d)
     if n < 0:
         return np.linalg.inv(evaluate(A, x.shift(n), -n))
     out = np.eye(d)
+    if not A.is_locally_constant:
+        for k in range(n):
+            out = A.value_at(x.shift(k)) @ out
+        return out
+    symbols = tuple(x.word_array(0, n + A.window - 1).tolist())
     for k in range(n):
-        out = A.value_at(x.shift(k)) @ out
+        out = A._generator_at(symbols[k : k + A.window]) @ out
     return out
 
 

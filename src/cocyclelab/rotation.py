@@ -11,13 +11,13 @@ eigenvalue arguments.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .cocycles import CocycleSpec, evaluate
+from .cocycles import CocycleSpec, _window_code, evaluate
 from .shifts import parse_word, periodic_point
 from .suspension import SuspensionSystem
 from . import linalg as la
@@ -30,6 +30,8 @@ _RENORM_SCAN = 512
 _MAX_RENORM_DEPTH = 60
 _REAL_DISC_TOL = 1e-12
 _BLOCK_GAP_TOL = 1e-6
+# orbits the sampled fallback walks at once, which bounds its memory
+_SAMPLE_CHUNK = 256
 
 
 def _polar2(M: np.ndarray):
@@ -285,59 +287,133 @@ def lift_record(C: CircleCocycle, theta: float, n_returns: int) -> LiftRecord:
     return LiftRecord(np.array(times), np.array(values), float(theta))
 
 
-# a walk is the state (w, comp): the lifted image of angle 0 and the
-# det-normalised composite; every step builds a new composite
-_START = (0.0, np.eye(2))
-_START[1].flags.writeable = False
+class _Level(NamedTuple):
+    """One level of a stopping-time forest: each node's parent in the level
+    above (index 0, the start state, for roots), window word, whether its
+    step reaches the horizon, and the power u of its step: 1, or for a node
+    that reaches the horizon u = (t - acc) / r, acc being the flow time
+    before the step and r its roof."""
+
+    parent: np.ndarray
+    word: np.ndarray
+    done: np.ndarray
+    u: np.ndarray
 
 
-def _step(state, M):
-    """Advance the walk by the map of M."""
-    w, comp = state
-    return projectivize_block(M).lift(w), _normalize_det(M) @ comp
+def _stopping_levels(words, children, roofs, t: float, limit: float = math.inf):
+    """Levels of the stopping-time forest with roots words, or None once it
+    has more than limit nodes.
+
+    Only words, flow times and roofs are read, no matrix.  A node of flow
+    time acc is a leaf once acc + roofs[word] >= t; the children of the
+    others come from children(origin, word, depth), origin being each
+    node's root index, as (rows, words) with rows indexing the nodes
+    passed, in nondecreasing order."""
+    parent = np.zeros(len(words), dtype=np.int64)
+    origin = np.arange(len(words))
+    acc = np.zeros(len(words))
+    levels, count = [], 0
+    while len(words):
+        count += len(words)
+        if count > limit:
+            return None
+        r = roofs[words]
+        done = acc + r >= t
+        levels.append(_Level(parent, words, done, np.where(done, (t - acc) / r, 1.0)))
+        live = np.flatnonzero(~done)
+        rows, words = children(origin[live], words[live], len(levels))
+        parent = live[rows]
+        origin = origin[parent]
+        acc = (acc + r)[parent]
+    return levels
 
 
-def _extremes(state):
-    """Exact (sigma, tau) of the walked displacement: polar center plus or
-    minus the spread, branch pinned by the lifted image of angle 0."""
-    w, comp = state
-    beta, _ = _polar2(comp)
-    half = _spread(comp)
-    j = round((w - 2.0 * beta) / TWO_PI)
-    center = TWO_PI * j + 2.0 * beta
+def _advance(W, C, mats, word, u):
+    """Move every path one step, in place: path i by the map of
+    mats[word[i]]^u[i] (u = 1 the whole step, 0 < u < 1 the fractional map,
+    u = 0 no step).  W holds the lifted images of angle 0, C the
+    det-normalised composites; each distinct (matrix, u) is projectivized
+    once for all of its paths."""
+    us, u_code = np.unique(u, return_inverse=True)
+    codes, group = np.unique(u_code * len(mats) + word, return_inverse=True)
+    for g, code in enumerate(codes.tolist()):
+        ug = float(us[code // len(mats)])
+        if ug == 0.0:
+            continue
+        M = _fractional_map(mats[code % len(mats)], ug)
+        idx = np.flatnonzero(group == g)
+        W[idx] = projectivize_block(M).lift(W[idx])
+        C[idx] = _normalize_det(M) @ C[idx]
+
+
+def _extremes(W, C):
+    """Exact (sigma, tau) of each walked displacement: polar center plus or
+    minus the spread, branch pinned by the lifted image of angle 0.
+
+    The angles come from math.atan2 and math.asin per path: numpy's
+    vectorized arctan2 and arcsin round differently in some last bits, and
+    these must equal the scalar _polar2 and _spread.  Sums, products,
+    square roots and rounding are exact elementwise and stay arrays."""
+    c1 = C[:, 0, 0] + C[:, 1, 1]
+    c2 = C[:, 1, 0] - C[:, 0, 1]
+    beta = np.array([math.atan2(y, x) for y, x in zip(c2.tolist(), c1.tolist())])
+    det = C[:, 0, 0] * C[:, 1, 1] - C[:, 0, 1] * C[:, 1, 0]
+    f2 = np.sum(C * C, axis=(1, 2)) / det
+    s2 = 0.5 * (f2 + np.sqrt(np.maximum(f2 * f2 - 4.0, 0.0)))
+    tilt = np.minimum((s2 - 1.0) / (s2 + 1.0), 1.0)
+    half = 2.0 * np.array([math.asin(x) for x in tilt.tolist()])
+    center = TWO_PI * np.round((W - 2.0 * beta) / TWO_PI) + 2.0 * beta
     return center + half, center - half
 
 
-def _advance(state, acc: float, M, r: float, t: float):
-    """(state, acc, done) after one step of roof r towards flow time t: once
-    acc + r >= t the step enters as M^u, u = (t - acc) / r, or not at all
-    when u = 0, and the walk is done."""
-    if acc + r >= t:
-        u = (t - acc) / r
-        return (_step(state, _fractional_map(M, u)) if u > 0.0 else state), t, True
-    return _step(state, M), acc + r, False
+def _walk(levels, mats):
+    """(sigma, tau) of every leaf of a stopping-time forest, level by
+    level.  One _advance per level moves all of its nodes on from their
+    parents' states."""
+    W, C = np.zeros(1), np.eye(2)[None]
+    his, los = [], []
+    for lv in levels:
+        W, C = W[lv.parent], C[lv.parent]
+        _advance(W, C, mats, lv.word, lv.u)
+        hi, lo = _extremes(W[lv.done], C[lv.done])
+        his.append(hi)
+        los.append(lo)
+    return np.concatenate(his), np.concatenate(los)
 
 
-def _walk_to(state, steps, t: float):
-    """Walk the (matrix, roof) pairs of steps from flow time 0 to t."""
-    acc = 0.0
-    for M, r in steps:
-        state, acc, done = _advance(state, acc, M, r, t)
-        if done:
-            return state
-    raise ValueError("the steps end before flow time t")
+def _preorder(levels):
+    """Permutation taking the leaves, listed level by level, into pre-order
+    (roots and siblings in level order).  It counts the leaves below every
+    node bottom-up, then gives each node its first position top-down: its
+    parent's plus the leaves below its earlier siblings."""
+    below = [lv.done.astype(np.int64) for lv in levels]
+    for k in range(len(levels) - 1, 0, -1):
+        np.add.at(below[k - 1], levels[k].parent, below[k])
+    first = np.zeros(1, dtype=np.int64)
+    positions = []
+    for lv, n in zip(levels, below):
+        before = np.cumsum(n) - n
+        first = first[lv.parent] + before - before[np.searchsorted(lv.parent, lv.parent)]
+        positions.append(first[lv.done])
+    return np.argsort(np.concatenate(positions))
 
 
 def sigma_tau(C: CircleCocycle, t: float, start: int = 0):
     """Extremal doubled lift displacements over all start angles at flow
     time t, in closed form from the polar data of the composed map.  Steps
     run cyclically from index start; the first with acc + r >= t enters as
-    the fractional map M^u, u = (t - acc) / r, and is skipped when u = 0."""
+    the fractional map M^u, u = (t - acc) / r, and is skipped when u = 0.
+    The walk is the batched walk of rho_measure with a single path."""
     if t < 0:
         raise ValueError("flow time must be nonnegative")
     n = len(C.roofs)
-    steps = ((C.maps[k % n], C.roofs[k % n]) for k in itertools.count(start))
-    return _extremes(_walk_to(_START, steps, t))
+
+    def next_step(origin, word, depth):
+        return np.zeros(len(word), dtype=np.int64), (word + 1) % n
+
+    levels = _stopping_levels(np.array([start % n]), next_step, np.array(C.roofs), t)
+    (hi,), (lo,) = _walk(levels, C.maps)
+    return float(hi), float(lo)
 
 
 def rho_periodic(C: CircleCocycle, tol: float = RHO_TOL) -> float:
@@ -526,6 +602,7 @@ class RhoMeasureEstimate:
     width: float
     t: float
     exact: bool
+    nodes: int             # stopping-time tree nodes walked; 0 when sampled
 
 
 def rho_measure(A: CocycleSpec, sys: SuspensionSystem, mu, t: float,
@@ -534,64 +611,93 @@ def rho_measure(A: CocycleSpec, sys: SuspensionSystem, mu, t: float,
     bound integrates the per-path supremum displacement at time t, the lower
     one the infimum; halved convention per unit flow time.
 
-    Paths are enumerated cylinder-exactly while their count stays within
-    path_limit, otherwise sampled from the measure with the given seed; each
-    path stops at flow time t by the rule of sigma_tau.  ValueError rejects a
-    cocycle that is not 2x2 or not locally constant (Hoelder bumps), t that
-    is not positive and finite, and n_samples < 1.
+    Every path stops at flow time t by the rule of sigma_tau.  The
+    stopping-time tree of admissible window words is first counted level
+    by level from the words, flow times and allowed transitions alone.  If
+    it has at most path_limit nodes it is walked level by level, every node
+    of a level in one batched step from its parent's state, and each leaf
+    adds weight * extreme in the order of a depth-first search that pushes
+    roots and children in increasing order (so pops them in decreasing
+    order): the sum is sequential, and this order keeps its bits.  A larger
+    tree is not walked at all; n_samples orbits drawn from the measure with
+    seeds seed, seed + 1, ... are walked instead, in lockstep up to 256 at
+    a time (which bounds the memory), and their extremes averaged in seed
+    order.  ValueError rejects a cocycle that is not 2x2 or not
+    locally constant (Hoelder bumps), a measure or suspension over another
+    shift, t that is not positive and finite, and n_samples < 1.
     """
     if A.dim != 2:
         raise ValueError("measure-averaged rotation numbers need a 2x2 cocycle")
     if not A.is_locally_constant:
         raise ValueError("measure-averaged rotation numbers need a locally constant cocycle")
+    if mu.spec is not A.base and mu.spec != A.base:
+        raise ValueError("measure lives on a different shift")
+    if sys.base is not A.base and sys.base != A.base:
+        raise ValueError("suspension lives on a different shift")
     if not 0.0 < t < math.inf:
         raise ValueError(f"t must be positive and finite, got {t!r}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples!r}")
     win = max(A.window, sys.roof.window)
-    aw, rw = A.window, sys.roof.window
+    m = A.base.alphabet_size
+    words = A.base.admissible_words(win)
+    mats = [A.generator[w[:A.window]] for w in words]
+    roofs = np.array([sys.roof.values[w[:sys.roof.window]] for w in words])
+    last = np.array([w[-1] for w in words])
+    # lookup[code]: index of the word with that window code
+    lookup = np.full(m**win, -1, dtype=np.int64)
+    for i, w in enumerate(words):
+        lookup[_window_code(w, m)] = i
+    # nxt[i, m - 1 - b]: the word after words[i] on symbol b, -1 where the
+    # transition is forbidden or has probability 0
+    nxt = np.full((len(words), m), -1, dtype=np.int64)
+    for i, w in enumerate(words):
+        for b in range(m):
+            if A.base.is_allowed(w[-1], b) and mu.P[w[-1], b] > 0:
+                nxt[i, m - 1 - b] = lookup[_window_code(w[1:] + (b,), m)]
 
-    def step_data(wrd):
-        return A.generator[wrd[:aw]], sys.roof.values[wrd[:rw]]
+    def tree_children(origin, word, depth):
+        after = nxt[word]
+        rows, cols = np.nonzero(after >= 0)
+        return rows, after[rows, cols]
 
-    # iterative DFS over stopping-time paths; children share their prefix's walk
-    start_words = A.base.admissible_words(win)
-    stack = [(w, mu.cylinder(w), 0.0, _START) for w in start_words]
-    num_hi = 0.0
-    num_lo = 0.0
-    exact = True
-    expanded = 0
-    while stack:
-        wrd, weight, acc, state = stack.pop()
-        expanded += 1
-        if expanded > path_limit:
-            exact = False
-            break
-        M, r = step_data(wrd)
-        state, acc, done = _advance(state, acc, M, r, t)
-        if done:
-            hi, lo = _extremes(state)
-            num_hi += weight * hi
-            num_lo += weight * lo
-            continue
-        a = wrd[-1]
-        for b in range(A.base.alphabet_size):
-            if A.base.is_allowed(a, b):
-                p = mu.P[a, b]
-                if p > 0:
-                    nxt = (wrd[1:] + (b,)) if win > 1 else (b,)
-                    stack.append((nxt, weight * p, acc, state))
-    if not exact:
-        rng_orbit_len = int(t / min(sys.roof.values.values())) + win + 2
+    roots = np.arange(len(words))[::-1]
+    levels = _stopping_levels(roots, tree_children, roofs, t, path_limit)
+    exact = levels is not None
+    if exact:
+        weight = np.array([mu.cylinder(words[i]) for i in roots])
+        leaf_weights = [weight[levels[0].done]]
+        for up, lv in zip(levels, levels[1:]):
+            weight = weight[lv.parent] * mu.P[last[up.word[lv.parent]], last[lv.word]]
+            leaf_weights.append(weight[lv.done])
+        order = _preorder(levels)
+        hi, lo = _walk(levels, mats)
+        num_hi = num_lo = 0.0
+        for w, h, l in zip(np.concatenate(leaf_weights)[order].tolist(),
+                           hi[order].tolist(), lo[order].tolist()):
+            num_hi += w * h
+            num_lo += w * l
+        nodes = sum(len(lv.word) for lv in levels)
+    else:
+        n_sym = int(t / min(sys.roof.values.values())) + win + 2
         his, los = [], []
-        for i in range(n_samples):
-            symbols = tuple(int(s) for s in mu.sample_orbit(rng_orbit_len, seed=seed + i))
-            steps = (step_data(symbols[k : k + win]) for k in range(rng_orbit_len - win + 1))
-            hi, lo = _extremes(_walk_to(_START, steps, t))
-            his.append(hi)
-            los.append(lo)
-        num_hi = float(np.mean(his))
-        num_lo = float(np.mean(los))
+        for first in range(0, n_samples, _SAMPLE_CHUNK):
+            chunk = range(first, min(first + _SAMPLE_CHUNK, n_samples))
+            orbits = np.array([mu.sample_orbit(n_sym, seed=seed + i) for i in chunk])
+            # windows[i, k]: the word read by step k of orbit i
+            windows = lookup[_window_code([orbits[:, j : n_sym - win + 1 + j] for j in range(win)], m)]
+
+            def orbit_step(origin, word, depth):
+                return np.arange(len(word)), windows[origin, depth]
+
+            levels = _stopping_levels(windows[:, 0], orbit_step, roofs, t)
+            hi, lo = _walk(levels, mats)
+            order = _preorder(levels)
+            his.append(hi[order])
+            los.append(lo[order])
+        num_hi = float(np.mean(np.concatenate(his)))
+        num_lo = float(np.mean(np.concatenate(los)))
+        nodes = 0
     upper = num_hi / (2.0 * t)
     lower = num_lo / (2.0 * t)
     return RhoMeasureEstimate(
@@ -601,4 +707,5 @@ def rho_measure(A: CocycleSpec, sys: SuspensionSystem, mu, t: float,
         width=upper - lower,
         t=float(t),
         exact=exact,
+        nodes=nodes,
     )

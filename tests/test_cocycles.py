@@ -176,6 +176,36 @@ class TestEvaluate:
         rhs = cc.evaluate(A, z.shift(n), m) @ cc.evaluate(A, z, n)
         assert np.allclose(lhs, rhs, atol=1e-9)
 
+    @pytest.mark.parametrize("window", [1, 2])
+    def test_same_product_as_pointwise(self, window):
+        rng = np.random.default_rng(window)
+        gen = {w: rng.normal(size=(3, 3)) + 2.0 * np.eye(3)
+               for w in FULL2.admissible_words(window)}
+        A = cc.CocycleSpec(FULL2, window, gen)
+        for _ in range(20):
+            left, core, right = (tuple(rng.integers(0, 2, rng.integers(k, 5)).tolist())
+                                 for k in (1, 0, 1))
+            x = sh.make_point(left, core, right, int(rng.integers(-4, 5)))
+            for n in (0, 1, 2, 7, 13, -1, -6):
+                assert np.array_equal(cc.evaluate(A, x, n), pointwise_evaluate(A, x, n))
+
+    def test_inadmissible_window_rejected(self):
+        A = cc.CocycleSpec(GOLDEN, 2, {"00": D2, "01": SHEAR, "10": POS})
+        with pytest.raises(ValueError, match="^point visits inadmissible window"):
+            cc.evaluate(A, sh.make_point("0", "11", "0"), 3)
+
+
+def pointwise_evaluate(A, x, n):
+    """evaluate as one value_at per shifted point, kept as a reference."""
+    if n == 0:
+        return np.eye(A.dim)
+    if n < 0:
+        return np.linalg.inv(pointwise_evaluate(A, x.shift(n), -n))
+    out = np.eye(A.dim)
+    for k in range(n):
+        out = A.value_at(x.shift(k)) @ out
+    return out
+
 
 # -- the holonomy series before exact differences, kept as a reference -------
 

@@ -12,10 +12,12 @@ import cocyclelab.rotation as ro
 import cocyclelab.shifts as sh
 import cocyclelab.suspension as sp
 from cocyclelab.experiments import config as cfgmod
+from cocyclelab.experiments import runners
 
 E5_CONFIG = Path(cfgmod.__file__).parent / "configs" / "e5.json"
 
 FULL2 = sh.SftSpec.full_shift(2, theta=0.5)
+GOLDEN = sh.SftSpec.golden_mean(theta=0.5)
 TWO_PI = 2.0 * math.pi
 
 
@@ -34,6 +36,15 @@ def const_cocycle(*mats):
 
 def unit_flow(base=FULL2, value=1.0):
     return sp.SuspensionSystem(base, sp.RoofFunction.constant(base, value))
+
+
+def e5_setup():
+    """(A, suspension, measure, t) of the shipped E5 config."""
+    cfg = cfgmod.load_config(str(E5_CONFIG))
+    base = cfgmod.build_base(cfg["base"])
+    return (cfgmod.build_cocycle(base, cfg["cocycle"]),
+            sp.SuspensionSystem(base, cfgmod.build_roof(base, cfg["roof"])),
+            cfgmod.build_measure(base, cfg["measure"]), float(cfg["t"]))
 
 
 finite = st.floats(-3.0, 3.0, allow_nan=False)
@@ -422,6 +433,27 @@ class TestSigmaTau:
         assert sigma == pytest.approx(ref_sigma, abs=1e-12)
         assert tau == pytest.approx(ref_tau, abs=1e-12)
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_same_bits_as_one_step_at_a_time(self, seed):
+        # the fold of path_extremes_reference, with the last step fractional
+        rng = np.random.default_rng(2000 + seed)
+        n = int(rng.integers(1, 4))
+        gens = tuple(
+            rng.uniform(0.5, 2.0) * rot(rng.uniform(-math.pi, math.pi))
+            @ np.diag([s, 1.0 / s]) @ rot(rng.uniform(-math.pi, math.pi))
+            for s in rng.uniform(1.0, 3.0, size=n)
+        )
+        roofs = tuple(rng.uniform(0.3, 2.0, size=n))
+        C = ro.CircleCocycle(tuple(range(n)), roofs, gens)
+        start, t = int(rng.integers(n)), float(rng.uniform(0.0, 8.0))
+        mats, acc, k = [], 0.0, start
+        while acc + roofs[k % n] < t:
+            mats.append(gens[k % n])
+            acc += roofs[k % n]
+            k += 1
+        mats.append(ro._fractional_map(gens[k % n], (t - acc) / roofs[k % n]))
+        assert ro.sigma_tau(C, t, start) == path_extremes_reference(mats)
+
 
 class TestRhoPeriodic:
     def test_conformal_unit_roof(self):
@@ -643,6 +675,106 @@ class TestRhoMeasure:
                                     n_samples=kw.get("n_samples", 2000))
         assert est.exact == (case != "fallback")
         assert (est.value, est.lower, est.upper, est.exact) == ref
+
+    @pytest.mark.parametrize("case", [
+        "golden-mean", "golden-mean-window2", "golden-mean-window2-fallback",
+        "markov-zero-transition", "markov-zero-transition-fallback",
+        "limit-at-count", "limit-below-count",
+        "uneven-roofs-t4.1", "uneven-roofs-t5.5", "uneven-roofs-t7.25",
+        "uneven-roofs-t4.1-fallback", "uneven-roofs-t5.5-fallback", "strong-tilts",
+    ])
+    def test_same_paths_on_more_trees(self, case):
+        A = const_cocycle(1.1 * rot(0.4), rot(0.3) @ np.diag([1.2, 1 / 1.2]))
+        mu = sh.parry_measure(FULL2)
+        sys, t, limit = unit_flow(), 6.0, 200_000
+        if case.startswith("golden-mean"):
+            mu = sh.parry_measure(GOLDEN)
+            roof = sp.RoofFunction(GOLDEN, 1, {"0": 1.0, "1": 1.5})
+            sys, t = sp.SuspensionSystem(GOLDEN, roof), 7.5
+            if "window2" in case:
+                gen = {"00": 1.1 * rot(0.4), "01": rot(0.3) @ np.diag([1.2, 1 / 1.2]),
+                       "10": rot(-0.2) @ np.diag([0.9, 1 / 0.9])}
+                A = cc.CocycleSpec(GOLDEN, 2, gen)
+            else:
+                A = cc.CocycleSpec(GOLDEN, 1, A.generator)
+        elif case.startswith("markov-zero"):
+            # no 1 -> 1 transition: every child 1 of a 1 is pruned
+            mu = cfgmod.markov_from_P(FULL2, np.array([[0.6, 0.4], [1.0, 0.0]]))
+            t = 7.0
+        elif case == "strong-tilts":
+            # far from conformal, so the leaf spreads cover most of [0, pi)
+            A = const_cocycle(rot(0.9) @ np.diag([2.0, 0.5]), rot(-0.4) @ np.diag([0.6, 1 / 0.6]))
+        elif case.startswith("limit"):
+            A, sys, mu, t = e5_setup()
+            assert ro.rho_measure(A, sys, mu, t).nodes == 126
+            limit = 126 if case == "limit-at-count" else 125
+        else:
+            # leaves stop part way through their last step at every horizon
+            roof = sp.RoofFunction(FULL2, 1, {"0": 0.7, "1": 1.3})
+            sys, t = sp.SuspensionSystem(FULL2, roof), float(case.split("-")[2][1:])
+        if case.endswith("fallback"):
+            limit = 20
+        est = ro.rho_measure(A, sys, mu, t, path_limit=limit, n_samples=300)
+        ref = rho_measure_reference(A, sys, mu, t, limit, n_samples=300)
+        assert est.exact == (not case.endswith(("fallback", "below-count")))
+        assert (est.value, est.lower, est.upper, est.exact) == ref
+
+    def test_same_paths_on_every_e5_call(self, monkeypatch):
+        calls = []
+
+        def record(A, sys, mu, t):
+            calls.append((A, sys, mu, t))
+            return ro.rho_measure(A, sys, mu, t)
+
+        monkeypatch.setattr(runners, "rho_measure", record)
+        cfg = cfgmod.load_config(str(E5_CONFIG))
+        runners.run_e5(cfg, cfg["seed"])
+        assert len(calls) == 28
+        for A, sys, mu, t in calls:
+            est = ro.rho_measure(A, sys, mu, t)
+            assert est.exact and est.nodes == 126
+            assert (est.value, est.lower, est.upper, est.exact) == rho_measure_reference(
+                A, sys, mu, t, 200_000)
+
+    def test_nodes_counts_the_walked_tree(self):
+        A, sys, mu, t = e5_setup()
+        assert ro.rho_measure(A, sys, mu, t).nodes == 126
+        # the bench fallback: the t = 12 tree has 8190 nodes, over the limit
+        est = ro.rho_measure(A, sys, mu, 12.0, path_limit=4000)
+        assert not est.exact and est.nodes == 0
+
+    def test_abandoned_search_walks_no_tree_node(self, monkeypatch):
+        A, sys, mu, _ = e5_setup()
+        drawn, early = [], []
+        sample_orbit = type(mu).sample_orbit
+        projectivize = ro.projectivize_block
+
+        def draw(self, length, seed):
+            drawn.append(seed)
+            return sample_orbit(self, length, seed)
+
+        def counted(M):
+            if not drawn:
+                early.append(M)
+            return projectivize(M)
+
+        monkeypatch.setattr(type(mu), "sample_orbit", draw)
+        monkeypatch.setattr(ro, "projectivize_block", counted)
+        est = ro.rho_measure(A, sys, mu, 12.0, path_limit=4000, n_samples=50)
+        assert not est.exact and len(drawn) == 50
+        assert early == []
+
+    def test_measure_on_other_shift_rejected(self):
+        A = const_cocycle(1.1 * rot(0.4), rot(0.3) @ np.diag([1.2, 1 / 1.2]))
+        full3 = sh.SftSpec.full_shift(3, theta=0.5)
+        with pytest.raises(ValueError, match="^measure lives on a different shift"):
+            ro.rho_measure(A, unit_flow(), sh.parry_measure(full3), t=6.0)
+
+    def test_suspension_on_other_shift_rejected(self):
+        A = const_cocycle(1.1 * rot(0.4), rot(0.3) @ np.diag([1.2, 1 / 1.2]))
+        full3 = sh.SftSpec.full_shift(3, theta=0.5)
+        with pytest.raises(ValueError, match="^suspension lives on a different shift"):
+            ro.rho_measure(A, unit_flow(full3), sh.parry_measure(FULL2), t=6.0)
 
     def test_hoelder_bumps_rejected(self):
         mu = sh.parry_measure(FULL2)
