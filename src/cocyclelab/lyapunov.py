@@ -4,14 +4,20 @@ Two stages.  The block stage builds the step matrices of a sampled path
 _CHUNK_BLOCKS whole blocks at a time (path_matrices over a range of steps)
 and tree-reduces each chunk into short block products with per-matrix
 scale tracking, so a path's T x d x d step matrices are never held at
-once.  The recurrence then runs contiguous segments of blocks in lockstep,
-one batched QR per step, each later segment from a warm-up frame (see
-qr_spectrum).  Block length adapts to the per-step conditioning so block
-products never exceed a safe condition number before re-orthonormalization.
+once.  On a locally constant cocycle a block's h-step sub-blocks repeat
+(a window-1 cocycle on the full 2-shift has at most 2^8 distinct 8-step
+ones), so the tree reduces each distinct sub-block of a chunk once and
+gathers; every product and scale is still the one _tree_reduce forms from
+that sub-block's own steps, so no bit moves.  The recurrence then runs
+contiguous segments of blocks in lockstep, one batched QR per step, each
+later segment from a warm-up frame (see qr_spectrum).  Block length adapts
+to the per-step conditioning so block products never exceed a safe
+condition number before re-orthonormalization.
 """
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, replace
 from math import comb
 
@@ -42,6 +48,10 @@ class LyapunovEstimate:
     volume_residual: float       # |sum of exponents - mean log|det||
     multiplicities: tuple | None = None
     seed: int | None = None
+    # deterministic work counters of qr_spectrum: lockstep segments, and
+    # the sub-blocks (or whole blocks) the block stage reduced from steps
+    segments: int | None = None
+    reduced_blocks: int | None = None
 
     @property
     def dim(self) -> int:
@@ -63,7 +73,8 @@ def _tree_reduce(mats: np.ndarray, B: int):
     """Collapse rows of (nb, B, d, d) into normalized block products.
 
     Returns (products (nb, d, d), logscale (nb,)) with true product
-    equal to products * exp(logscale)."""
+    equal to products * exp(logscale).  The whole-path definition of the
+    block stage's output, which _block_products reproduces bit for bit."""
     nb, width, d, _ = mats.shape
     P = mats
     logs = np.zeros(nb)
@@ -79,12 +90,47 @@ def _tree_reduce(mats: np.ndarray, B: int):
     return P[:, 0], logs
 
 
+def _tree_level(P: np.ndarray):
+    """One level of _tree_reduce on P (n, width, d, d): the pair products,
+    scaled in place by their max |entry| (one copy of P, not two).  Returns
+    (P, log scales (n, width / 2))."""
+    P = P[:, 1::2] @ P[:, 0::2]
+    s = np.maximum(P.max(axis=(2, 3)), -P.min(axis=(2, 3)))
+    s = np.maximum(s, 1e-300)
+    P /= s[..., None, None]
+    return P, np.log(s)
+
+
+def _shared_tree(sub: np.ndarray, inverse: np.ndarray | None, n: int):
+    """_tree_reduce of n blocks of B steps whose consecutive h-step
+    sub-blocks are sub[inverse], sub (K, h, d, d); inverse None: sub itself,
+    in order.  The levels up to h run on the K distinct sub-blocks only;
+    their products and each level's log scales are then gathered, and the
+    log scales summed per block level by level on (n, B / 2^l) arrays, the
+    sums _tree_reduce takes.  Every product and scale depends only on its
+    own sub-block's steps, so the result is _tree_reduce's bit for bit."""
+    d = sub.shape[-1]
+    levels = []
+    while sub.shape[1] > 1:
+        sub, level = _tree_level(sub)
+        levels.append(level)
+    if inverse is not None:
+        sub, levels = sub[inverse], [level[inverse] for level in levels]
+    P = sub.reshape(n, -1, d, d)
+    logs = np.zeros(n)
+    for level in levels:
+        logs += level.reshape(n, -1).sum(axis=1)
+    while P.shape[1] > 1:
+        P, level = _tree_level(P)
+        logs += level.sum(axis=1)
+    return P[:, 0], logs
+
+
 @dataclass(frozen=True)
 class _PathSteps:
     """The step matrices of A along a symbol path, or their k-th exterior
-    powers, built a chunk at a time: chunk(a, b) returns those of steps a
-    to b - 1 and their log|det|.  shape is that of the whole (T, C, C)
-    array, C = binom(d, k), which is never built."""
+    powers, built a chunk at a time by chunk(a, b, B).  shape is that of
+    the whole (T, C, C) array, C = binom(d, k), which is never built."""
 
     A: CocycleSpec
     symbols: np.ndarray
@@ -95,38 +141,81 @@ class _PathSteps:
         C = comb(self.A.dim, self.k)
         return (len(self.symbols) - self.A.window + 1, C, C)
 
-    def chunk(self, a: int, b: int):
+    def sub_block(self, B: int) -> int:
+        """Size h of the sub-blocks that blocks of B steps share.  On a
+        locally constant cocycle an h-step sub-block reads h + w - 1
+        symbols, so a chunk holds at most m^(h + w - 1) distinct ones; h is
+        the power of two <= B that needs the fewest matrix products to
+        reduce a full chunk, those distinct sub-blocks down to h and then
+        every block from its B / h sub-blocks.  1 (nothing shared) for bump
+        cocycles, whose steps read far-away symbols."""
+        if not self.A.is_locally_constant:
+            return 1
+        m, w = self.A.base.alphabet_size, self.A.window
+
+        def products(h):
+            distinct = min(m ** (h + w - 1), _CHUNK_BLOCKS * B // h)
+            return distinct * (h - 1) + _CHUNK_BLOCKS * (B // h - 1)
+
+        return min((1 << j for j in range(B.bit_length())), key=products)
+
+    def chunk(self, a: int, b: int, B: int):
+        """Steps a to b - 1, whole blocks of B steps, as (sub, logdet,
+        inverse): their consecutive h-step sub-blocks (h = sub_block(B))
+        are sub[inverse], sub (K, h, C, C) holding each distinct one once,
+        keyed by the symbols it reads.  With h = 1 inverse is None and sub
+        is the (b - a) / B blocks in order.  path_matrices builds every
+        step; exterior minors are taken of the K h distinct steps only."""
         mats, logdet = self.A.path_matrices(self.symbols, a, b)
-        if self.k == 1:
-            return mats, logdet
-        return la.exterior_power(mats, self.k), logdet * comb(self.A.dim - 1, self.k - 1)
+        h = self.sub_block(B)
+        if h == 1:
+            sub, inverse = mats.reshape(-1, B, *mats.shape[1:]), None
+        else:
+            m, n = self.A.base.alphabet_size, (b - a) // h
+            s = np.asarray(self.symbols[a : b + self.A.window - 1], dtype=np.int64)
+            keys = sum(s[j : j + n * h : h] * m**j for j in range(h + self.A.window - 1))
+            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            sub = mats.reshape(n, h, *mats.shape[1:])[first]
+        if self.k > 1:
+            sub = la.exterior_power(sub, self.k)
+            logdet = logdet * comb(self.A.dim - 1, self.k - 1)
+        return sub, logdet, inverse
 
 
 def _block_products(chunk, nb: int, B: int):
     """Block stage: the first nb blocks of B steps, _CHUNK_BLOCKS whole
-    blocks at a time, chunk(a, b) giving the step matrices and log|det| of
-    steps a to b - 1.  Returns (products (nb, d, d), logscale (nb,),
-    logdet (nb B,)).  _tree_reduce reduces every block on its own, so the
-    chunks change no bit of the result."""
+    blocks at a time, chunk(a, b, B) giving steps a to b - 1 as _PathSteps
+    .chunk does.  Returns (products (nb, d, d), logscale (nb,), logdet
+    (nb B,), the number of sub-blocks reduced from their steps).  Products
+    and scales are those of _tree_reduce on the whole path bit for bit:
+    it reduces every block on its own, and _shared_tree reproduces it on
+    each chunk."""
+    reduced = 0
     for lo in range(0, nb, _CHUNK_BLOCKS):
         hi = min(lo + _CHUNK_BLOCKS, nb)
-        mats, ld = chunk(lo * B, hi * B)
-        d = mats.shape[-1]
+        sub, ld, inverse = chunk(lo * B, hi * B, B)
+        d = sub.shape[-1]
         if lo == 0:
             prods, logs, logdet = np.empty((nb, d, d)), np.empty(nb), np.empty(nb * B)
-        prods[lo:hi], logs[lo:hi] = _tree_reduce(mats.reshape(hi - lo, B, d, d), B)
+        prods[lo:hi], logs[lo:hi] = _shared_tree(sub, inverse, hi - lo)
         logdet[lo * B : hi * B] = ld
-    return prods, logs, logdet
+        reduced += len(sub)
+    return prods, logs, logdet, reduced
 
 
 def qr_spectrum(mats: np.ndarray | _PathSteps, logdet: np.ndarray | None, block_size: int, n_batches: int = DEFAULT_BATCHES) -> LyapunovEstimate:
     """Blocked QR estimate from the step matrices along one path.
 
-    mats is the (T, d, d) array of step matrices and logdet their log|det|,
-    or a _PathSteps (logdet None) that builds both a chunk at a time.
-    Either way the block stage (_block_products) reduces the first nb =
-    T // block_size blocks, and the recurrence below runs over the (nb, d,
-    d) products and their log scales.
+    mats is the (T, d, d) array of step matrices and logdet their T
+    log|det|, or a _PathSteps (logdet None) that builds both a chunk at a
+    time.  block_size must be a positive power of two.  Either way the
+    block stage (_block_products) reduces the first nb = T // block_size
+    blocks, and the recurrence below runs over the (nb, d, d) products and
+    their log scales.  A _PathSteps of a locally constant cocycle reduces
+    each distinct h-step sub-block of a chunk once (reduced_blocks counts
+    them; otherwise it counts the nb blocks); a bump cocycle or an array
+    reduces every block from its own steps.  The products and scales are
+    _tree_reduce's either way, bit for bit.
 
     The nb block products are cut into S contiguous segments of L blocks
     (the last may be shorter), with S at most _MAX_SEGMENTS_PER_BATCH *
@@ -136,7 +225,8 @@ def qr_spectrum(mats: np.ndarray | _PathSteps, logdet: np.ndarray | None, block_
     later segment starts from the identity one full segment early and
     discards those L warm-up blocks; segment 1's warm-up is segment 0's
     own run.  All segments advance together, one batched QR of an
-    (S - 1, d, d) stack per step, at most 2L steps in all.  Each stderr
+    (S - 1, d, d) stack per step, at most 2L steps in all (segments in
+    the result counts them, ceil(nb / L), which may be below S).  Each stderr
     batch sums its blocks' log|R_ii| in order, as one sequential recurrence
     over all blocks would.
 
@@ -160,7 +250,9 @@ def qr_spectrum(mats: np.ndarray | _PathSteps, logdet: np.ndarray | None, block_
     cocycle conjugated by W, cond_2(P) <= cond_2(W)^2 on every segment.
     """
     T, d, _ = mats.shape
-    B = block_size
+    B = operator.index(block_size)
+    if B < 1 or B & (B - 1):
+        raise ValueError(f"block size must be a positive power of two, got {B}")
     nb = T // B
     if nb < 1:
         raise ValueError(f"path of {T} steps is shorter than one block of {B}")
@@ -171,9 +263,13 @@ def qr_spectrum(mats: np.ndarray | _PathSteps, logdet: np.ndarray | None, block_
     if isinstance(mats, _PathSteps):
         chunk = mats.chunk
     else:
-        def chunk(a, b):
-            return mats[a:b], logdet[a:b]
-    prods, logs, logdet = _block_products(chunk, nb, B)
+        if logdet is None or np.shape(logdet) != (T,):
+            raise ValueError(f"logdet must hold one log|det| per step, {T} in all, "
+                             f"got {'None' if logdet is None else np.shape(logdet)}")
+
+        def chunk(a, b, B):
+            return mats[a:b].reshape(-1, B, d, d), logdet[a:b], None
+    prods, logs, logdet, reduced = _block_products(chunk, nb, B)
     used = nb * B
     S = min(_MAX_SEGMENTS_PER_BATCH * n_batches, nb // -(-_MIN_SEGMENT_STEPS // B))
     L = nb if S < 2 else -(-nb // S)
@@ -212,6 +308,8 @@ def qr_spectrum(mats: np.ndarray | _PathSteps, logdet: np.ndarray | None, block_
         n_steps=used,
         block_size=B,
         volume_residual=vol,
+        segments=-(-nb // L),
+        reduced_blocks=reduced,
     )
 
 

@@ -1,5 +1,6 @@
 """Blocked QR Lyapunov estimates against closed-form and brute-force oracles."""
 import tracemalloc
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -239,6 +240,30 @@ class TestExteriorCheck:
         with pytest.raises(ValueError, match="at least"):
             ly.exterior_sum_check(A, mu, k=1, n_steps=ly.MIN_STEPS - 1, seed=0)
 
+    @pytest.mark.parametrize("name,k,n_steps", [
+        ("generic-d4", 2, 60_000), ("generic-d4", 3, 60_000), ("bump", 2, 40_000)])
+    def test_same_check_as_without_shared_sub_blocks(self, monkeypatch, name, k, n_steps):
+        A = hoelder_bump_cocycle() if name == "bump" else e1_cocycle(name)
+        mu = sh.parry_measure(A.base)
+        minors = []
+        exterior_power = la.exterior_power
+
+        def counting(M, k):
+            minors.append(len(M) * M.shape[1])
+            return exterior_power(M, k)
+
+        monkeypatch.setattr(la, "exterior_power", counting)
+        shared = ly.exterior_sum_check(A, mu, k, n_steps, seed=E1_CONFIG["seed"])
+        # minors of the distinct sub-blocks' steps only on a locally
+        # constant cocycle, of every step used on a bump cocycle
+        if A.is_locally_constant:
+            assert sum(minors) < n_steps / 10
+        else:
+            assert sum(minors) > n_steps - 64
+        # nothing shared: every block reduced from its own steps
+        monkeypatch.setattr(ly._PathSteps, "sub_block", lambda self, B: 1)
+        assert ly.exterior_sum_check(A, mu, k, n_steps, seed=E1_CONFIG["seed"]) == shared
+
 
 # ---------------------------------------------------------------------------
 # lockstep segments against one sequential QR recurrence
@@ -412,6 +437,23 @@ class TestLockstepSamePath:
         with pytest.raises(ValueError, match="at least one stderr batch"):
             ly.qr_spectrum(mats, np.zeros(64), block_size=4, n_batches=n_batches)
 
+    @pytest.mark.parametrize("block_size", [0, -4, 3, 5, 6])
+    def test_block_size_must_be_a_power_of_two(self, block_size):
+        # the pairwise tree halves every block until one product is left
+        mats = np.tile(np.diag([2.0, 0.5]), (96, 1, 1))
+        with pytest.raises(ValueError, match="positive power of two"):
+            ly.qr_spectrum(mats, np.zeros(96), block_size=block_size)
+
+    def test_logdet_required_with_an_array(self):
+        mats = np.tile(np.diag([2.0, 0.5]), (64, 1, 1))
+        with pytest.raises(ValueError, match="logdet"):
+            ly.qr_spectrum(mats, None, block_size=4)
+
+    def test_logdet_shorter_than_the_path_rejected(self):
+        mats = np.tile(np.diag([2.0, 0.5]), (64, 1, 1))
+        with pytest.raises(ValueError, match="logdet"):
+            ly.qr_spectrum(mats, np.zeros(60), block_size=4)
+
 
 # ---------------------------------------------------------------------------
 # the streamed block stage against one whole-path tree reduction
@@ -450,6 +492,26 @@ def hoelder_bump_cocycle():
                           cc.HoelderPerturbation(1.0, bumps))
 
 
+def e1_cocycle(name):
+    member = next(m for m in E1_MEMBERS if m["name"] == name)
+    return cf.build_cocycle(cf.build_base(E1_CONFIG["base"]), member["cocycle"])
+
+
+def random_cocycle(base, window, d, seed):
+    rng = np.random.default_rng(seed)
+    words = base.admissible_words(window)
+    return cc.CocycleSpec(base, window, {w: rng.normal(size=(d, d)) for w in words})
+
+
+# locally constant paths whose blocks share sub-blocks: (cocycle, exterior order)
+SHARED_PATHS = {
+    "golden-window2-d3": lambda: (random_cocycle(GOLDEN, 2, 3, 11), 1),
+    "full3-d2": lambda: (random_cocycle(sh.SftSpec.full_shift(3, theta=0.5), 1, 2, 12), 1),
+    "full2-d4-k2": lambda: (random_cocycle(FULL2, 1, 4, 13), 2),
+    "full2-d4-k3": lambda: (random_cocycle(FULL2, 1, 4, 13), 3),
+}
+
+
 class TestStreamedBlocks:
     @pytest.mark.parametrize(
         "member,measure", E1_PAIRS,
@@ -482,6 +544,43 @@ class TestStreamedBlocks:
         assert_same_blocks(ly._PathSteps(A, symbols, 2), la.exterior_power(mats, 2),
                            logdet * 2, 4)
 
+    @pytest.mark.parametrize("B", [1, 2, 4, 8, 16, 32, 64])
+    @pytest.mark.parametrize("name", sorted(SHARED_PATHS))
+    def test_shared_sub_blocks_same_blocks(self, monkeypatch, name, B):
+        # a smaller chunk keeps the whole-path reference small; the
+        # sub-block size then ranges over h = 1, 2, 4 and 8
+        monkeypatch.setattr(ly, "_CHUNK_BLOCKS", 256)
+        A, k = SHARED_PATHS[name]()
+        n_steps = (2 * ly._CHUNK_BLOCKS + 37) * B + 5
+        symbols = sh.parry_measure(A.base).sample_orbit(n_steps + A.window - 1, seed=B)
+        mats, logdet = A.path_matrices(symbols)
+        if k > 1:
+            mats, logdet = la.exterior_power(mats, k), logdet * comb(A.dim - 1, k - 1)
+        path = ly._PathSteps(A, symbols, k)
+        assert (path.sub_block(B) > 1) == (B > 1)
+        assert_same_blocks(path, mats, logdet, B)
+        *_, reduced = ly._block_products(path.chunk, n_steps // B, B)
+        if B > 1:
+            assert reduced < (n_steps // B) * B // path.sub_block(B)
+
+    def test_path_matrices_once_per_chunk(self, monkeypatch):
+        # the block stage reads its steps through path_matrices, one call
+        # per chunk of whole blocks, which is where its symbol checks run
+        calls = []
+        path_matrices = cc.CocycleSpec.path_matrices
+
+        def counting(self, symbols, start=0, stop=None):
+            calls.append((start, stop))
+            return path_matrices(self, symbols, start, stop)
+
+        monkeypatch.setattr(cc.CocycleSpec, "path_matrices", counting)
+        A = e1_cocycle("positive-d2")
+        est = ly.lyapunov_qr(A, sh.parry_measure(A.base), 300_000, seed=E1_CONFIG["seed"])
+        B, nb = est.block_size, est.n_steps // est.block_size
+        assert nb > 2 * ly._CHUNK_BLOCKS
+        assert calls == [(lo * B, min(lo + ly._CHUNK_BLOCKS, nb) * B)
+                         for lo in range(0, nb, ly._CHUNK_BLOCKS)]
+
     def test_generic_d4_peak_memory(self):
         # the whole path's 10^6 step matrices alone are 122 MiB at d = 4
         spec = cf.build_base(E1_CONFIG["base"])
@@ -495,3 +594,51 @@ class TestStreamedBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 100 * 2**20
+
+
+class TestWorkCounters:
+    @staticmethod
+    def segment_stacks(monkeypatch):
+        rows = []
+        qr = np.linalg.qr
+
+        def counting_qr(M):
+            rows.append(len(M))
+            return qr(M)
+
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        return rows
+
+    def test_e1_path(self, monkeypatch):
+        rows = self.segment_stacks(monkeypatch)
+        A = e1_cocycle("positive-d2")
+        n_steps, seed = 200_000, E1_CONFIG["seed"]
+        est = ly.lyapunov_qr(A, sh.parry_measure(A.base), n_steps, seed)
+        # row 0 of the lockstep stack runs segments 0 and 1
+        assert est.segments == rows[0] + 1 > 2
+        # one reduced sub-block per distinct 8-symbol word of each chunk
+        B = est.block_size
+        assert ly._PathSteps(A, np.zeros(n_steps, dtype=int)).sub_block(B) == 8
+        words = sh.parry_measure(A.base).sample_orbit(n_steps, seed)[: est.n_steps].reshape(-1, 8)
+        per_chunk = ly._CHUNK_BLOCKS * B // 8
+        distinct = sum(len(np.unique(words[i : i + per_chunk], axis=0))
+                       for i in range(0, len(words), per_chunk))
+        assert est.reduced_blocks == distinct <= 256 * -(-len(words) // per_chunk)
+
+    def test_bump_path(self, monkeypatch):
+        rows = self.segment_stacks(monkeypatch)
+        A = hoelder_bump_cocycle()
+        est = ly.lyapunov_qr(A, sh.parry_measure(A.base), 50_000, seed=3)
+        assert est.segments == rows[0] + 1 > 2
+        # nothing is shared: every block is reduced from its own steps
+        assert est.reduced_blocks == est.n_steps // est.block_size
+
+    def test_segments_below_the_cap(self, monkeypatch):
+        # 7 batches allow 70 segments and 4225 blocks of 64 steps 66, but
+        # ceil(4225 / 66) = 65 blocks a segment leave 65 segments
+        rows = self.segment_stacks(monkeypatch)
+        mats = np.tile(np.diag([2.0, 0.5]), (4225 * 64, 1, 1))
+        est = ly.qr_spectrum(mats, np.zeros(len(mats)), block_size=64, n_batches=7)
+        assert est.segments == rows[0] + 1 == 65
+        # an array shares nothing
+        assert est.reduced_blocks == 4225
