@@ -67,27 +67,26 @@ _ROOF = {
 
 _POLY = {"type": "object"}
 
+# an E1 member: a suite entry, the control or the informative member
+_MEMBER = {
+    "type": "object",
+    "properties": {
+        "name": {"type": "string"},
+        "cocycle": _COCYCLE,
+        "p_word": {"type": "string"},
+        "bridge": {"type": "string"},
+        "measures": {"type": "array", "items": _MEASURE, "minItems": 1},
+    },
+    "required": ["name", "cocycle", "p_word", "bridge", "measures"],
+}
+
 _E1 = {
     "type": "object",
     "properties": {
         "n_steps": {"type": "integer", "minimum": 1000},
-        "suite": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "properties": {
-                    "name": {"type": "string"},
-                    "cocycle": _COCYCLE,
-                    "p_word": {"type": "string"},
-                    "bridge": {"type": "string"},
-                    "measures": {"type": "array", "items": _MEASURE, "minItems": 1},
-                },
-                "required": ["name", "cocycle", "p_word", "bridge", "measures"],
-            },
-        },
-        "control": {"type": "object"},
-        "informative": {"type": "object"},
+        "suite": {"type": "array", "minItems": 1, "items": _MEMBER},
+        "control": _MEMBER,
+        "informative": _MEMBER,
         "gap_member": {"type": "string"},
     },
     "required": ["n_steps", "suite", "control", "informative", "gap_member"],

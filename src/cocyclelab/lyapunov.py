@@ -9,10 +9,12 @@ once.  On a locally constant cocycle a block's h-step sub-blocks repeat
 ones), so the tree reduces each distinct sub-block of a chunk once and
 gathers; every product and scale is still the one _tree_reduce forms from
 that sub-block's own steps, so no bit moves.  The recurrence then runs
-contiguous segments of blocks in lockstep, one batched QR per step, each
-later segment from a warm-up frame (see qr_spectrum).  Block length adapts
-to the per-step conditioning so block products never exceed a safe
-condition number before re-orthonormalization.
+contiguous segments of blocks in lockstep, one batched QR per step, in two
+phases: every segment from the identity at its own start, then each
+segment's end frame on into the next segment until it meets that segment's
+own frame bit for bit (see qr_spectrum).  Block length adapts to the
+per-step conditioning so block products never exceed a safe condition
+number before re-orthonormalization.
 """
 from __future__ import annotations
 
@@ -48,10 +50,12 @@ class LyapunovEstimate:
     volume_residual: float       # |sum of exponents - mean log|det||
     multiplicities: tuple | None = None
     seed: int | None = None
-    # deterministic work counters of qr_spectrum: lockstep segments, and
-    # the sub-blocks (or whole blocks) the block stage reduced from steps
+    # deterministic work counters of qr_spectrum: lockstep segments, the
+    # sub-blocks (or whole blocks) the block stage reduced from steps, and
+    # the blocks phase 2 re-ran before a seam's frames met
     segments: int | None = None
     reduced_blocks: int | None = None
+    seam_blocks: int | None = None
 
     @property
     def dim(self) -> int:
@@ -203,6 +207,44 @@ def _block_products(chunk, nb: int, B: int):
     return prods, logs, logdet, reduced
 
 
+def _lockstep_qr(prods: np.ndarray, L: int):
+    """|R_ii| of every block of the QR recurrence over prods (nb, d, d),
+    cut into segments of L blocks (the last may be shorter), as (nb, d),
+    and the number of blocks phase 2 re-ran.  See qr_spectrum."""
+    nb, d, _ = prods.shape
+    starts = np.arange(0, nb, L)
+    # phase 1: every segment from the identity at its own first block;
+    # the frames after 1, 2, 4, ... blocks are the checkpoints
+    Q = np.broadcast_to(np.eye(d), (len(starts), d, d))
+    diag = np.empty((nb, d))
+    checkpoints = {}
+    for j in range(L):
+        idx = np.minimum(starts + j, nb - 1)
+        Q, R = np.linalg.qr(prods[idx] @ Q)
+        live = starts + j < nb
+        diag[idx[live]] = np.abs(np.diagonal(R[live], axis1=1, axis2=2))
+        if j & (j + 1) == 0:
+            checkpoints[j + 1] = Q.view(np.int64)
+    # phase 2: each segment's end frame runs on into the next segment (seg:
+    # the segment each row re-runs) until it equals that segment's phase-1
+    # frame bit for bit, from where on both runs compute the same blocks
+    seg, Q = np.arange(1, len(starts)), Q[:-1]
+    rerun = 0
+    for j in range(L):
+        blk = starts[seg] + j
+        inside = blk < nb
+        seg, Q, blk = seg[inside], Q[inside], blk[inside]
+        if not len(seg):
+            break
+        Q, R = np.linalg.qr(prods[blk] @ Q)
+        diag[blk] = np.abs(np.diagonal(R, axis1=1, axis2=2))
+        rerun += len(seg)
+        if j + 1 in checkpoints:
+            apart = (Q.view(np.int64) != checkpoints[j + 1][seg]).any(axis=(1, 2))
+            seg, Q = seg[apart], Q[apart]
+    return diag, rerun
+
+
 def qr_spectrum(mats: np.ndarray | _PathSteps, logdet: np.ndarray | None, block_size: int, n_batches: int = DEFAULT_BATCHES) -> LyapunovEstimate:
     """Blocked QR estimate from the step matrices along one path.
 
@@ -220,15 +262,25 @@ def qr_spectrum(mats: np.ndarray | _PathSteps, logdet: np.ndarray | None, block_
     The nb block products are cut into S contiguous segments of L blocks
     (the last may be shorter), with S at most _MAX_SEGMENTS_PER_BATCH *
     n_batches and every segment at least _MIN_SEGMENT_STEPS steps long; a
-    path shorter than two such segments is one segment (S = 1).  Segment 0
-    starts from the identity frame at block 0 and never warms up.  Every
-    later segment starts from the identity one full segment early and
-    discards those L warm-up blocks; segment 1's warm-up is segment 0's
-    own run.  All segments advance together, one batched QR of an
-    (S - 1, d, d) stack per step, at most 2L steps in all (segments in
-    the result counts them, ceil(nb / L), which may be below S).  Each stderr
-    batch sums its blocks' log|R_ii| in order, as one sequential recurrence
-    over all blocks would.
+    path shorter than two such segments is one segment (S = 1).  segments
+    in the result counts them, ceil(nb / L), which may be below S.  The
+    recurrence (_lockstep_qr) runs in two lockstep phases, one batched QR
+    per step.  Phase 1 starts every segment from the identity frame at its
+    own first block and runs L steps.  Segment 0's log|R_ii| are final; the
+    others' stay until phase 2 overwrites them.  The frames after 1, 2, 4,
+    8, ... blocks are saved as checkpoints.  Phase 2 carries segment c's
+    phase-1 end frame on into segment c + 1, one stack row per seam, and
+    overwrites that segment's log|R_ii|.  A row leaves the stack at the
+    first checkpoint where its frame equals segment c + 1's phase-1 frame
+    bit for bit (as int64 words, so 0.0 and -0.0 differ).  From that block
+    on both runs take the same QR of the same matrix, so the phase-1 values
+    left in place are the ones the row would compute.  A row whose frames
+    never meet runs to the end of its segment.  seam_blocks counts the
+    blocks phase 2 ran; the two phases take at most 2L steps.  So every
+    segment c >= 1 starts from the frame segment c - 1 reaches from the
+    identity at its own first block, a warm-up of one segment, bit for bit
+    whether or not its seam meets.  Each stderr batch sums its blocks'
+    log|R_ii| in order, as one sequential recurrence over all blocks would.
 
     The frame forgets its start at the rate of the smallest gap between
     distinct exponents (Benettin et al. 1980; Ershov and Potapov 1998),
@@ -237,7 +289,9 @@ def qr_spectrum(mats: np.ndarray | _PathSteps, logdet: np.ndarray | None, block_
     two runs stay equal, and exponents and stderr are those of the
     sequential recurrence bit for bit; on well-separated spectra this
     happens inside the warm-up, and for S = 1 there is nothing to warm up.
-    Otherwise the result moves by the frame's own rounding.
+    Otherwise the result moves by the frame's own rounding.  The same gap
+    sets how soon a seam meets: within a few blocks on well-separated
+    spectra, never where exponents are equal.
 
     Where exponents are equal (conformal blocks) the frame never forgets
     its start.  Over a segment with product P, the sum of the top k
@@ -273,16 +327,7 @@ def qr_spectrum(mats: np.ndarray | _PathSteps, logdet: np.ndarray | None, block_
     used = nb * B
     S = min(_MAX_SEGMENTS_PER_BATCH * n_batches, nb // -(-_MIN_SEGMENT_STEPS // B))
     L = nb if S < 2 else -(-nb // S)
-    # stack row c starts from the identity at block c L: row 0 runs
-    # segments 0 and 1, row c > 0 warms up on segment c and keeps c + 1
-    starts = np.arange(0, max(nb - L, 1), L)
-    Q = np.broadcast_to(np.eye(d), (len(starts), d, d))
-    diag = np.empty((nb, d))
-    for j in range(min(2 * L, nb)):
-        idx = np.minimum(starts + j, nb - 1)
-        Q, R = np.linalg.qr(prods[idx] @ Q)
-        keep = (starts + j < nb) & ((starts == 0) | (j >= L))
-        diag[idx[keep]] = np.abs(np.diagonal(R[keep], axis1=1, axis2=2))
+    diag, seam_blocks = _lockstep_qr(prods, L)
     terms = np.log(diag) + logs[:, None]
     # block i falls in stderr batch i * n_batches // nb, which starts at
     # block bounds[b]
@@ -310,6 +355,7 @@ def qr_spectrum(mats: np.ndarray | _PathSteps, logdet: np.ndarray | None, block_
         volume_residual=vol,
         segments=-(-nb // L),
         reduced_blocks=reduced,
+        seam_blocks=seam_blocks,
     )
 
 

@@ -248,6 +248,20 @@ class TestCli:
         assert cli.main(["--config", str(bad), "--validate"]) == 1
         assert "bad.json:1:2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("member", ["control", "informative"])
+    def test_e1_member_without_measures(self, tmp_path, capsys, member):
+        # control and informative are members like the suite's; a missing
+        # measures list used to pass validation and fail inside run_e1
+        cfg = load("e1.json")
+        del cfg[member]["measures"]
+        doctored = tmp_path / "e1_bad.json"
+        doctored.write_text(json.dumps(cfg))
+        assert cli.main(["--config", str(doctored), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {doctored}: $.{member}: 'measures' is a required property")
+        assert "Traceback" not in err
+        assert not (tmp_path / "e1.json").exists()
+
     def test_experiment_mismatch(self, capsys):
         code = cli.main(["--config", str(CONFIG_DIR / "e3.json"),
                          "--experiment", "E1"])

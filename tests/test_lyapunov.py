@@ -423,8 +423,13 @@ class TestLockstepSamePath:
         segments = min(ly._MAX_SEGMENTS_PER_BATCH * ly.DEFAULT_BATCHES,
                        nb // -(-ly._MIN_SEGMENT_STEPS // 8))
         assert segments > 2
-        assert len(calls) <= 2 * -(-nb // segments)
-        assert all(shape[0] == calls[0][0] > 1 for shape in calls)
+        L = -(-nb // segments)
+        assert len(calls) <= 2 * L
+        # phase 1 advances every segment together for L steps; phase 2
+        # then holds one row per seam that has not met yet
+        assert all(shape[0] == segments for shape in calls[:L])
+        phase2 = [shape[0] for shape in calls[L:]]
+        assert phase2 == sorted(phase2, reverse=True) and phase2[0] == segments - 1
 
     def test_path_shorter_than_a_block_rejected(self):
         mats = np.tile(np.eye(2), (3, 1, 1))
@@ -453,6 +458,107 @@ class TestLockstepSamePath:
         mats = np.tile(np.diag([2.0, 0.5]), (64, 1, 1))
         with pytest.raises(ValueError, match="logdet"):
             ly.qr_spectrum(mats, np.zeros(60), block_size=4)
+
+
+# ---------------------------------------------------------------------------
+# the two-phase recurrence against one full warm-up segment per seam
+# ---------------------------------------------------------------------------
+
+def warmup_lockstep_qr(prods, L):
+    """The lockstep recurrence with a full warm-up: stack row c starts from
+    the identity at block c L; row 0 runs segments 0 and 1, and row c > 0
+    warms up on segment c, discards it and keeps segment c + 1."""
+    nb, d, _ = prods.shape
+    starts = np.arange(0, max(nb - L, 1), L)
+    Q = np.broadcast_to(np.eye(d), (len(starts), d, d))
+    diag = np.empty((nb, d))
+    for j in range(min(2 * L, nb)):
+        idx = np.minimum(starts + j, nb - 1)
+        Q, R = np.linalg.qr(prods[idx] @ Q)
+        keep = (starts + j < nb) & ((starts == 0) | (j >= L))
+        diag[idx[keep]] = np.abs(np.diagonal(R[keep], axis1=1, axis2=2))
+    return diag, None
+
+
+def assert_same_as_warmup(mats, logdet, B, n_batches=ly.DEFAULT_BATCHES):
+    """qr_spectrum against itself with warmup_lockstep_qr as its
+    recurrence; returns the two-phase estimate."""
+    new = ly.qr_spectrum(mats, logdet, B, n_batches)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ly, "_lockstep_qr", warmup_lockstep_qr)
+        ref = ly.qr_spectrum(mats, logdet, B, n_batches)
+    assert_same_estimate(new, ref)
+    assert (new.segments, new.reduced_blocks) == (ref.segments, ref.reduced_blocks)
+    return new
+
+
+def segment_length(est):
+    nb = est.n_steps // est.block_size
+    return nb, -(-nb // est.segments)
+
+
+class TestTwoPhaseSamePath:
+    @pytest.mark.parametrize(
+        "member,measure", E1_PAIRS,
+        ids=[f"{m['name']}-{mc.get('name', mc['kind'])}" for m, mc in E1_PAIRS])
+    def test_e1_paths(self, member, measure):
+        spec = cf.build_base(E1_CONFIG["base"])
+        A = cf.build_cocycle(spec, member["cocycle"])
+        mu = cf.build_measure(spec, measure)
+        est = assert_same_as_warmup(*sampled_path(A, mu, 60_000, seed=E1_CONFIG["seed"]))
+        # the seams meet within a few blocks, later on the two members with
+        # a small gap between exponents (about 70 and 470 blocks a seam)
+        nb, L = segment_length(est)
+        assert est.segments > 2
+        per_seam = est.seam_blocks / (est.segments - 1)
+        if member["name"] in ("generic-d3", "generic-d4"):
+            assert per_seam < L
+        else:
+            assert 1 <= per_seam <= 8
+
+    def test_conformal_seams_never_meet(self):
+        # equal exponents: a seam's frame never forgets its start, so every
+        # seam re-runs its whole segment, as the warm-up did
+        A = conformal_conjugated(np.array([[3.0, 1.0], [0.0, 0.5]]))
+        est = assert_same_as_warmup(*sampled_path(A, sh.parry_measure(FULL2), 60_000, seed=3))
+        nb, L = segment_length(est)
+        assert est.segments > 2
+        assert est.seam_blocks == nb - L
+
+    def test_bump_path(self):
+        A = hoelder_bump_cocycle()
+        mats, logdet = A.path_matrices(sh.parry_measure(A.base).sample_orbit(50_000, seed=2024))
+        est = assert_same_as_warmup(mats, logdet, 8)
+        assert est.segments > 2
+
+    @pytest.mark.parametrize("name", ["random-1-d3", "conformal"])
+    def test_last_segment_shorter(self, monkeypatch, name):
+        # segments of at least 32 blocks of 8: 1921 blocks make 59 segments
+        # of 33 and a last one of 7, shorter than the checkpoint at 8
+        monkeypatch.setattr(ly, "_MIN_SEGMENT_STEPS", 256)
+        if name == "conformal":
+            A = conformal_conjugated(np.array([[3.0, 1.0], [0.0, 0.5]]))
+        else:
+            A = lc(FULL2, *NON_DEGENERATE[name])
+        mats, logdet, _ = sampled_path(A, sh.parry_measure(FULL2), 1921 * 8, seed=4)
+        est = assert_same_as_warmup(mats, logdet, 8)
+        nb, L = segment_length(est)
+        assert (nb, L, est.segments) == (1921, 33, 59)
+        if name == "conformal":
+            assert est.seam_blocks == nb - L
+
+    def test_single_segment(self):
+        A = lc(FULL2, *NON_DEGENERATE["conj-d3"])
+        mats, logdet, B = sampled_path(A, sh.parry_measure(FULL2), 5_000, seed=6)
+        est = assert_same_as_warmup(mats, logdet, B)
+        assert (est.segments, est.seam_blocks) == (1, 0)
+
+    def test_one_stderr_batch(self):
+        A = e1_cocycle("positive-d2")
+        mats, logdet, B = sampled_path(A, sh.parry_measure(A.base), 60_000, seed=8)
+        est = assert_same_as_warmup(mats, logdet, B, n_batches=1)
+        assert 2 < est.segments <= ly._MAX_SEGMENTS_PER_BATCH
+        assert np.all(np.isinf(est.stderr))
 
 
 # ---------------------------------------------------------------------------
@@ -614,8 +720,14 @@ class TestWorkCounters:
         A = e1_cocycle("positive-d2")
         n_steps, seed = 200_000, E1_CONFIG["seed"]
         est = ly.lyapunov_qr(A, sh.parry_measure(A.base), n_steps, seed)
-        # row 0 of the lockstep stack runs segments 0 and 1
-        assert est.segments == rows[0] + 1 > 2
+        # phase 1 starts every segment at once, and the seams meet within a
+        # few blocks: about nb matrices factored, not the 2 nb of a full
+        # warm-up segment per seam
+        nb = est.n_steps // est.block_size
+        L = -(-nb // est.segments)
+        assert est.segments == rows[0] > 2
+        assert len(rows) <= 2 * L
+        assert sum(rows) == est.segments * L + est.seam_blocks < 1.1 * nb
         # one reduced sub-block per distinct 8-symbol word of each chunk
         B = est.block_size
         assert ly._PathSteps(A, np.zeros(n_steps, dtype=int)).sub_block(B) == 8
@@ -629,7 +741,7 @@ class TestWorkCounters:
         rows = self.segment_stacks(monkeypatch)
         A = hoelder_bump_cocycle()
         est = ly.lyapunov_qr(A, sh.parry_measure(A.base), 50_000, seed=3)
-        assert est.segments == rows[0] + 1 > 2
+        assert est.segments == rows[0] > 2
         # nothing is shared: every block is reduced from its own steps
         assert est.reduced_blocks == est.n_steps // est.block_size
 
@@ -639,6 +751,6 @@ class TestWorkCounters:
         rows = self.segment_stacks(monkeypatch)
         mats = np.tile(np.diag([2.0, 0.5]), (4225 * 64, 1, 1))
         est = ly.qr_spectrum(mats, np.zeros(len(mats)), block_size=64, n_batches=7)
-        assert est.segments == rows[0] + 1 == 65
+        assert est.segments == rows[0] == 65
         # an array shares nothing
         assert est.reduced_blocks == 4225
