@@ -21,8 +21,6 @@ from .shifts import (
 )
 
 HOLONOMY_DEPTH_CAP = 10**4
-# holonomy series steps whose step matrices are read at once
-_HOLONOMY_CHUNK = 64
 # enumeration budget for exact cylinder sups in the domination search
 _DOMINATION_BUDGET = 150_000
 # bump directions whose eigenvector matrix is worse conditioned are rejected
@@ -317,10 +315,33 @@ def _diagonalize(D: np.ndarray):
 def _bump_factors(D: np.ndarray, g: np.ndarray, minus_identity: bool = False) -> np.ndarray:
     """(len(g), d, d) stack of the bump factors exp(g_t D), or with
     minus_identity of expm1(g_t D) = exp(g_t D) - I, formed without the
-    subtraction."""
+    subtraction.
+
+    exp(g D) = sum_j e^(g lam_j) P_j over the projectors P_j = V[:, j]
+    V^-1[j] of _diagonalize, as real terms: e^(g lam) P for a real lam (P
+    alone for lam = 0), and e^(ga) cos(gb) 2 Re P - e^(ga) sin(gb) 2 Im P
+    for a pair a +- ib.  The P_j sum to I, so minus_identity takes
+    expm1(g lam), and for a pair the real part expm1(ga) cos(gb) -
+    2 sin^2(gb / 2) of numpy's complex expm1: tiny g keeps full relative
+    precision.  The terms are summed elementwise, with no BLAS call (a
+    multithreaded contraction costs more CPU than it saves)."""
     lam, V, V_inv = _diagonalize(D)
-    phase = (np.expm1 if minus_identity else np.exp)(g[:, None] * lam[None, :])
-    return np.einsum("ij,tj,jk->tik", V, phase, V_inv).real
+    d = len(lam)
+    out = np.zeros((len(g), d * d))
+    for j in np.flatnonzero(lam.imag >= 0):
+        P = np.outer(V[:, j], V_inv[j]).ravel()
+        if lam[j] == 0:
+            terms = [] if minus_identity else [(1.0, P.real)]
+        elif lam[j].imag == 0:
+            terms = [((np.expm1 if minus_identity else np.exp)(g * lam[j].real), P.real)]
+        else:
+            a, b = g * lam[j].real, g * lam[j].imag
+            e = np.exp(a)
+            re = np.expm1(a) * np.cos(b) - 2.0 * np.sin(0.5 * b) ** 2 if minus_identity else e * np.cos(b)
+            terms = [(re, 2.0 * P.real), (-e * np.sin(b), 2.0 * P.imag)]
+        for f, M in terms:
+            out += np.multiply.outer(f, M)
+    return out.reshape(len(g), d, d)
 
 
 def evaluate(A: CocycleSpec, x: SymbolicPoint, n: int) -> np.ndarray:
@@ -507,7 +528,9 @@ def _series_holonomy(A: CocycleSpec, x: SymbolicPoint, y: SymbolicPoint, side: i
     unstable holonomy.  Term k is Py^-1 (C_k - I) Px with C_k =
     step_y(k)^-1 step_x(k); terms are summed until the geometric tail
     estimate drops below tol.  Step matrices come from path_matrices on
-    symbol windows of both points, _HOLONOMY_CHUNK steps at a time.
+    symbol windows of both points, n = ceil(log tol / log q) steps at a
+    time (q = theta^nu): the depth at which the field differences, which
+    shrink by q per step, fall below tol.
 
     Where the generator words of step k agree (from the agreement index on,
     and wherever else they happen to), C_k - I is formed without
@@ -520,16 +543,20 @@ def _series_holonomy(A: CocycleSpec, x: SymbolicPoint, y: SymbolicPoint, side: i
     Where the words differ, C_k - I = step_y(k)^-1 step_x(k) - I.
 
     The series needs domination, so a cocycle that domination_check does
-    not find dominated is rejected first; a term that is not finite raises
-    ArithmeticError, and so does reaching HOLONOMY_DEPTH_CAP.
+    not find dominated is rejected first, as is a tol that is not positive;
+    a term that is not finite raises ArithmeticError, and so does reaching
+    HOLONOMY_DEPTH_CAP.
     """
     if not A._domination.dominated:
         raise ValueError("non-dominated cocycle without the locally constant fallback")
+    if not tol > 0:
+        raise ValueError(f"holonomy tolerance must be positive, got {tol!r}")
     d = A.dim
     w = A.window
     halo = A._kernel[1]
     bumps = A.perturbation.bumps
     q = A.base.theta**A.perturbation.nu
+    chunk = max(1, math.ceil(math.log(tol) / math.log(q)))
     gaps = [_field_difference(x, y, b.word, q, side) for b in bumps]
     directions = [b.direction_for(d) for b in bumps]
     order = slice(None) if side > 0 else slice(None, None, -1)
@@ -540,7 +567,7 @@ def _series_holonomy(A: CocycleSpec, x: SymbolicPoint, y: SymbolicPoint, side: i
     last_norms = []
     k0 = 0
     while k0 < HOLONOMY_DEPTH_CAP:
-        n = min(_HOLONOMY_CHUNK, HOLONOMY_DEPTH_CAP - k0)
+        n = min(chunk, HOLONOMY_DEPTH_CAP - k0)
         # symbols around the steps shift^j, j in [first, first + n); side -1
         # takes them in reverse, as k = -j - 1
         first = k0 if side > 0 else -k0 - n
@@ -577,8 +604,10 @@ def _series_holonomy(A: CocycleSpec, x: SymbolicPoint, y: SymbolicPoint, side: i
                 Pxs[t], Pys[t], log_scale[t] = Px, Py_inv, scale
                 Px = U[t] @ Px
                 Py_inv = Py_inv @ V[t]
-                nx = np.linalg.norm(Px)
-                ny = np.linalg.norm(Py_inv)
+                # Frobenius norms as np.linalg.norm forms them, without its
+                # per-call overhead
+                vx, vy = Px.ravel(), Py_inv.ravel()
+                nx, ny = math.sqrt(vx.dot(vx)), math.sqrt(vy.dot(vy))
                 Px = Px / nx
                 Py_inv = Py_inv / ny
                 scale += np.log(nx) + np.log(ny)

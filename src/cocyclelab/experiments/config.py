@@ -45,6 +45,12 @@ _MEASURE = {
         "phi": {"type": "object"},
     },
     "required": ["kind"],
+    # each kind needs the field build_measure reads for it
+    "allOf": [
+        {"if": {"properties": {"kind": {"const": kind}}, "required": ["kind"]},
+         "then": {"required": [field]}}
+        for kind, field in (("markov", "P"), ("gibbs", "phi"), ("bernoulli", "p"))
+    ],
 }
 
 _COCYCLE = {

@@ -7,14 +7,14 @@ scale tracking, so a path's T x d x d step matrices are never held at
 once.  On a locally constant cocycle a block's h-step sub-blocks repeat
 (a window-1 cocycle on the full 2-shift has at most 2^8 distinct 8-step
 ones), so the tree reduces each distinct sub-block of a chunk once and
-gathers; every product and scale is still the one _tree_reduce forms from
-that sub-block's own steps, so no bit moves.  The recurrence then runs
-contiguous segments of blocks in lockstep, one batched QR per step, in two
-phases: every segment from the identity at its own start, then each
-segment's end frame on into the next segment until it meets that segment's
-own frame bit for bit (see qr_spectrum).  Block length adapts to the
-per-step conditioning so block products never exceed a safe condition
-number before re-orthonormalization.
+gathers; every product and scale is still the one the whole-path tree
+reduction forms from that sub-block's own steps, so no bit moves.  The
+recurrence then runs contiguous segments of blocks in lockstep, one
+batched QR per step, in two phases: every segment from the identity at its
+own start, then each segment's end frame on into the next segment until it
+meets that segment's own frame bit for bit (see qr_spectrum).  Block
+length adapts to the per-step conditioning so block products never exceed
+a safe condition number before re-orthonormalization.
 """
 from __future__ import annotations
 
@@ -73,31 +73,10 @@ def _adaptive_block(A: CocycleSpec, n_steps: int, n_batches: int) -> int:
     return B
 
 
-def _tree_reduce(mats: np.ndarray, B: int):
-    """Collapse rows of (nb, B, d, d) into normalized block products.
-
-    Returns (products (nb, d, d), logscale (nb,)) with true product
-    equal to products * exp(logscale).  The whole-path definition of the
-    block stage's output, which _block_products reproduces bit for bit."""
-    nb, width, d, _ = mats.shape
-    P = mats
-    logs = np.zeros(nb)
-    while width > 1:
-        P = P[:, 1::2] @ P[:, 0::2]
-        width //= 2
-        # max |entry| without an |P| temporary, and scaled in place: two
-        # copies of P would double the peak memory of a chunk
-        s = np.maximum(P.max(axis=(2, 3)), -P.min(axis=(2, 3)))
-        s = np.maximum(s, 1e-300)
-        P /= s[..., None, None]
-        logs += np.log(s).sum(axis=1)
-    return P[:, 0], logs
-
-
 def _tree_level(P: np.ndarray):
-    """One level of _tree_reduce on P (n, width, d, d): the pair products,
-    scaled in place by their max |entry| (one copy of P, not two).  Returns
-    (P, log scales (n, width / 2))."""
+    """One level of the tree reduction on P (n, width, d, d): the pair
+    products, scaled in place by their max |entry| (one copy of P, not
+    two).  Returns (P, log scales (n, width / 2))."""
     P = P[:, 1::2] @ P[:, 0::2]
     s = np.maximum(P.max(axis=(2, 3)), -P.min(axis=(2, 3)))
     s = np.maximum(s, 1e-300)
@@ -106,13 +85,14 @@ def _tree_level(P: np.ndarray):
 
 
 def _shared_tree(sub: np.ndarray, inverse: np.ndarray | None, n: int):
-    """_tree_reduce of n blocks of B steps whose consecutive h-step
+    """Tree reduction of n blocks of B steps whose consecutive h-step
     sub-blocks are sub[inverse], sub (K, h, d, d); inverse None: sub itself,
     in order.  The levels up to h run on the K distinct sub-blocks only;
     their products and each level's log scales are then gathered, and the
     log scales summed per block level by level on (n, B / 2^l) arrays, the
-    sums _tree_reduce takes.  Every product and scale depends only on its
-    own sub-block's steps, so the result is _tree_reduce's bit for bit."""
+    sums the whole-path tree reduction takes.  Every product and scale
+    depends only on its own sub-block's steps, so the result is that
+    reduction's bit for bit."""
     d = sub.shape[-1]
     levels = []
     while sub.shape[1] > 1:
@@ -191,9 +171,9 @@ def _block_products(chunk, nb: int, B: int):
     blocks at a time, chunk(a, b, B) giving steps a to b - 1 as _PathSteps
     .chunk does.  Returns (products (nb, d, d), logscale (nb,), logdet
     (nb B,), the number of sub-blocks reduced from their steps).  Products
-    and scales are those of _tree_reduce on the whole path bit for bit:
-    it reduces every block on its own, and _shared_tree reproduces it on
-    each chunk."""
+    and scales are those of the tree reduction of the whole path bit for
+    bit: it reduces every block on its own, and _shared_tree reproduces it
+    on each chunk."""
     reduced = 0
     for lo in range(0, nb, _CHUNK_BLOCKS):
         hi = min(lo + _CHUNK_BLOCKS, nb)
@@ -257,7 +237,7 @@ def qr_spectrum(mats: np.ndarray | _PathSteps, logdet: np.ndarray | None, block_
     each distinct h-step sub-block of a chunk once (reduced_blocks counts
     them; otherwise it counts the nb blocks); a bump cocycle or an array
     reduces every block from its own steps.  The products and scales are
-    _tree_reduce's either way, bit for bit.
+    those of the whole-path tree reduction either way, bit for bit.
 
     The nb block products are cut into S contiguous segments of L blocks
     (the last may be shorter), with S at most _MAX_SEGMENTS_PER_BATCH *

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import fractional_matrix_power
 
 from .cocycles import CocycleSpec
 from .shifts import MarkovMeasure, SftSpec, SymbolicPoint, parse_word, periodic_point, spell_word
@@ -228,6 +227,8 @@ def _real_power(M: np.ndarray, t: float) -> np.ndarray:
     k = round(t)
     if abs(t - k) < 1e-12 and k >= 0:
         return np.linalg.matrix_power(M, int(k))
+    from scipy.linalg import fractional_matrix_power
+
     G = fractional_matrix_power(M, t)
     scale = max(1.0, np.max(np.abs(G)))
     if np.max(np.abs(G.imag)) > _REAL_POWER_TOL * scale:

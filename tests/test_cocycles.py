@@ -1,5 +1,6 @@
 """Cocycle evaluation, domination, holonomies, transitions, perturbations."""
 import importlib.util
+import math
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -668,6 +669,15 @@ class TestStableHolonomy:
         with pytest.raises(ArithmeticError, match=r"^holonomy series term 2 is not finite$"):
             cc.stable_holonomy(A, x, y)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, float("nan")])
+    def test_tolerance_must_be_positive(self, tol):
+        # the series reads ceil(log tol / log theta^nu) steps at a time
+        A = _rotation_bump((0, 1), 0.1)
+        with pytest.raises(ValueError, match=r"^holonomy tolerance must be positive"):
+            cc.stable_holonomy(A, Z11, P0, tol)
+        with pytest.raises(ValueError, match=r"^holonomy tolerance must be positive"):
+            cc.unstable_holonomy(A, P0, Z11, tol)
+
 
 class TestUnstableHolonomy:
     def test_not_backward_asymptotic_rejected(self):
@@ -918,6 +928,74 @@ class TestBumpDirections:
         assert np.allclose(minus, cc._bump_factors(direction, g) - np.eye(d), rtol=0, atol=1e-15)
         # at tiny g, exp(g D) - I is g D to full relative precision
         assert np.abs(minus[0] - 1e-20 * direction).max() <= 1e-34
+
+
+def einsum_bump_factors(D, g, minus_identity=False):
+    """The bump factors as one complex contraction V diag(e^(g lam)) V^-1."""
+    lam, V, V_inv = cc._diagonalize(D)
+    phase = (np.expm1 if minus_identity else np.exp)(g[:, None] * lam[None, :])
+    return np.einsum("ij,tj,jk->tik", V, phase, V_inv).real
+
+
+# the directions in use: the default skew plane, a diagonal one, the
+# two-bump cocycle's complex pair with a nonzero real part, and the random
+# diagonalizable second bumps of the hyperbolic family
+BUMP_DIRECTIONS = {
+    "skew-d2": lambda: cc._skew_plane(2),
+    "skew-d3": lambda: cc._skew_plane(3),
+    "skew-d4": lambda: cc._skew_plane(4),
+    "diagonal-d3": lambda: np.diag([1.0, 0.5, -0.2]),
+    "two-bump": lambda: two_bump_cocycle().perturbation.bumps[1].direction,
+    "hyperbolic-2": lambda: hyperbolic_bump_cocycle(2).perturbation.bumps[1].direction,
+    "hyperbolic-3": lambda: hyperbolic_bump_cocycle(3).perturbation.bumps[1].direction,
+}
+
+
+class TestBumpFactors:
+    EPS = np.finfo(float).eps
+    G = np.concatenate([np.linspace(-2.0, 2.0, 4000), np.logspace(-15, 0, 200),
+                        -np.logspace(-15, 0, 200)])
+
+    @pytest.mark.parametrize("minus_identity", [False, True])
+    @pytest.mark.parametrize("name", sorted(BUMP_DIRECTIONS))
+    def test_same_as_complex_contraction(self, name, minus_identity):
+        D = BUMP_DIRECTIONS[name]()
+        new = cc._bump_factors(D, self.G, minus_identity)
+        ref = einsum_bump_factors(D, self.G, minus_identity)
+        scale = np.abs(ref).max(axis=(1, 2))
+        assert np.all(np.abs(new - ref).max(axis=(1, 2)) <= 4 * self.EPS * scale)
+
+    @pytest.mark.parametrize("name", sorted(BUMP_DIRECTIONS))
+    def test_tiny_field_keeps_relative_precision(self, name):
+        # nothing is subtracted: expm1(g D) at g = 1e-20 is g D, not 0
+        D = BUMP_DIRECTIONS[name]()
+        minus = cc._bump_factors(D, np.array([1e-20]), minus_identity=True)[0]
+        assert np.abs(minus - 1e-20 * D).max() <= 4 * self.EPS * np.abs(1e-20 * D).max()
+
+
+class TestHolonomyWork:
+    def test_steps_read_per_call(self, monkeypatch):
+        # each chunk reads n steps of both points, n the depth at which the
+        # field differences fall below the tolerance: no series reads a
+        # whole chunk past the chunk where it stops
+        built = []
+        path_matrices = cc.CocycleSpec.path_matrices
+
+        def counting(self, symbols, start=0, stop=None):
+            mats, logdet = path_matrices(self, symbols, start, stop)
+            built.append(len(mats))
+            return mats, logdet
+
+        monkeypatch.setattr(cc.CocycleSpec, "path_matrices", counting)
+        work = load_hoelder_workload()(2024)
+        for A, _, _, stable, unstable, _ in work.members:
+            n = math.ceil(math.log(1e-12) / math.log(A.base.theta**A.perturbation.nu))
+            assert n == 78
+            for holonomy_of, pairs in ((cc.stable_holonomy, stable), (cc.unstable_holonomy, unstable)):
+                for x, y in pairs:
+                    built.clear()
+                    h = holonomy_of(A, x, y)
+                    assert 0 < sum(built) <= 2 * -(-h.depth // n) * n
 
 
 class TestPsiTransition:

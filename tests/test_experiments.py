@@ -2,6 +2,8 @@
 import ast
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -262,6 +264,21 @@ class TestCli:
         assert "Traceback" not in err
         assert not (tmp_path / "e1.json").exists()
 
+    @pytest.mark.parametrize("member,index,kind,field", [
+        (1, 1, "markov", "P"), (0, 1, "gibbs", "phi"), (1, 1, "bernoulli", "p")])
+    def test_measure_without_its_kinds_field(self, tmp_path, capsys, member, index, kind, field):
+        # used to pass validation and raise KeyError inside build_measure
+        cfg = load("e1.json")
+        cfg["suite"][member]["measures"][index] = {"kind": kind, "name": kind}
+        doctored = tmp_path / "e1_bad.json"
+        doctored.write_text(json.dumps(cfg))
+        assert cli.main(["--config", str(doctored), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        anchor = f"$.suite[{member}].measures[{index}]"
+        assert err.startswith(f"error: {doctored}: {anchor}: '{field}' is a required property")
+        assert "Traceback" not in err
+        assert not (tmp_path / "e1.json").exists()
+
     def test_experiment_mismatch(self, capsys):
         code = cli.main(["--config", str(CONFIG_DIR / "e3.json"),
                          "--experiment", "E1"])
@@ -307,3 +324,22 @@ class TestCli:
         code = cli.main(["--config", str(doctored), "--out", str(tmp_path)])
         assert code == 2
         assert "FAIL  integral-unit" in capsys.readouterr().out
+
+
+class TestColdStart:
+    def test_shipped_runs_do_not_import_scipy(self, tmp_path):
+        # scipy is only needed for non-integer matrix powers and subspace
+        # intersections; importing it would be half of every cold start
+        script = (
+            "import sys\n"
+            "import cocyclelab\n"
+            "import cocyclelab.experiments.cli as cli\n"
+            f"codes = [cli.main(['--config', p, '--out', {str(tmp_path)!r}]) for p in sys.argv[1:]]\n"
+            "assert codes == [0] * len(codes), codes\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(ex.__file__).parents[2])
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", script, *map(str, SHIPPED)],
+                             env=env, capture_output=True, text=True, check=True)
+        assert run.stdout.splitlines()[-1] == "[]"

@@ -26,6 +26,25 @@ def lc(base, g0, g1):
     return cc.CocycleSpec(base, 1, {"0": g0, "1": g1})
 
 
+def tree_reduce(mats, B):
+    """Collapse rows of (nb, B, d, d) into normalized block products.
+
+    Returns (products (nb, d, d), logscale (nb,)) with true product
+    equal to products * exp(logscale).  The whole-path definition of the
+    block stage's output, which ly._block_products reproduces bit for bit."""
+    nb, width, d, _ = mats.shape
+    P = mats
+    logs = np.zeros(nb)
+    while width > 1:
+        P = P[:, 1::2] @ P[:, 0::2]
+        width //= 2
+        s = np.maximum(P.max(axis=(2, 3)), -P.min(axis=(2, 3)))
+        s = np.maximum(s, 1e-300)
+        P /= s[..., None, None]
+        logs += np.log(s).sum(axis=1)
+    return P[:, 0], logs
+
+
 def brute_qr(mats):
     d = mats.shape[1]
     Q = np.eye(d)
@@ -278,7 +297,7 @@ def sequential_qr_spectrum(mats, logdet, block_size, n_batches=ly.DEFAULT_BATCHE
     if nb < n_batches:
         n_batches = max(1, nb)
     used = nb * B
-    prods, logs = ly._tree_reduce(mats[:used].reshape(nb, B, d, d), B)
+    prods, logs = tree_reduce(mats[:used].reshape(nb, B, d, d), B)
     Q = np.eye(d)
     batch_sums = np.zeros((n_batches, d))
     batch_steps = np.zeros(n_batches)
@@ -570,7 +589,7 @@ def whole_path_blocks(mats, logdet, B):
     tree-reduced from the whole (T, d, d) path at once."""
     nb = len(mats) // B
     d = mats.shape[-1]
-    prods, logs = ly._tree_reduce(mats[: nb * B].reshape(nb, B, d, d), B)
+    prods, logs = tree_reduce(mats[: nb * B].reshape(nb, B, d, d), B)
     return prods, logs, logdet[: nb * B]
 
 
