@@ -1,6 +1,7 @@
 """Order-preserving parallel map for independent experiment units.
 
-Worker count comes from COCYCLE_LAB_THREADS when set; results are always
+Worker count comes from COCYCLE_LAB_THREADS when set, and otherwise is the
+number of CPUs this process may run on, at most 4; results are always
 collected in input order so reports stay deterministic regardless of the
 thread count.
 """
@@ -15,6 +16,8 @@ _ENV = "COCYCLE_LAB_THREADS"
 def worker_count() -> int:
     raw = os.environ.get(_ENV)
     if raw is None:
+        if hasattr(os, "sched_getaffinity"):
+            return min(4, len(os.sched_getaffinity(0)))
         return min(4, os.cpu_count() or 1)
     try:
         n = int(raw)

@@ -12,7 +12,10 @@ reduction forms from that sub-block's own steps, so no bit moves.  The
 recurrence then runs contiguous segments of blocks in lockstep, one
 batched QR per step, in two phases: every segment from the identity at its
 own start, then each segment's end frame on into the next segment until it
-meets that segment's own frame bit for bit (see qr_spectrum).  Block
+meets that segment's own frame bit for bit (see qr_spectrum).  Each batched
+QR is the two LAPACK gufuncs of np.linalg.qr called bare, with the same
+bits and little Python around them, so pool threads running several
+spectra spend most of the recurrence in LAPACK, outside the GIL.  Block
 length adapts to the per-step conditioning so block products never exceed
 a safe condition number before re-orthonormalization.
 """
@@ -24,6 +27,8 @@ from dataclasses import dataclass, replace
 from math import comb
 
 import numpy as np
+# the LAPACK gufuncs behind np.linalg.qr, called bare by _qr_step
+from numpy.linalg import _umath_linalg
 
 from . import linalg as la
 from .cocycles import CocycleSpec
@@ -166,63 +171,83 @@ class _PathSteps:
         return sub, logdet, inverse
 
 
-def _block_products(chunk, nb: int, B: int):
+def _block_products(chunk, nb: int, B: int, L: int = 1):
     """Block stage: the first nb blocks of B steps, _CHUNK_BLOCKS whole
     blocks at a time, chunk(a, b, B) giving steps a to b - 1 as _PathSteps
-    .chunk does.  Returns (products (nb, d, d), logscale (nb,), logdet
-    (nb B,), the number of sub-blocks reduced from their steps).  Products
-    and scales are those of the tree reduction of the whole path bit for
-    bit: it reduces every block on its own, and _shared_tree reproduces it
-    on each chunk."""
+    .chunk does.  Returns (products (ceil(nb / L) L, d, d), logscale (nb,),
+    logdet (nb B,), the number of sub-blocks reduced from their steps); the
+    products past nb are identities, so the recurrence can view them as
+    whole segments of L blocks.  Products and scales are those of the tree
+    reduction of the whole path bit for bit: it reduces every block on its
+    own, and _shared_tree reproduces it on each chunk."""
     reduced = 0
     for lo in range(0, nb, _CHUNK_BLOCKS):
         hi = min(lo + _CHUNK_BLOCKS, nb)
         sub, ld, inverse = chunk(lo * B, hi * B, B)
         d = sub.shape[-1]
         if lo == 0:
-            prods, logs, logdet = np.empty((nb, d, d)), np.empty(nb), np.empty(nb * B)
+            prods, logs, logdet = np.empty((-(-nb // L) * L, d, d)), np.empty(nb), np.empty(nb * B)
+            prods[nb:] = np.eye(d)
         prods[lo:hi], logs[lo:hi] = _shared_tree(sub, inverse, hi - lo)
         logdet[lo * B : hi * B] = ld
         reduced += len(sub)
     return prods, logs, logdet, reduced
 
 
-def _lockstep_qr(prods: np.ndarray, L: int):
-    """|R_ii| of every block of the QR recurrence over prods (nb, d, d),
-    cut into segments of L blocks (the last may be shorter), as (nb, d),
-    and the number of blocks phase 2 re-ran.  See qr_spectrum."""
-    nb, d, _ = prods.shape
-    starts = np.arange(0, nb, L)
-    # phase 1: every segment from the identity at its own first block;
-    # the frames after 1, 2, 4, ... blocks are the checkpoints
-    Q = np.broadcast_to(np.eye(d), (len(starts), d, d))
-    diag = np.empty((nb, d))
+def _qr_error(err, flag):
+    raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
+
+
+def _qr_step(M: np.ndarray) -> np.ndarray:
+    """Q of the QR factorisation of the stack M (n, d, d), leaving R in M's
+    upper triangle: the two LAPACK gufuncs np.linalg.qr runs (geqrf in
+    place, then orgqr), without its checks, copy, triu and two errstate
+    contexts, so Q and R are its bits.  Call it under _lockstep_qr's
+    errstate, which is np.linalg.qr's."""
+    return _umath_linalg.qr_reduced(M, _umath_linalg.qr_r_raw(M))
+
+
+@np.errstate(call=_qr_error, invalid="call", over="ignore", divide="ignore", under="ignore")
+def _lockstep_qr(prods: np.ndarray, nb: int, L: int):
+    """|R_ii| of every block of the QR recurrence over the first nb blocks
+    of prods (S L, d, d), cut into S segments of L blocks (the last may
+    hold fewer than L of the nb), as (nb, d), and the number of blocks
+    phase 2 re-ran.  See qr_spectrum."""
+    d = prods.shape[-1]
+    S = len(prods) // L
+    # phase 1: every segment from the identity at its own first block,
+    # block j of all segments read as one strided view; the frames after
+    # 1, 2, 4, ... blocks are the checkpoints
+    segments = prods.reshape(S, L, d, d)
+    Q = np.broadcast_to(np.eye(d), (S, d, d))
+    diag = np.empty((S, L, d))
     checkpoints = {}
     for j in range(L):
-        idx = np.minimum(starts + j, nb - 1)
-        Q, R = np.linalg.qr(prods[idx] @ Q)
-        live = starts + j < nb
-        diag[idx[live]] = np.abs(np.diagonal(R[live], axis1=1, axis2=2))
+        M = segments[:, j] @ Q
+        Q = _qr_step(M)
+        np.abs(np.diagonal(M, axis1=1, axis2=2), out=diag[:, j])
         if j & (j + 1) == 0:
             checkpoints[j + 1] = Q.view(np.int64)
     # phase 2: each segment's end frame runs on into the next segment (seg:
     # the segment each row re-runs) until it equals that segment's phase-1
     # frame bit for bit, from where on both runs compute the same blocks
-    seg, Q = np.arange(1, len(starts)), Q[:-1]
+    diag = diag.reshape(S * L, d)
+    seg, Q = np.arange(1, S), Q[:-1]
     rerun = 0
     for j in range(L):
-        blk = starts[seg] + j
+        blk = seg * L + j
         inside = blk < nb
         seg, Q, blk = seg[inside], Q[inside], blk[inside]
         if not len(seg):
             break
-        Q, R = np.linalg.qr(prods[blk] @ Q)
-        diag[blk] = np.abs(np.diagonal(R, axis1=1, axis2=2))
+        M = prods[blk] @ Q
+        Q = _qr_step(M)
+        diag[blk] = np.abs(np.diagonal(M, axis1=1, axis2=2))
         rerun += len(seg)
         if j + 1 in checkpoints:
             apart = (Q.view(np.int64) != checkpoints[j + 1][seg]).any(axis=(1, 2))
             seg, Q = seg[apart], Q[apart]
-    return diag, rerun
+    return diag[:nb], rerun
 
 
 def qr_spectrum(mats: np.ndarray | _PathSteps, logdet: np.ndarray | None, block_size: int, n_batches: int = DEFAULT_BATCHES) -> LyapunovEstimate:
@@ -245,8 +270,12 @@ def qr_spectrum(mats: np.ndarray | _PathSteps, logdet: np.ndarray | None, block_
     path shorter than two such segments is one segment (S = 1).  segments
     in the result counts them, ceil(nb / L), which may be below S.  The
     recurrence (_lockstep_qr) runs in two lockstep phases, one batched QR
-    per step.  Phase 1 starts every segment from the identity frame at its
-    own first block and runs L steps.  Segment 0's log|R_ii| are final; the
+    per step (_qr_step: np.linalg.qr's own geqrf and orgqr, so its bits).
+    Phase 1 starts every segment from the identity frame at its own first
+    block and runs L steps, reading block j of every segment as one strided
+    view of the products, which the block stage pads to whole segments with
+    identities (the rows past nb are discarded).  Segment 0's log|R_ii|
+    are final; the
     others' stay until phase 2 overwrites them.  The frames after 1, 2, 4,
     8, ... blocks are saved as checkpoints.  Phase 2 carries segment c's
     phase-1 end frame on into segment c + 1, one stack row per seam, and
@@ -303,11 +332,11 @@ def qr_spectrum(mats: np.ndarray | _PathSteps, logdet: np.ndarray | None, block_
 
         def chunk(a, b, B):
             return mats[a:b].reshape(-1, B, d, d), logdet[a:b], None
-    prods, logs, logdet, reduced = _block_products(chunk, nb, B)
-    used = nb * B
     S = min(_MAX_SEGMENTS_PER_BATCH * n_batches, nb // -(-_MIN_SEGMENT_STEPS // B))
     L = nb if S < 2 else -(-nb // S)
-    diag, seam_blocks = _lockstep_qr(prods, L)
+    prods, logs, logdet, reduced = _block_products(chunk, nb, B, L)
+    used = nb * B
+    diag, seam_blocks = _lockstep_qr(prods, nb, L)
     terms = np.log(diag) + logs[:, None]
     # block i falls in stderr batch i * n_batches // nb, which starts at
     # block bounds[b]

@@ -142,6 +142,24 @@ class TestParallel:
         with pytest.raises(ValueError, match="positive integer"):
             par.worker_count()
 
+    @pytest.mark.parametrize("cpus,workers", [({3}, 1), ({0, 5}, 2), (set(range(8)), 4)])
+    def test_worker_count_from_usable_cpus(self, monkeypatch, cpus, workers):
+        # the CPUs this process may run on, not every CPU of the machine
+        monkeypatch.delenv("COCYCLE_LAB_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert par.worker_count() == workers
+        monkeypatch.setenv("COCYCLE_LAB_THREADS", "3")
+        assert par.worker_count() == 3
+
+    def test_worker_count_without_affinity(self, monkeypatch):
+        monkeypatch.delenv("COCYCLE_LAB_THREADS", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert par.worker_count() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert par.worker_count() == 1
+
     def test_pmap_preserves_order(self, monkeypatch):
         monkeypatch.setenv("COCYCLE_LAB_THREADS", "4")
         assert par.pmap(lambda v: v * v, range(20)) == [v * v for v in range(20)]

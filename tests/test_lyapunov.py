@@ -9,6 +9,7 @@ import pytest
 import cocyclelab.cocycles as cc
 import cocyclelab.experiments as ex
 import cocyclelab.experiments.config as cf
+import cocyclelab.experiments.parallel as par
 import cocyclelab.linalg as la
 import cocyclelab.lyapunov as ly
 import cocyclelab.shifts as sh
@@ -426,13 +427,13 @@ class TestLockstepSamePath:
 
     def test_batched_qr_calls(self, monkeypatch):
         calls = []
-        qr = np.linalg.qr
+        qr_step = ly._qr_step
 
         def counting_qr(M):
             calls.append(M.shape)
-            return qr(M)
+            return qr_step(M)
 
-        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        monkeypatch.setattr(ly, "_qr_step", counting_qr)
         A = lc(FULL2, np.diag([2.0, 0.5]), np.array([[1.0, 1.0], [0.5, 2.0]]))
         mats, logdet, _ = sampled_path(A, sh.parry_measure(FULL2), 200_000, seed=1)
         ly.qr_spectrum(mats, logdet, block_size=8)
@@ -483,11 +484,13 @@ class TestLockstepSamePath:
 # the two-phase recurrence against one full warm-up segment per seam
 # ---------------------------------------------------------------------------
 
-def warmup_lockstep_qr(prods, L):
-    """The lockstep recurrence with a full warm-up: stack row c starts from
-    the identity at block c L; row 0 runs segments 0 and 1, and row c > 0
-    warms up on segment c, discards it and keeps segment c + 1."""
-    nb, d, _ = prods.shape
+def warmup_lockstep_qr(prods, nb, L):
+    """The lockstep recurrence over the first nb blocks of prods with a full
+    warm-up: stack row c starts from the identity at block c L; row 0 runs
+    segments 0 and 1, and row c > 0 warms up on segment c, discards it and
+    keeps segment c + 1."""
+    prods = prods[:nb]
+    d = prods.shape[-1]
     starts = np.arange(0, max(nb - L, 1), L)
     Q = np.broadcast_to(np.eye(d), (len(starts), d, d))
     diag = np.empty((nb, d))
@@ -578,6 +581,164 @@ class TestTwoPhaseSamePath:
         est = assert_same_as_warmup(mats, logdet, B, n_batches=1)
         assert 2 < est.segments <= ly._MAX_SEGMENTS_PER_BATCH
         assert np.all(np.isinf(est.stderr))
+
+
+# ---------------------------------------------------------------------------
+# the bare QR step and the segment-major recurrence against np.linalg.qr
+# ---------------------------------------------------------------------------
+
+def gathered_lockstep_qr(prods, L):
+    """The two-phase recurrence on np.linalg.qr over prods (nb, d, d):
+    phase 1 gathers block j of every segment (the last block again past nb)
+    and scatters the |R_ii| of the rows still inside the path."""
+    nb, d, _ = prods.shape
+    starts = np.arange(0, nb, L)
+    Q = np.broadcast_to(np.eye(d), (len(starts), d, d))
+    diag = np.empty((nb, d))
+    checkpoints = {}
+    for j in range(L):
+        idx = np.minimum(starts + j, nb - 1)
+        Q, R = np.linalg.qr(prods[idx] @ Q)
+        live = starts + j < nb
+        diag[idx[live]] = np.abs(np.diagonal(R[live], axis1=1, axis2=2))
+        if j & (j + 1) == 0:
+            checkpoints[j + 1] = Q.view(np.int64)
+    seg, Q = np.arange(1, len(starts)), Q[:-1]
+    rerun = 0
+    for j in range(L):
+        blk = starts[seg] + j
+        inside = blk < nb
+        seg, Q, blk = seg[inside], Q[inside], blk[inside]
+        if not len(seg):
+            break
+        Q, R = np.linalg.qr(prods[blk] @ Q)
+        diag[blk] = np.abs(np.diagonal(R, axis1=1, axis2=2))
+        rerun += len(seg)
+        if j + 1 in checkpoints:
+            apart = (Q.view(np.int64) != checkpoints[j + 1][seg]).any(axis=(1, 2))
+            seg, Q = seg[apart], Q[apart]
+    return diag, rerun
+
+
+def assert_same_as_gathered(mats, logdet, B):
+    """qr_spectrum's recurrence against gathered_lockstep_qr on the same
+    block products: equal |R_ii| and seam_blocks.  Returns (estimate, nb,
+    L)."""
+    seen = []
+    lockstep = ly._lockstep_qr
+
+    def recording(prods, nb, L):
+        diag, rerun = lockstep(prods, nb, L)
+        seen.append((prods, nb, L, diag, rerun))
+        return diag, rerun
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ly, "_lockstep_qr", recording)
+        est = ly.qr_spectrum(mats, logdet, B)
+    [(prods, nb, L, diag, rerun)] = seen
+    # padded to whole segments with identities, no block past nb read
+    d = prods.shape[-1]
+    assert prods.shape == (-(-nb // L) * L, d, d)
+    assert np.array_equal(prods[nb:], np.broadcast_to(np.eye(d), (len(prods) - nb, d, d)))
+    ref_diag, ref_rerun = gathered_lockstep_qr(prods[:nb], L)
+    assert np.array_equal(diag, ref_diag, equal_nan=True)
+    assert rerun == ref_rerun == est.seam_blocks
+    return est, nb, L
+
+
+class TestQrStep:
+    @pytest.mark.parametrize("n", [1, 11, 200])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_same_bits_as_numpy_qr(self, d, n):
+        rng = np.random.default_rng(10 * d + n)
+        segments = rng.normal(size=(n, 5, d, d))
+        frame, _ = np.linalg.qr(rng.normal(size=(n, d, d)))
+        for Q in (np.broadcast_to(np.eye(d), (n, d, d)), frame):
+            # block 2 of every segment as a strided view and as a gather
+            view, gathered = segments[:, 2], segments.reshape(-1, d, d)[np.arange(n) * 5 + 2]
+            M = view @ Q
+            assert np.array_equal(M.view(np.int64), (gathered @ Q).view(np.int64))
+            ref_q, ref_r = np.linalg.qr(gathered @ Q)
+            q = ly._qr_step(M)
+            assert np.array_equal(q.view(np.int64), ref_q.view(np.int64))
+            assert np.array_equal(np.abs(np.diagonal(M, axis1=1, axis2=2)),
+                                  np.abs(np.diagonal(ref_r, axis1=1, axis2=2)))
+
+
+    def test_recurrence_calls_no_numpy_qr(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.qr called")
+
+        monkeypatch.setattr(np.linalg, "qr", refuse)
+        A = lc(FULL2, *NON_DEGENERATE["conj-d2-a"])
+        mats, logdet, B = sampled_path(A, sh.parry_measure(FULL2), 60_000, seed=1)
+        assert ly.qr_spectrum(mats, logdet, B).segments > 2
+
+
+class TestSegmentMajorSamePath:
+    def test_whole_segments(self):
+        # 20480 blocks of 8 are 40 segments of 512: nothing padded
+        A = lc(FULL2, *NON_DEGENERATE["conj-d2-a"])
+        mats, logdet, _ = sampled_path(A, sh.parry_measure(FULL2), 20480 * 8, seed=1)
+        est, nb, L = assert_same_as_gathered(mats, logdet, 8)
+        assert (nb, L, est.segments) == (20480, 512, 40)
+
+    @pytest.mark.parametrize("name", ["random-1-d3", "random-2-d4"])
+    def test_padded_last_segment(self, monkeypatch, name):
+        # 1921 blocks of 8 make 59 segments of 33 and a last one of 7
+        monkeypatch.setattr(ly, "_MIN_SEGMENT_STEPS", 256)
+        A = lc(FULL2, *NON_DEGENERATE[name])
+        mats, logdet, _ = sampled_path(A, sh.parry_measure(FULL2), 1921 * 8, seed=4)
+        est, nb, L = assert_same_as_gathered(mats, logdet, 8)
+        assert (nb, L, est.segments) == (1921, 33, 59)
+
+    def test_e1_path(self):
+        A = e1_cocycle("generic-d4")
+        mats, logdet, B = sampled_path(A, sh.parry_measure(A.base), 60_000, seed=E1_CONFIG["seed"])
+        est, nb, L = assert_same_as_gathered(mats, logdet, B)
+        assert nb % L and 0 < est.seam_blocks < nb - L
+
+    def test_single_segment(self):
+        A = lc(FULL2, *NON_DEGENERATE["conj-d3"])
+        mats, logdet, B = sampled_path(A, sh.parry_measure(FULL2), 5_000, seed=6)
+        est, nb, L = assert_same_as_gathered(mats, logdet, B)
+        assert (est.segments, est.seam_blocks, L) == (1, 0, nb)
+
+    def test_conformal_seams_never_meet(self):
+        A = conformal_conjugated(np.array([[3.0, 1.0], [0.0, 0.5]]))
+        mats, logdet, B = sampled_path(A, sh.parry_measure(FULL2), 60_000, seed=3)
+        est, nb, L = assert_same_as_gathered(mats, logdet, B)
+        assert est.segments > 2 and est.seam_blocks == nb - L
+
+    def test_bump_path(self):
+        A = hoelder_bump_cocycle()
+        mats, logdet = A.path_matrices(sh.parry_measure(A.base).sample_orbit(50_000, seed=2024))
+        est, nb, L = assert_same_as_gathered(mats, logdet, 8)
+        assert est.segments > 2
+
+    def test_nan_block_gives_nan_exponents(self):
+        A = lc(FULL2, *NON_DEGENERATE["conj-d2-b"])
+        mats, logdet, _ = sampled_path(A, sh.parry_measure(FULL2), 60_000, seed=2)
+        mats[30_001, 0, 1] = np.nan
+        est, *_ = assert_same_as_gathered(mats, logdet, 8)
+        assert est.exponents.shape == (2,) and np.all(np.isnan(est.exponents))
+
+    def test_pool_threads_same_bits(self, monkeypatch):
+        # the QR gufuncs release the GIL, so two jobs in the pool interleave
+        # their LAPACK calls; each job's bits must not depend on it
+        jobs = [(e1_cocycle("generic-d4"), 7), (e1_cocycle("positive-d2"), 8)]
+
+        def run(job):
+            A, seed = job
+            return ly.lyapunov_qr(A, sh.parry_measure(A.base), 100_000, seed)
+
+        serial = [run(job) for job in jobs]
+        monkeypatch.setenv("COCYCLE_LAB_THREADS", "2")
+        for _ in range(3):
+            for new, ref in zip(par.pmap(run, jobs), serial):
+                assert_same_estimate(new, ref)
+                assert (new.segments, new.reduced_blocks, new.seam_blocks) == (
+                    ref.segments, ref.reduced_blocks, ref.seam_blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -725,13 +886,13 @@ class TestWorkCounters:
     @staticmethod
     def segment_stacks(monkeypatch):
         rows = []
-        qr = np.linalg.qr
+        qr_step = ly._qr_step
 
         def counting_qr(M):
             rows.append(len(M))
-            return qr(M)
+            return qr_step(M)
 
-        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        monkeypatch.setattr(ly, "_qr_step", counting_qr)
         return rows
 
     def test_e1_path(self, monkeypatch):
