@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -115,7 +115,7 @@ class CocycleSpec:
         object.__setattr__(self, "generator", gen)
         if not self.is_locally_constant:
             for b in self.perturbation.bumps:
-                _spectral_terms(b.direction_for(dim).tobytes(), dim)
+                _diagonalize(b.direction_for(dim))
 
     @property
     def dim(self) -> int:
@@ -312,25 +312,6 @@ def _diagonalize(D: np.ndarray):
     return lam, V, np.linalg.inv(V)
 
 
-@lru_cache(maxsize=None)
-def _spectral_terms(key: bytes, d: int) -> tuple:
-    """Real projector terms of the d x d bump direction D whose float64
-    bytes are key, one per eigenvalue lam_j of D with lam_j.imag >= 0:
-    (lam_j.real, P_j.real, None) for a real lam_j and (lam_j, 2 Re P_j,
-    2 Im P_j) for a pair, P_j = V[:, j] V^-1[j] from _diagonalize.
-    Computed once per direction; a direction _diagonalize rejects raises on
-    every call, since a raising call leaves nothing in the cache."""
-    lam, V, V_inv = _diagonalize(np.frombuffer(key).reshape(d, d))
-    terms = []
-    for j in np.flatnonzero(lam.imag >= 0):
-        P = np.outer(V[:, j], V_inv[j]).ravel()
-        if lam[j].imag == 0:
-            terms.append((lam[j].real, P.real, None))
-        else:
-            terms.append((lam[j], 2.0 * P.real, 2.0 * P.imag))
-    return tuple(terms)
-
-
 def _bump_factors(D: np.ndarray, g: np.ndarray, minus_identity: bool = False) -> np.ndarray:
     """(len(g), d, d) stack of the bump factors exp(g_t D), or with
     minus_identity of expm1(g_t D) = exp(g_t D) - I, formed without the
@@ -344,20 +325,20 @@ def _bump_factors(D: np.ndarray, g: np.ndarray, minus_identity: bool = False) ->
     2 sin^2(gb / 2) of numpy's complex expm1: tiny g keeps full relative
     precision.  The terms are summed elementwise, with no BLAS call (a
     multithreaded contraction costs more CPU than it saves)."""
-    D = np.asarray(D, dtype=float)
-    d = len(D)
+    lam, V, V_inv = _diagonalize(D)
+    d = len(lam)
     out = np.zeros((len(g), d * d))
-    for lam, re, im in _spectral_terms(D.tobytes(), d):
-        if im is None:
-            if lam == 0:
-                terms = [] if minus_identity else [(1.0, re)]
-            else:
-                terms = [((np.expm1 if minus_identity else np.exp)(g * lam), re)]
+    for j in np.flatnonzero(lam.imag >= 0):
+        P = np.outer(V[:, j], V_inv[j]).ravel()
+        if lam[j] == 0:
+            terms = [] if minus_identity else [(1.0, P.real)]
+        elif lam[j].imag == 0:
+            terms = [((np.expm1 if minus_identity else np.exp)(g * lam[j].real), P.real)]
         else:
-            a, b = g * lam.real, g * lam.imag
+            a, b = g * lam[j].real, g * lam[j].imag
             e = np.exp(a)
-            c = np.expm1(a) * np.cos(b) - 2.0 * np.sin(0.5 * b) ** 2 if minus_identity else e * np.cos(b)
-            terms = [(c, re), (-e * np.sin(b), im)]
+            re = np.expm1(a) * np.cos(b) - 2.0 * np.sin(0.5 * b) ** 2 if minus_identity else e * np.cos(b)
+            terms = [(re, 2.0 * P.real), (-e * np.sin(b), 2.0 * P.imag)]
         for f, M in terms:
             out += np.multiply.outer(f, M)
     return out.reshape(len(g), d, d)

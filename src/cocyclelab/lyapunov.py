@@ -198,13 +198,29 @@ def _qr_error(err, flag):
     raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
 
 
+def _lapack_qr(umath_linalg) -> tuple:
+    """(geqrf, orgqr): the LAPACK gufuncs np.linalg.qr runs, by the names
+    numpy 2 gives them (qr_r_raw, qr_reduced).  numpy 1 splits geqrf into
+    qr_r_raw_m and qr_r_raw_n, so importing this module fails there with
+    an ImportError naming the numpy it needs."""
+    try:
+        return umath_linalg.qr_r_raw, umath_linalg.qr_reduced
+    except AttributeError:
+        raise ImportError(
+            f"cocyclelab needs numpy >= 2.0: numpy {np.__version__} has no LAPACK "
+            "QR gufuncs qr_r_raw and qr_reduced") from None
+
+
+_GEQRF, _ORGQR = _lapack_qr(_umath_linalg)
+
+
 def _qr_step(M: np.ndarray) -> np.ndarray:
     """Q of the QR factorisation of the stack M (n, d, d), leaving R in M's
     upper triangle: the two LAPACK gufuncs np.linalg.qr runs (geqrf in
     place, then orgqr), without its checks, copy, triu and two errstate
     contexts, so Q and R are its bits.  Call it under _lockstep_qr's
     errstate, which is np.linalg.qr's."""
-    return _umath_linalg.qr_reduced(M, _umath_linalg.qr_r_raw(M))
+    return _ORGQR(M, _GEQRF(M))
 
 
 @np.errstate(call=_qr_error, invalid="call", over="ignore", divide="ignore", under="ignore")

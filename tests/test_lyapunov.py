@@ -1,5 +1,6 @@
 """Blocked QR Lyapunov estimates against closed-form and brute-force oracles."""
 import tracemalloc
+import types
 from math import comb
 from pathlib import Path
 
@@ -664,6 +665,12 @@ class TestQrStep:
             assert np.array_equal(np.abs(np.diagonal(M, axis1=1, axis2=2)),
                                   np.abs(np.diagonal(ref_r, axis1=1, axis2=2)))
 
+    def test_numpy_1_fails_at_import(self):
+        # numpy 1.x splits geqrf into qr_r_raw_m and qr_r_raw_n
+        numpy1 = types.SimpleNamespace(qr_r_raw_m=None, qr_r_raw_n=None, qr_reduced=None)
+        with pytest.raises(ImportError, match=r"^cocyclelab needs numpy >= 2\.0: "):
+            ly._lapack_qr(numpy1)
+        assert ly._lapack_qr(np.linalg._umath_linalg) == (ly._GEQRF, ly._ORGQR)
 
     def test_recurrence_calls_no_numpy_qr(self, monkeypatch):
         def refuse(*args, **kwargs):
