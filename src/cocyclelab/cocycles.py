@@ -2,9 +2,12 @@
 
 A cocycle is a window-w locally constant generator dict plus an optional
 Hoelder perturbation given by cylinder-anchored bump fields.  The bump field
-for word u is S(x) = sum_k theta^(nu |k|) [x sees u at position k]; it is
-evaluated exactly on eventually periodic points (geometric tails summed in
-closed form), which keeps holonomy limits and transition maps reproducible.
+for word u is S(x) = sum_k theta^(nu |k|) [x sees u at position k].  Every
+product of step matrices, along a sampled path or at a point, takes its steps
+from CocycleSpec.path_matrices, which convolves the fields with the kernel
+truncated where theta^(nu |k|) < e^-40, below double precision.  Holonomy
+series form their terms from exact field differences (_field_difference), so
+no two nearly equal fields are subtracted.
 """
 from __future__ import annotations
 
@@ -59,30 +62,6 @@ class HoelderPerturbation:
         if not (0.0 < self.nu <= 1.0):
             raise ValueError("Hoelder exponent must lie in (0, 1]")
         object.__setattr__(self, "bumps", tuple(self.bumps))
-
-
-def _bump_field_exact(x: SymbolicPoint, word: tuple, theta: float, nu: float) -> float:
-    """Exact value of sum_k theta^(nu |k|) [x matches word at position k]."""
-    L = len(word)
-    q = theta**nu
-
-    def matches(k):
-        return all(x.symbol_at(k + j) == word[j] for j in range(L))
-
-    B = abs(x.core_start) + len(x.core) + L + 2
-    total = sum(q ** abs(k) for k in range(-B, B + 1) if matches(k))
-    # geometric tails: beyond +-B the window sits inside a periodic tail
-    p_r = len(x.right)
-    ratio_r = q**p_r
-    for k0 in range(B + 1, B + p_r + 1):
-        if matches(k0):
-            total += q**k0 / (1.0 - ratio_r)
-    p_l = len(x.left)
-    ratio_l = q**p_l
-    for k0 in range(-B - p_l, -B):
-        if matches(k0):
-            total += q ** (-k0) / (1.0 - ratio_l)
-    return total
 
 
 @dataclass(frozen=True)
@@ -144,31 +123,9 @@ class CocycleSpec:
         kernel = theta ** (nu * np.abs(np.arange(-K, K + 1)))
         return kernel, 2 * K + max(len(b.word) for b in self.perturbation.bumps)
 
-    # -- pointwise evaluation ------------------------------------------------
-
-    def bump_log_field(self, x: SymbolicPoint) -> list:
-        """Exact per-bump field values a_b S_b(x) at the point x."""
-        if self.is_locally_constant:
-            return []
-        nu = self.perturbation.nu
-        return [
-            b.amplitude * _bump_field_exact(x, b.word, self.base.theta, nu)
-            for b in self.perturbation.bumps
-        ]
-
-    def _generator_at(self, word: tuple) -> np.ndarray:
-        try:
-            return self.generator[word]
-        except KeyError:
-            raise ValueError(f"point visits inadmissible window {word}") from None
-
     def value_at(self, x: SymbolicPoint) -> np.ndarray:
-        M = self._generator_at(x.word_at(0, self.window))
-        if self.is_locally_constant:
-            return M
-        for b, g in zip(self.perturbation.bumps, self.bump_log_field(x)):
-            M = M @ _bump_factors(b.direction_for(self.dim), np.array([g]))[0]
-        return M
+        """The step matrix A(x), the first step of _point_steps."""
+        return _point_steps(self, x, 0, 1)[0]
 
     # -- norm envelopes ------------------------------------------------------
 
@@ -255,10 +212,13 @@ class CocycleSpec:
         reading symbols[first + t : first + t + window], its stack index."""
         m = self.base.alphabet_size
         codes = _window_code([symbols[first + j : first + j + steps] for j in range(self.window)], m)
-        stack, lookup = self._generator_table()
+        stack, lookup = self._generator_table
         idx = lookup[codes]
-        if np.any(idx < 0):
-            raise ValueError("path visits an inadmissible window")
+        bad = np.flatnonzero(idx < 0)
+        if bad.size:
+            t = first + int(bad[0])
+            word = tuple(symbols[t : t + self.window].tolist())
+            raise ValueError(f"point visits inadmissible window {word}")
         return stack, idx
 
     def _bump_fields(self, symbols, first: int, steps: int) -> list:
@@ -279,10 +239,12 @@ class CocycleSpec:
             fields.append(b.amplitude * np.convolve(ind_full, kernel, mode="same")[first : first + steps])
         return fields
 
+    @cached_property
     def _generator_table(self):
         """(stack, lookup): the generators stacked in sorted-word order, and
         for each window code sum_j s_j m^j (first symbol least significant)
-        the stack index of its word, -1 where no generator is given."""
+        the stack index of its word, -1 where no generator is given; built
+        once per cocycle."""
         m = self.base.alphabet_size
         words = sorted(self.generator)
         lookup = np.full(m**self.window, -1, dtype=np.int64)
@@ -344,25 +306,25 @@ def _bump_factors(D: np.ndarray, g: np.ndarray, minus_identity: bool = False) ->
     return out.reshape(len(g), d, d)
 
 
+def _point_steps(A: CocycleSpec, x: SymbolicPoint, start: int, count: int) -> np.ndarray:
+    """(count, d, d) step matrices A(shift^k x), k in [start, start + count),
+    from path_matrices on one word_array stretch of x with the kernel halo
+    on each side."""
+    halo = A._kernel[1]
+    symbols = x.word_array(start - halo, count + A.window - 1 + 2 * halo)
+    return A.path_matrices(symbols, halo, halo + count)[0]
+
+
 def evaluate(A: CocycleSpec, x: SymbolicPoint, n: int) -> np.ndarray:
-    """n-step cocycle product at x; negative n inverts the forward product
-    taken from the shifted point, so the cocycle identity holds for all signs.
-    A locally constant cocycle reads the n windows from one symbol stretch;
-    bump cocycles evaluate each shifted point."""
-    d = A.dim
+    """n-step cocycle product at x, folded from the identity over the steps
+    of _point_steps; negative n inverts the forward product over the -n
+    steps before x, so the cocycle identity holds for all signs."""
+    out = np.eye(A.dim)
     if n == 0:
-        return np.eye(d)
-    if n < 0:
-        return np.linalg.inv(evaluate(A, x.shift(n), -n))
-    out = np.eye(d)
-    if not A.is_locally_constant:
-        for k in range(n):
-            out = A.value_at(x.shift(k)) @ out
         return out
-    symbols = tuple(x.word_array(0, n + A.window - 1).tolist())
-    for k in range(n):
-        out = A._generator_at(symbols[k : k + A.window]) @ out
-    return out
+    for M in _point_steps(A, x, min(n, 0), abs(n)):
+        out = M @ out
+    return out if n > 0 else np.linalg.inv(out)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +358,7 @@ def domination_check(A: CocycleSpec, nu: float | None = None, max_power: int = 6
     m = A.base.alphabet_size
     top = m ** (A.window - 1)
     env_factor = A._bump_growth() ** 2
-    G, lookup = A._generator_table()
+    G, lookup = A._generator_table
 
     # products over cylinders, extended one symbol at a time; codes[i] is the
     # window code of the last A.window symbols of product i's word

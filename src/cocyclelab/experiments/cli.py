@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import traceback
 
 from .config import ConfigError, load_config, validate_config
 from .parallel import worker_count
@@ -69,8 +68,8 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except Exception:
-        traceback.print_exc()
+    except Exception as e:
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
     paths = write_report(args.out, cfg["experiment"], cfg, seed, result)
     for v in result["verdicts"]:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cocycles import CocycleSpec, _window_code, evaluate
+from .cocycles import CocycleSpec, _point_steps, _window_code, evaluate
 from .shifts import parse_word, periodic_point
 from .suspension import SuspensionSystem
 from . import linalg as la
@@ -217,21 +217,27 @@ class CircleCocycle:
 def circle_cocycle(A: CocycleSpec, sys: SuspensionSystem, word, block_index: int = 0) -> CircleCocycle:
     """Projectivize a matrix cocycle along the periodic orbit of a word.
 
-    In dimension two the step matrices act directly.  In higher dimension
-    the invariant 2D block of the return matrix (the block_index-th complex
-    pair, in decreasing modulus) is transported with orthonormal frames; the
-    per-step maps are the triangular factors, and the closing frame rotation
-    is folded into the last step so the composite equals the restriction of
-    the return matrix.
+    The step matrices come from one path_matrices call over the word
+    (_point_steps) and the roofs from one read of its windows.  In
+    dimension two the step matrices act directly.  In higher dimension the
+    return matrix is folded from those steps, and its invariant 2D block
+    (the block_index-th complex pair, in decreasing modulus) is transported
+    with orthonormal frames; the per-step maps are the triangular factors,
+    and the closing frame rotation is folded into the last step so the
+    composite equals the restriction of the return matrix.
     """
     w = parse_word(word)
     p = periodic_point(A.base, w)
     ell = len(w)
-    steps = [evaluate(A, p.shift(k), 1) for k in range(ell)]
-    roofs = [sys.roof.at(p.shift(k)) for k in range(ell)]
+    steps = _point_steps(A, p, 0, ell)
+    rw = sys.roof.window
+    symbols = p.word_array(0, ell + rw - 1).tolist()
+    roofs = tuple(sys.roof.values[tuple(symbols[k : k + rw])] for k in range(ell))
     if A.dim == 2:
-        return CircleCocycle(w, tuple(roofs), tuple(steps))
-    M = evaluate(A, p, ell)
+        return CircleCocycle(w, roofs, tuple(steps))
+    M = np.eye(A.dim)
+    for S in steps:
+        M = S @ M
     rec = la.sorted_spectrum(M)
     pairs = [
         i for i in range(rec.dim)
@@ -258,7 +264,7 @@ def circle_cocycle(A: CocycleSpec, sys: SuspensionSystem, word, block_index: int
     if np.linalg.det(O) <= 0.0:
         raise ArithmeticError("tracked block returned with reversed orientation")
     factors[-1] = O @ factors[-1]
-    return CircleCocycle(w, tuple(roofs), tuple(factors))
+    return CircleCocycle(w, roofs, tuple(factors))
 
 
 @dataclass(frozen=True)

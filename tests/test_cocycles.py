@@ -183,10 +183,7 @@ class TestEvaluate:
         gen = {w: rng.normal(size=(3, 3)) + 2.0 * np.eye(3)
                for w in FULL2.admissible_words(window)}
         A = cc.CocycleSpec(FULL2, window, gen)
-        for _ in range(20):
-            left, core, right = (tuple(rng.integers(0, 2, rng.integers(k, 5)).tolist())
-                                 for k in (1, 0, 1))
-            x = sh.make_point(left, core, right, int(rng.integers(-4, 5)))
+        for x in random_points(rng, 20):
             for n in (0, 1, 2, 7, 13, -1, -6):
                 assert np.array_equal(cc.evaluate(A, x, n), pointwise_evaluate(A, x, n))
 
@@ -196,15 +193,27 @@ class TestEvaluate:
             cc.evaluate(A, sh.make_point("0", "11", "0"), 3)
 
 
+def random_points(rng, count):
+    """Eventually periodic points over two symbols with random tails, cores
+    and core starts."""
+    points = []
+    for _ in range(count):
+        left, core, right = (tuple(rng.integers(0, 2, rng.integers(k, 5)).tolist())
+                             for k in (1, 0, 1))
+        points.append(sh.make_point(left, core, right, int(rng.integers(-4, 5))))
+    return points
+
+
 def pointwise_evaluate(A, x, n):
-    """evaluate as one value_at per shifted point, kept as a reference."""
+    """evaluate as one reference_value_at per shifted point, kept as a
+    reference."""
     if n == 0:
         return np.eye(A.dim)
     if n < 0:
         return np.linalg.inv(pointwise_evaluate(A, x.shift(n), -n))
     out = np.eye(A.dim)
     for k in range(n):
-        out = A.value_at(x.shift(k)) @ out
+        out = reference_value_at(A, x.shift(k)) @ out
     return out
 
 
@@ -233,8 +242,11 @@ def reference_bump_field(x, word, theta, nu):
 
 
 def reference_value_at(A, x):
-    """A(x) from the generator and the eigen-decomposed bump factors."""
+    """A(x) from the generator and the eigen-decomposed bump factors of
+    the exactly scanned fields."""
     M = A.generator[x.word_at(0, A.window)]
+    if A.perturbation is None:
+        return M
     for b in A.perturbation.bumps:
         g = b.amplitude * reference_bump_field(x, b.word, A.base.theta, A.perturbation.nu)
         lam, V = np.linalg.eig(b.direction_for(A.dim))
@@ -362,27 +374,27 @@ class TestBumpField:
     def test_fixed_point_closed_form(self):
         x = sh.periodic_point(FULL2, "0")
         q = 0.5
-        got = cc._bump_field_exact(x, (0,), theta=0.5, nu=1.0)
+        got = reference_bump_field(x, (0,), theta=0.5, nu=1.0)
         assert got == pytest.approx((1 + q) / (1 - q), rel=1e-14)
 
     def test_alternating_point_closed_form(self):
         x = sh.periodic_point(FULL2, "01")
         q = 0.5
-        got = cc._bump_field_exact(x, (0, 1), theta=0.5, nu=1.0)
+        got = reference_bump_field(x, (0, 1), theta=0.5, nu=1.0)
         # matches exactly at even positions
         assert got == pytest.approx(1 + 2 * q**2 / (1 - q**2), rel=1e-14)
 
     def test_homoclinic_point_matches_brute_force(self):
         z, _ = sh.homoclinic_point(FULL2, "01", "0011")
         for word in [(0,), (1, 1), (0, 0, 1)]:
-            got = cc._bump_field_exact(z, word, theta=0.5, nu=0.7)
+            got = reference_bump_field(z, word, theta=0.5, nu=0.7)
             ref = brute_bump_field(z, word, 0.5, 0.7)
             assert got == pytest.approx(ref, abs=1e-12)
 
     def test_shifted_point_matches_brute_force(self):
         z, _ = sh.homoclinic_point(FULL2, "0", "101")
         for k in (-3, 2, 7):
-            got = cc._bump_field_exact(z.shift(k), (1, 0), theta=0.5, nu=1.0)
+            got = reference_bump_field(z.shift(k), (1, 0), theta=0.5, nu=1.0)
             ref = brute_bump_field(z.shift(k), (1, 0), 0.5, 1.0)
             assert got == pytest.approx(ref, abs=1e-12)
 
@@ -413,7 +425,7 @@ class TestPathMatrices:
         sym = np.tile([0, 1], 200)
         mats, logdet = A.path_matrices(sym)
         t = 200  # deep inside, truncation far below double precision
-        exact = A.value_at(p.shift(t % 2))
+        exact = reference_value_at(A, p.shift(t % 2))
         assert np.allclose(mats[t], exact, atol=1e-12)
         # skew direction is traceless: bump leaves volumes alone
         assert logdet[t] == pytest.approx(np.log(abs(np.linalg.det(D2))), abs=1e-12)
@@ -901,6 +913,37 @@ class TestHyperbolicBumpFamily:
             else:
                 rhs = A.value_at(y.shift(-1)) @ moved.matrix @ np.linalg.inv(A.value_at(x.shift(-1)))
             assert np.abs(h_xy.matrix - rhs).max() <= 1e-10 * scale
+
+
+class TestBumpProductsSamePath:
+    """value_at and evaluate read their steps from path_matrices, whose
+    fields come from the truncated convolution; the references scan the
+    exact fields at each shifted point.  A forward product may differ by a
+    few eps of its largest entry per step; an inverse product by that much
+    times its condition number, which inverting amplifies."""
+
+    EPS = np.finfo(float).eps
+
+    def check(self, A, points):
+        for x in points:
+            ref = reference_value_at(A, x)
+            assert np.abs(A.value_at(x) - ref).max() <= 4 * self.EPS * np.abs(ref).max()
+            for n in (1, 7, 20, -6):
+                ref = pointwise_evaluate(A, x, n)
+                tol = 4 * abs(n) * self.EPS * np.abs(ref).max()
+                if n < 0:
+                    tol *= np.linalg.cond(ref)
+                assert np.abs(cc.evaluate(A, x, n) - ref).max() <= tol
+
+    @pytest.mark.parametrize("seed", [2024, 7])
+    def test_hoelder_ensemble(self, seed):
+        rng = np.random.default_rng(seed)
+        for A, _, _, stable, unstable, _ in load_hoelder_workload()(seed).members:
+            self.check(A, [x for pair in stable + unstable for x in pair] + random_points(rng, 4))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_hyperbolic_family(self, seed):
+        self.check(hyperbolic_bump_cocycle(seed), random_points(np.random.default_rng(seed), 8))
 
 
 class TestBumpDirections:

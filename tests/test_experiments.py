@@ -343,6 +343,19 @@ class TestCli:
         assert code == 2
         assert "FAIL  integral-unit" in capsys.readouterr().out
 
+    def test_runtime_error_ends_with_one_line(self, tmp_path, monkeypatch, capsys):
+        def failing(cfg, seed):
+            raise ArithmeticError("holonomy series did not converge within the depth cap")
+
+        monkeypatch.setattr(cli, "run_experiment", failing)
+        code = cli.main(["--config", str(CONFIG_DIR / "e3.json"), "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == ("error: ArithmeticError: holonomy series did not converge"
+                       " within the depth cap\n")
+        assert "Traceback" not in err
+        assert not (tmp_path / "e3.json").exists()
+
 
 class TestColdStart:
     def test_shipped_runs_do_not_import_scipy(self, tmp_path):

@@ -247,6 +247,81 @@ class TestDoubledRotationNumber:
             ro.doubled_rotation_number(np.diag([1.0, -2.0]))
 
 
+def per_point_circle_cocycle(A, sys, word, block_index=0):
+    """circle_cocycle with one-step evaluate calls and roof lookups at each
+    shifted point, and the return matrix evaluated again for d > 2."""
+    w = sh.parse_word(word)
+    p = sh.periodic_point(A.base, w)
+    ell = len(w)
+    steps = [cc.evaluate(A, p.shift(k), 1) for k in range(ell)]
+    roofs = tuple(sys.roof.at(p.shift(k)) for k in range(ell))
+    if A.dim == 2:
+        return ro.CircleCocycle(w, roofs, tuple(steps))
+    M = cc.evaluate(A, p, ell)
+    rec = ro.la.sorted_spectrum(M)
+    pairs = [i for i in range(rec.dim) if not rec.is_real[i] and rec.eigenvalues[i].imag > 0]
+    lam = rec.eigenvalues[pairs[block_index]]
+    eig, vec = np.linalg.eig(M)
+    v = vec[:, int(np.argmin(np.abs(eig - lam)))]
+    frames = [np.linalg.qr(np.column_stack([v.real, v.imag]))[0]]
+    factors = []
+    for k in range(ell):
+        Qn, R = np.linalg.qr(steps[k] @ frames[-1])
+        sign = np.sign(np.diag(R))
+        sign[sign == 0] = 1.0
+        factors.append(sign[:, None] * R)
+        frames.append(Qn * sign[None, :])
+    U, _, Vt = np.linalg.svd(frames[0].T @ frames[-1])
+    factors[-1] = U @ Vt @ factors[-1]
+    return ro.CircleCocycle(w, roofs, tuple(factors))
+
+
+def _mixing_d4():
+    g0 = np.zeros((4, 4))
+    g0[:2, :2] = 2.0 * rot(0.3)
+    g0[2:, 2:] = 0.5 * rot(0.2)
+    g1 = np.zeros((4, 4))
+    g1[:2, :2] = 1.5 * rot(0.5)
+    g1[2:, 2:] = 0.4 * rot(0.45)
+    rng = np.random.default_rng(4)
+    S = np.eye(4) + 0.2 * rng.normal(size=(4, 4))
+    S_inv = np.linalg.inv(S)
+    return cc.CocycleSpec(FULL2, 1, {"0": S @ g0 @ S_inv, "1": S @ g1 @ S_inv})
+
+
+def _complex_pair_d3():
+    rng = np.random.default_rng(3)
+    gens = {}
+    for word in GOLDEN.admissible_words(2):
+        g = np.zeros((3, 3))
+        g[:2, :2] = rng.uniform(1.1, 1.6) * rot(rng.uniform(0.2, 0.9))
+        g[2, 2] = rng.uniform(0.3, 0.6)
+        gens[word] = g + 0.05 * rng.normal(size=(3, 3))
+    return cc.CocycleSpec(GOLDEN, 2, gens)
+
+
+# (cocycle, suspension, word, block_index): planar, window two with a
+# window-two roof, a bump cocycle, and d = 3 and d = 4 tracked blocks
+CIRCLE_CASES = {
+    "d2-window1": lambda: (
+        const_cocycle(1.2 * rot(0.4), rot(0.7) @ np.diag([1.05, 0.95])),
+        sp.SuspensionSystem(FULL2, sp.RoofFunction(FULL2, 1, {"0": 1.0, "1": 2.5})),
+        "0110", 0),
+    "d2-window2": lambda: (
+        cc.CocycleSpec(GOLDEN, 2, {"00": 1.1 * rot(0.3), "01": rot(0.8) @ np.diag([1.2, 0.9]),
+                                   "10": 0.9 * rot(-0.4)}),
+        sp.SuspensionSystem(GOLDEN, sp.RoofFunction(GOLDEN, 2, {"00": 1.0, "01": 0.5,
+                                                                "10": 2.0})),
+        "00100", 0),
+    "d2-bump": lambda: (
+        cc.CocycleSpec(FULL2, 1, {"0": 1.5 * rot(0.3), "1": 1.2 * rot(-0.2)},
+                       cc.HoelderPerturbation(0.8, (cc.HoelderBump((0, 1), 0.1),))),
+        unit_flow(), "011", 0),
+    "d3-window2": lambda: (_complex_pair_d3(), unit_flow(GOLDEN, 1.5), "0100", 0),
+    "d4-slow-block": lambda: (_mixing_d4(), unit_flow(), "011", 1),
+}
+
+
 class TestCircleCocycle:
     def test_planar_steps_are_generators(self):
         g0, g1 = 1.2 * rot(0.4), rot(0.7) @ np.diag([1.05, 0.95])
@@ -301,6 +376,30 @@ class TestCircleCocycle:
         B = cc.CocycleSpec(FULL2, 1, {"0": g, "1": g})
         with pytest.raises(ValueError, match="block_index"):
             ro.circle_cocycle(B, unit_flow(), "0", block_index=1)
+
+    @pytest.mark.parametrize("case", sorted(CIRCLE_CASES))
+    def test_same_as_per_point_build(self, case, monkeypatch):
+        A, sys, word, block_index = CIRCLE_CASES[case]()
+        ref = per_point_circle_cocycle(A, sys, word, block_index)
+        calls = {"path_matrices": 0, "evaluate": 0}
+        path_matrices, evaluate = cc.CocycleSpec.path_matrices, cc.evaluate
+
+        def counting_path_matrices(self, *args):
+            calls["path_matrices"] += 1
+            return path_matrices(self, *args)
+
+        def counting_evaluate(*args):
+            calls["evaluate"] += 1
+            return evaluate(*args)
+
+        monkeypatch.setattr(cc.CocycleSpec, "path_matrices", counting_path_matrices)
+        monkeypatch.setattr(cc, "evaluate", counting_evaluate)
+        monkeypatch.setattr(ro, "evaluate", counting_evaluate)
+        C = ro.circle_cocycle(A, sys, word, block_index)
+        assert calls == {"path_matrices": 1, "evaluate": 0}
+        assert C.roofs == ref.roofs
+        assert all(np.array_equal(a, b) for a, b in zip(C.maps, ref.maps, strict=True))
+        assert np.array_equal(C.composite(), ref.composite())
 
     def test_orientation_reversing_step_rejected(self):
         with pytest.raises(ValueError, match="determinant"):
