@@ -24,8 +24,9 @@ from .shifts import (
 )
 
 HOLONOMY_DEPTH_CAP = 10**4
-# enumeration budget for exact cylinder sups in the domination search
+# enumeration budget and largest power of the domination search
 _DOMINATION_BUDGET = 150_000
+_DOMINATION_MAX_POWER = 64
 # bump directions whose eigenvector matrix is worse conditioned are rejected
 _DIRECTION_COND_MAX = np.finfo(float).eps ** -0.5
 
@@ -124,8 +125,16 @@ class CocycleSpec:
         return kernel, 2 * K + max(len(b.word) for b in self.perturbation.bumps)
 
     def value_at(self, x: SymbolicPoint) -> np.ndarray:
-        """The step matrix A(x), the first step of _point_steps."""
-        return _point_steps(self, x, 0, 1)[0]
+        """The step matrix A(x), the first step of point_steps."""
+        return self.point_steps(x, 0, 1)[0]
+
+    def point_steps(self, x: SymbolicPoint, start: int, count: int) -> np.ndarray:
+        """(count, d, d) step matrices A(shift^k x), k in [start, start + count),
+        from path_matrices on one word_array stretch of x with the kernel halo
+        on each side."""
+        halo = self._kernel[1]
+        symbols = x.word_array(start - halo, count + self.window - 1 + 2 * halo)
+        return self.path_matrices(symbols, halo, halo + count)[0]
 
     # -- norm envelopes ------------------------------------------------------
 
@@ -196,9 +205,9 @@ class CocycleSpec:
         if symbols.min() < 0 or symbols.max() >= m:
             bad = symbols[(symbols < 0) | (symbols >= m)][0]
             raise ValueError(f"path symbol {bad} outside [0, {m})")
-        stack, idx = self._window_generators(symbols, first, steps)
-        out = stack[idx]
-        logdet = np.log(np.abs(np.linalg.det(stack)))[idx]
+        idx = self.base.window_index(symbols[first : first + steps + w - 1], w)
+        stack, logdets = self._generator_table
+        out, logdet = stack[idx], logdets[idx]
         if self.is_locally_constant:
             return out, logdet
         for b, g in zip(self.perturbation.bumps, self._bump_fields(symbols, first, steps)):
@@ -206,20 +215,6 @@ class CocycleSpec:
             out = out @ _bump_factors(D, g)
             logdet = logdet + g * float(np.trace(D))
         return out, logdet
-
-    def _window_generators(self, symbols, first: int, steps: int):
-        """(stack, idx): the generator stack and, for each of the steps
-        reading symbols[first + t : first + t + window], its stack index."""
-        m = self.base.alphabet_size
-        codes = _window_code([symbols[first + j : first + j + steps] for j in range(self.window)], m)
-        stack, lookup = self._generator_table
-        idx = lookup[codes]
-        bad = np.flatnonzero(idx < 0)
-        if bad.size:
-            t = first + int(bad[0])
-            word = tuple(symbols[t : t + self.window].tolist())
-            raise ValueError(f"point visits inadmissible window {word}")
-        return stack, idx
 
     def _bump_fields(self, symbols, first: int, steps: int) -> list:
         """Per-bump fields a_b S_b at the steps [first, first + steps) of a
@@ -241,22 +236,11 @@ class CocycleSpec:
 
     @cached_property
     def _generator_table(self):
-        """(stack, lookup): the generators stacked in sorted-word order, and
-        for each window code sum_j s_j m^j (first symbol least significant)
-        the stack index of its word, -1 where no generator is given; built
-        once per cocycle."""
-        m = self.base.alphabet_size
-        words = sorted(self.generator)
-        lookup = np.full(m**self.window, -1, dtype=np.int64)
-        for i, word in enumerate(words):
-            lookup[_window_code(word, m)] = i
-        return np.stack([self.generator[word] for word in words]), lookup
-
-
-def _window_code(word, m: int):
-    """Code sum_j s_j m^j of a window word, first symbol least significant;
-    symbols given as arrays code many windows at once."""
-    return sum(s * m**j for j, s in enumerate(word))
+        """(stack, logdet): the generators of the admissible windows stacked
+        in base.window_table(window) order, and log|det| of each; built once
+        per cocycle."""
+        stack = np.stack([self.generator[w] for w in self.base.window_table(self.window)[0]])
+        return stack, np.log(np.abs(np.linalg.det(stack)))
 
 
 def _diagonalize(D: np.ndarray):
@@ -306,23 +290,14 @@ def _bump_factors(D: np.ndarray, g: np.ndarray, minus_identity: bool = False) ->
     return out.reshape(len(g), d, d)
 
 
-def _point_steps(A: CocycleSpec, x: SymbolicPoint, start: int, count: int) -> np.ndarray:
-    """(count, d, d) step matrices A(shift^k x), k in [start, start + count),
-    from path_matrices on one word_array stretch of x with the kernel halo
-    on each side."""
-    halo = A._kernel[1]
-    symbols = x.word_array(start - halo, count + A.window - 1 + 2 * halo)
-    return A.path_matrices(symbols, halo, halo + count)[0]
-
-
 def evaluate(A: CocycleSpec, x: SymbolicPoint, n: int) -> np.ndarray:
     """n-step cocycle product at x, folded from the identity over the steps
-    of _point_steps; negative n inverts the forward product over the -n
+    of A.point_steps; negative n inverts the forward product over the -n
     steps before x, so the cocycle identity holds for all signs."""
     out = np.eye(A.dim)
     if n == 0:
         return out
-    for M in _point_steps(A, x, min(n, 0), abs(n)):
+    for M in A.point_steps(x, min(n, 0), abs(n)):
         out = M @ out
     return out if n > 0 else np.linalg.inv(out)
 
@@ -339,43 +314,42 @@ class DominationResult:
     locally_constant: bool
 
 
-def domination_check(A: CocycleSpec, nu: float | None = None, max_power: int = 64) -> DominationResult:
+def domination_check(A: CocycleSpec) -> DominationResult:
     """Search for the smallest power N with sup ||A^N|| ||(A^N)^-1|| theta^(nu N) < 1.
 
-    Cylinder sups are exact for every power searched.  The search stops
-    undominated after max_power, or before the first power N > 1 with more
-    than _DOMINATION_BUDGET / m cylinders (m symbols).  Composing the bounds
-    of smaller powers cannot find domination there, because each of them
+    nu is the bump exponent (1 when locally constant).  Cylinder sups are
+    exact for every power searched.  The search stops undominated after
+    _DOMINATION_MAX_POWER, or before the first power N > 1 with more than
+    _DOMINATION_BUDGET / m cylinders (m symbols).  Composing the bounds of
+    smaller powers cannot find domination there, because each of them
     is at least 1.  All cylinder products of one power form one stack, and
     ||P|| ||P^-1|| is its batched condition number cond_2(P) = s_max / s_min.
     A product that is singular at working precision gets cond_2 of order
     1/eps (inf when s_min is exactly 0), so it blocks domination at that
     power instead of raising LinAlgError.
     """
-    if nu is None:
-        nu = A.perturbation.nu if A.perturbation is not None else 1.0
+    nu = A.perturbation.nu if A.perturbation is not None else 1.0
     theta = A.base.theta
     m = A.base.alphabet_size
-    top = m ** (A.window - 1)
     env_factor = A._bump_growth() ** 2
-    G, lookup = A._generator_table
+    _, _, successor = A.base.window_table(A.window)
+    G = P = A._generator_table[0]
 
-    # products over cylinders, extended one symbol at a time; codes[i] is the
-    # window code of the last A.window symbols of product i's word
-    codes = np.array([_window_code(w_, m) for w_ in A.base.admissible_words(A.window)])
-    P = G[lookup[codes]]
+    # products over cylinders, extended one symbol at a time; idx[i] is the
+    # window_table index of the last A.window symbols of product i's word
+    idx = np.arange(len(G))
     N = 1
     while True:
         bound = float(np.max(np.linalg.cond(P, 2))) * env_factor**N * theta ** (nu * N)
         if bound < 1.0:
             return DominationResult(True, N, 1.0 - bound, A.is_locally_constant)
-        if N >= max_power:
+        if N >= _DOMINATION_MAX_POWER:
             break
-        rows, syms = np.nonzero(A.base.transitions[codes // top])
-        codes = codes[rows] // m + syms * top
-        P = G[lookup[codes]] @ P[rows]
+        rows, syms = np.nonzero(successor[idx] >= 0)
+        idx = successor[idx[rows], syms]
+        P = G[idx] @ P[rows]
         N += 1
-        if len(codes) * m > _DOMINATION_BUDGET:
+        if len(idx) * m > _DOMINATION_BUDGET:
             break
     return DominationResult(False, None, 0.0, A.is_locally_constant)
 
@@ -553,7 +527,8 @@ def _series_holonomy(A: CocycleSpec, x: SymbolicPoint, y: SymbolicPoint, side: i
             exact = _factor_gap(dg, gx, gy, directions, side)
             if side < 0:
                 # A(y') A(x')^-1 = M G(y) G(x)^-1 M^-1 for the common generator M
-                stack, idx = A._window_generators(sym_x, halo, n)
+                stack = A._generator_table[0]
+                idx = A.base.window_index(sym_x[halo : halo + n + w - 1], w)
                 exact = stack[idx][order] @ exact @ np.linalg.inv(stack)[idx][order]
             gap[same] = exact[same]
         # running products before each step, kept at unit Frobenius norm,
@@ -630,19 +605,18 @@ def unstable_holonomy(A: CocycleSpec, x: SymbolicPoint, y: SymbolicPoint, tol: f
     return _series_holonomy(A, x, y, -1, tol)
 
 
-def holonomy_constants(A: CocycleSpec, nu: float | None = None):
+def holonomy_constants(A: CocycleSpec):
     """(C1, rate) with ||holonomy - id|| <= C1 d(x, y)^nu for asymptotic pairs.
 
-    rate is the per-step contraction ratio*theta^nu used by the series bound;
-    C1 folds the bump Hoelder constant and the inverse-norm envelope.
+    nu is the bump exponent (1 when locally constant).  rate is the per-step
+    contraction ratio*theta^nu used by the series bound; C1 folds the bump
+    Hoelder constant and the inverse-norm envelope.
     """
-    default_nu = nu is None
-    if default_nu:
-        nu = A.perturbation.nu if A.perturbation is not None else 1.0
+    nu = A.perturbation.nu if A.perturbation is not None else 1.0
     sup_a, sup_inv = A.norm_envelope()
     rate = sup_a * sup_inv * A.base.theta**nu
     if rate >= 1.0:
-        dom = A._domination if default_nu else domination_check(A, nu=nu)
+        dom = A._domination
         if not dom.dominated:
             return (np.inf, rate) if not A.is_locally_constant else (0.0, rate)
         rate = (1.0 - dom.margin) ** (1.0 / dom.power)

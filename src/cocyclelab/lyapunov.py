@@ -32,7 +32,7 @@ from numpy.linalg import _umath_linalg
 
 from . import linalg as la
 from .cocycles import CocycleSpec
-from .shifts import MarkovMeasure
+from .shifts import MarkovMeasure, window_code
 
 MAX_BLOCK_LOG_COND = 30.0
 DEFAULT_BATCHES = 20
@@ -162,7 +162,7 @@ class _PathSteps:
         else:
             m, n = self.A.base.alphabet_size, (b - a) // h
             s = np.asarray(self.symbols[a : b + self.A.window - 1], dtype=np.int64)
-            keys = sum(s[j : j + n * h : h] * m**j for j in range(h + self.A.window - 1))
+            keys = window_code([s[j : j + n * h : h] for j in range(h + self.A.window - 1)], m)
             _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
             sub = mats.reshape(n, h, *mats.shape[1:])[first]
         if self.k > 1:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cocycles import CocycleSpec, _point_steps, _window_code, evaluate
+from .cocycles import CocycleSpec, evaluate
 from .shifts import parse_word, periodic_point
 from .suspension import SuspensionSystem
 from . import linalg as la
@@ -218,7 +218,7 @@ def circle_cocycle(A: CocycleSpec, sys: SuspensionSystem, word, block_index: int
     """Projectivize a matrix cocycle along the periodic orbit of a word.
 
     The step matrices come from one path_matrices call over the word
-    (_point_steps) and the roofs from one read of its windows.  In
+    (A.point_steps) and the roofs from one read of its windows.  In
     dimension two the step matrices act directly.  In higher dimension the
     return matrix is folded from those steps, and its invariant 2D block
     (the block_index-th complex pair, in decreasing modulus) is transported
@@ -229,7 +229,7 @@ def circle_cocycle(A: CocycleSpec, sys: SuspensionSystem, word, block_index: int
     w = parse_word(word)
     p = periodic_point(A.base, w)
     ell = len(w)
-    steps = _point_steps(A, p, 0, ell)
+    steps = A.point_steps(p, 0, ell)
     rw = sys.roof.window
     symbols = p.word_array(0, ell + rw - 1).tolist()
     roofs = tuple(sys.roof.values[tuple(symbols[k : k + rw])] for k in range(ell))
@@ -645,22 +645,13 @@ def rho_measure(A: CocycleSpec, sys: SuspensionSystem, mu, t: float,
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples!r}")
     win = max(A.window, sys.roof.window)
-    m = A.base.alphabet_size
-    words = A.base.admissible_words(win)
+    words, _, successor = A.base.window_table(win)
     mats = [A.generator[w[:A.window]] for w in words]
     roofs = np.array([sys.roof.values[w[:sys.roof.window]] for w in words])
     last = np.array([w[-1] for w in words])
-    # lookup[code]: index of the word with that window code
-    lookup = np.full(m**win, -1, dtype=np.int64)
-    for i, w in enumerate(words):
-        lookup[_window_code(w, m)] = i
     # nxt[i, m - 1 - b]: the word after words[i] on symbol b, -1 where the
     # transition is forbidden or has probability 0
-    nxt = np.full((len(words), m), -1, dtype=np.int64)
-    for i, w in enumerate(words):
-        for b in range(m):
-            if A.base.is_allowed(w[-1], b) and mu.P[w[-1], b] > 0:
-                nxt[i, m - 1 - b] = lookup[_window_code(w[1:] + (b,), m)]
+    nxt = np.where(mu.P[last] > 0, successor, -1)[:, ::-1]
 
     def tree_children(origin, word, depth):
         after = nxt[word]
@@ -691,7 +682,7 @@ def rho_measure(A: CocycleSpec, sys: SuspensionSystem, mu, t: float,
             chunk = range(first, min(first + _SAMPLE_CHUNK, n_samples))
             orbits = np.array([mu.sample_orbit(n_sym, seed=seed + i) for i in chunk])
             # windows[i, k]: the word read by step k of orbit i
-            windows = lookup[_window_code([orbits[:, j : n_sym - win + 1 + j] for j in range(win)], m)]
+            windows = A.base.window_index(orbits, win)
 
             def orbit_step(origin, word, depth):
                 return np.arange(len(word)), windows[origin, depth]

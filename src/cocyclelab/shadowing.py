@@ -383,16 +383,13 @@ def toral_close(T: ToralAutomorphism, pseudo: PseudoOrbit) -> ShadowResult:
     if sup_c > bound:
         raise ArithmeticError("closing correction exceeded the shadowing bound")
 
-    AnI = _int_matpow(T.matrix.tolist(), N)
-    for i in range(d):
-        AnI[i][i] -= 1
-    D = abs(_int_det(AnI))
+    An = _int_matpow(T.matrix.tolist(), N)
+    D = abs(_int_det([[v - (i == j) for j, v in enumerate(row)] for i, row in enumerate(An)]))
     start = np.mod(pseudo.points[0] + corrections[0], 1.0)
     scaled = start * D
     nums = [int(round(v)) % D for v in scaled]
     if np.max(np.abs(scaled - np.round(scaled))) > _SNAP_GUARD * D:
         raise ArithmeticError("corrected point is not near the rational lattice")
-    An = _int_matpow(T.matrix.tolist(), N)
     for i in range(d):
         r = sum(An[i][j] * nums[j] for j in range(d)) - nums[i]
         if r % D != 0:

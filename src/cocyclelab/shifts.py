@@ -120,6 +120,46 @@ class SftSpec:
             ]
         return words
 
+    def window_table(self, length: int) -> tuple:
+        """(words, lookup, successor): the admissible words of a length in
+        lexicographic order; lookup[c] is the index of the word with window
+        code c (-1 for an inadmissible word) and successor[i, b] that of
+        words[i][1:] + (b,) (-1 where words[i][-1] -> b is forbidden).
+        Built on first use and cached per length."""
+        tables = self.__dict__.setdefault("_window_tables", {})
+        if length not in tables:
+            m = self.alphabet_size
+            words = tuple(self.admissible_words(length))
+            codes = np.array([window_code(w, m) for w in words], dtype=np.int64)
+            lookup = np.full(m**length, -1, dtype=np.int64)
+            lookup[codes] = np.arange(len(words))
+            # words[i][1:] + (b,) codes as codes[i] // m + b m^(length - 1)
+            after = lookup[codes[:, None] // m + np.arange(m) * m ** (length - 1)]
+            successor = np.where(self.transitions[[w[-1] for w in words]] == 1, after, -1)
+            lookup.flags.writeable = successor.flags.writeable = False
+            tables[length] = words, lookup, successor
+        return tables[length]
+
+    def window_index(self, symbols, length: int) -> np.ndarray:
+        """window_table(length) index of each window symbols[..., t : t + length]
+        along the last axis; the symbols must lie in [0, m).  An inadmissible
+        window raises ValueError naming the first one."""
+        symbols = np.asarray(symbols, dtype=np.int64)
+        n = symbols.shape[-1] - length + 1
+        codes = window_code([symbols[..., j : j + n] for j in range(length)], self.alphabet_size)
+        idx = self.window_table(length)[1][codes]
+        if (idx < 0).any():
+            *row, t = np.argwhere(idx < 0)[0]
+            word = tuple(symbols[(*row, slice(t, t + length))].tolist())
+            raise ValueError(f"point visits inadmissible window {word}")
+        return idx
+
+
+def window_code(word, m: int):
+    """Code sum_j s_j m^j of a window word, first symbol least significant;
+    symbols given as arrays code many windows at once."""
+    return sum(s * m**j for j, s in enumerate(word))
+
 
 @dataclass(frozen=True, eq=False)
 class SymbolicPoint:
@@ -414,16 +454,8 @@ class MarkovMeasure:
 
 
 def parry_measure(spec: SftSpec) -> MarkovMeasure:
-    """Measure of maximal entropy from the Perron data of the transition matrix."""
-    if not spec.is_primitive:
-        raise ValueError("transition matrix must be primitive")
-    T = spec.transitions.astype(float)
-    lam, r, l = _perron(T)
-    P = T * r[None, :] / (lam * r[:, None])
-    pi = l * r
-    pi /= pi.sum()
-    h = float(np.log(lam))
-    return MarkovMeasure(spec=spec, P=P, pi=pi, entropy=h, pressure=h)
+    """Measure of maximal entropy: the equilibrium state of the zero potential."""
+    return gibbs_locally_constant(spec, np.zeros((spec.alphabet_size,) * 2))
 
 
 def gibbs_locally_constant(spec: SftSpec, phi) -> MarkovMeasure:

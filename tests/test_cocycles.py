@@ -436,6 +436,18 @@ class TestPathMatrices:
         with pytest.raises(ValueError, match="inadmissible"):
             A.path_matrices(np.array([0, 1, 1, 0]))
 
+    def test_generator_of_forbidden_word_is_never_read(self):
+        # steps are looked up among the shift's admissible windows only, so
+        # a generator given for the forbidden word 11 cannot be reached
+        A = cc.CocycleSpec(GOLDEN, 2, {"00": D2, "01": SHEAR, "10": POS, "11": D2})
+        assert len(A._generator_table[0]) == 3
+        with pytest.raises(ValueError, match=r"point visits inadmissible window \(1, 1\)"):
+            A.path_matrices(np.array([0, 1, 1, 0]))
+        with pytest.raises(ValueError, match=r"point visits inadmissible window \(1, 1\)"):
+            cc.evaluate(A, sh.make_point("0", (1, 1), "0"), 3)
+        p = sh.periodic_point(GOLDEN, "001")
+        assert np.array_equal(cc.evaluate(A, p, 3), POS @ SHEAR @ D2)
+
     def test_symbol_out_of_range_rejected(self):
         # window 1: -1 used to wrap around to the generator of word 1
         A = lc(FULL2, D2, SHEAR)

@@ -1,4 +1,5 @@
 """Shift space, symbolic points, and Markov/Gibbs measure tests."""
+import itertools
 import math
 from pathlib import Path
 
@@ -35,6 +36,61 @@ class TestSpec:
         for n in range(1, 8):
             expected = int(np.sum(np.linalg.matrix_power(T, n - 1)))
             assert len(GOLDEN.admissible_words(n)) == expected
+
+
+THREE = sh.SftSpec(3, np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]]), 0.5)
+WINDOW_SPECS = {"full2": FULL2, "golden": GOLDEN, "three": THREE}
+
+
+class TestWindowTable:
+    @pytest.mark.parametrize("name", sorted(WINDOW_SPECS))
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    def test_against_brute_force(self, name, length):
+        spec = WINDOW_SPECS[name]
+        m = spec.alphabet_size
+        words, lookup, successor = spec.window_table(length)
+        brute = [w for w in itertools.product(range(m), repeat=length)
+                 if all(spec.is_allowed(a, b) for a, b in zip(w, w[1:]))]
+        assert list(words) == brute
+        assert list(words) == sorted(words)
+        for w in itertools.product(range(m), repeat=length):
+            i = int(lookup[sh.window_code(w, m)])
+            assert i == (words.index(w) if w in words else -1)
+        assert successor.shape == (len(words), m)
+        for i, w in enumerate(words):
+            for b in range(m):
+                if spec.is_allowed(w[-1], b):
+                    assert words[successor[i, b]] == w[1:] + (b,)
+                else:
+                    assert successor[i, b] == -1
+
+    def test_built_once_per_length(self):
+        spec = sh.SftSpec.golden_mean(theta=0.4)
+        assert "_window_tables" not in spec.__dict__
+        assert spec.window_table(2) is spec.window_table(2)
+        assert spec.window_table(1) is not spec.window_table(2)
+        with pytest.raises(ValueError):
+            spec.window_table(2)[2][0, 0] = 5
+
+    def test_window_index(self):
+        symbols = np.array([0, 1, 2, 2, 0, 0, 1])
+        for length in (1, 2, 3):
+            idx = THREE.window_index(symbols, length)
+            words = THREE.window_table(length)[0]
+            assert [words[i] for i in idx] == [
+                tuple(symbols[t : t + length]) for t in range(len(symbols) - length + 1)]
+
+    def test_window_index_along_last_axis(self):
+        rows = np.array([[0, 1, 2, 2, 0], [2, 0, 0, 1, 1]])
+        assert np.array_equal(THREE.window_index(rows, 2), [THREE.window_index(r, 2) for r in rows])
+        with pytest.raises(ValueError, match=r"inadmissible window \(1, 0\)"):
+            THREE.window_index(np.array([[0, 1, 2, 2, 0], [2, 0, 1, 0, 0]]), 2)
+
+    def test_window_index_names_first_inadmissible_window(self):
+        with pytest.raises(ValueError, match=r"point visits inadmissible window \(0, 1, 1\)"):
+            GOLDEN.window_index(np.array([0, 0, 1, 1, 0, 1, 1]), 3)
+        with pytest.raises(ValueError, match=r"inadmissible window \(1, 0\)"):
+            THREE.window_index(np.array([0, 1, 1, 0, 2]), 2)
 
 
 class TestSymbolicPoint:
@@ -146,6 +202,21 @@ class TestParry:
         mu = sh.parry_measure(GOLDEN)
         assert np.allclose(mu.pi @ mu.P, mu.pi, atol=1e-12)
         assert np.all(mu.P[GOLDEN.transitions == 0] == 0.0)
+
+    @pytest.mark.parametrize("name", sorted(WINDOW_SPECS))
+    def test_same_bits_as_perron_construction(self, name):
+        # the Perron-data construction parry_measure used before it became
+        # the zero-potential Gibbs state
+        spec = WINDOW_SPECS[name]
+        T = spec.transitions.astype(float)
+        lam, r, l = sh._perron(T)
+        P = T * r[None, :] / (lam * r[:, None])
+        pi = l * r
+        pi /= pi.sum()
+        mu = sh.parry_measure(spec)
+        assert np.array_equal(mu.P, P)
+        assert np.array_equal(mu.pi, pi)
+        assert mu.entropy == mu.pressure == float(np.log(lam))
 
 
 class TestGibbs:
