@@ -89,10 +89,12 @@ class CocycleSpec:
             elif M.shape[0] != dim:
                 raise ValueError("generator matrices have mixed dimensions")
             gen[w] = M
-        for w in self.base.admissible_words(self.window):
+        words = self.base.window_table(self.window)[0]
+        for w in words:
             if w not in gen:
                 raise ValueError(f"generator missing admissible word {w}")
-        object.__setattr__(self, "generator", gen)
+        # only admissible windows are ever stepped through
+        object.__setattr__(self, "generator", {w: gen[w] for w in words})
         if not self.is_locally_constant:
             for b in self.perturbation.bumps:
                 _diagonalize(b.direction_for(dim))
@@ -140,10 +142,9 @@ class CocycleSpec:
 
     def norm_envelope(self):
         """(sup ||A||, sup ||A^-1||) upper bounds over all points."""
-        sup_a = max(float(np.linalg.norm(M, 2)) for M in self.generator.values())
-        sup_inv = max(
-            float(np.linalg.norm(np.linalg.inv(M), 2)) for M in self.generator.values()
-        )
+        stack, _, inverse = self._generator_table
+        sup_a = float(np.linalg.norm(stack, 2, axis=(1, 2)).max())
+        sup_inv = float(np.linalg.norm(inverse, 2, axis=(1, 2)).max())
         growth = self._bump_growth()
         return sup_a * growth, sup_inv * growth
 
@@ -206,7 +207,7 @@ class CocycleSpec:
             bad = symbols[(symbols < 0) | (symbols >= m)][0]
             raise ValueError(f"path symbol {bad} outside [0, {m})")
         idx = self.base.window_index(symbols[first : first + steps + w - 1], w)
-        stack, logdets = self._generator_table
+        stack, logdets, _ = self._generator_table
         out, logdet = stack[idx], logdets[idx]
         if self.is_locally_constant:
             return out, logdet
@@ -236,11 +237,11 @@ class CocycleSpec:
 
     @cached_property
     def _generator_table(self):
-        """(stack, logdet): the generators of the admissible windows stacked
-        in base.window_table(window) order, and log|det| of each; built once
-        per cocycle."""
-        stack = np.stack([self.generator[w] for w in self.base.window_table(self.window)[0]])
-        return stack, np.log(np.abs(np.linalg.det(stack)))
+        """(stack, logdet, inverse): the generators stacked in
+        base.window_table(window) order, log|det| and the inverse of each;
+        built once per cocycle."""
+        stack = np.stack(list(self.generator.values()))
+        return stack, np.log(np.abs(np.linalg.det(stack))), np.linalg.inv(stack)
 
 
 def _diagonalize(D: np.ndarray):
@@ -368,16 +369,13 @@ class HolonomyResult:
 def _agreement_index(x: SymbolicPoint, y: SymbolicPoint, sign: int) -> int:
     """Least i0 >= 0 with x_i = y_i for all sign * i >= i0 (sign +1: forward
     tails, sign -1: backward tails)."""
-    bound = x._compare_bound(y)
-    # agreement across [bound, 2 bound] is decisive: both tails are periodic
-    # with the joint period folded into the comparison bound
-    if any(x.symbol_at(sign * i) != y.symbol_at(sign * i) for i in range(bound, 2 * bound + 1)):
+    B, same = x.agreement(y)
+    same = same[0 if sign > 0 else 1]
+    if not same[B:].all():
         side = "forward" if sign > 0 else "backward"
         raise ValueError(f"points are not {side} asymptotic")
-    i0 = bound
-    while i0 > 0 and x.symbol_at(sign * (i0 - 1)) == y.symbol_at(sign * (i0 - 1)):
-        i0 -= 1
-    return i0
+    differ = np.flatnonzero(~same[:B])
+    return int(differ[-1]) + 1 if differ.size else 0
 
 
 def _reflect(x: SymbolicPoint) -> SymbolicPoint:
@@ -527,9 +525,9 @@ def _series_holonomy(A: CocycleSpec, x: SymbolicPoint, y: SymbolicPoint, side: i
             exact = _factor_gap(dg, gx, gy, directions, side)
             if side < 0:
                 # A(y') A(x')^-1 = M G(y) G(x)^-1 M^-1 for the common generator M
-                stack = A._generator_table[0]
+                stack, _, inverse = A._generator_table
                 idx = A.base.window_index(sym_x[halo : halo + n + w - 1], w)
-                exact = stack[idx][order] @ exact @ np.linalg.inv(stack)[idx][order]
+                exact = stack[idx][order] @ exact @ inverse[idx][order]
             gap[same] = exact[same]
         # running products before each step, kept at unit Frobenius norm,
         # and the log of the scale factor that their terms carry
@@ -652,8 +650,8 @@ def psi_transition(A: CocycleSpec, p: SymbolicPoint, z: SymbolicPoint, exit_time
     if N % ell != 0:
         raise ValueError("misaligned exit time")
     zN = z.shift(N)
-    bound = zN._compare_bound(p)
-    if any(zN.symbol_at(i) != p.symbol_at(i) for i in range(bound + 1)):
+    B, same = zN.agreement(p)
+    if not same[0, : B + 1].all():
         raise ValueError("misaligned exit time")
     phi_u = unstable_holonomy(A, p, z, tol)
     phi_s_loc = stable_holonomy(A, zN, p.shift(N), tol)
@@ -926,13 +924,9 @@ def rotation_perturb_family(
             f"pair_index {pair_index} out of range: {len(candidates)} conformal pair(s)"
         )
     lam = rec.eigenvalues[candidates[pair_index]]
-    if support_word is None:
-        support = p.word_at(0, A.window)
-    else:
-        support = parse_word(support_word)
-    visits = sum(
-        1 for k in range(p.period) if p.word_at(k, A.window) == support
-    )
+    windows = sliding_window_view(p.word_array(0, p.period + A.window - 1), A.window)
+    support = tuple(windows[0].tolist()) if support_word is None else parse_word(support_word)
+    visits = windows.tolist().count(list(support))
     symplectic = all(la.is_symplectic(G) for G in A.generator.values()) and A.dim % 2 == 0
 
     eig, vec = np.linalg.eig(M)

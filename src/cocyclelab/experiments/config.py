@@ -118,6 +118,8 @@ _E2 = {
                     "s_points": {"type": "integer", "minimum": 3},
                     "pinching_eps": {"type": "number", "exclusiveMinimum": 0},
                     "collision_tol": {"type": "number", "exclusiveMinimum": 0},
+                    "scan_points": {"type": "integer", "minimum": 2},
+                    "realify_tol": {"type": "number", "exclusiveMinimum": 0},
                     "final_bridge_fill": {"type": "string"},
                 },
                 "required": ["name", "kind", "cocycle", "p_word", "bridge",
@@ -202,6 +204,10 @@ _E4 = {
     "required": ["measure", "roof", "integrals", "identity_tol", "scaling"],
 }
 
+# an E5 ladder runs eps0 * 2^-k for k < rungs (default 8)
+_RUNGS = {"eps0": {"type": "number", "exclusiveMinimum": 0},
+          "rungs": {"type": "integer", "minimum": 1}}
+
 _E5 = {
     "type": "object",
     "properties": {
@@ -212,10 +218,17 @@ _E5 = {
         "ladders": {
             "type": "object",
             "properties": {
-                "cocycle": {"type": "object"},
-                "measure": {"type": "object"},
-                "family": {"type": "object"},
+                "cocycle": {"type": "object", "required": ["word", "eps0"], "properties": {
+                    "word": {"type": "string"}, **_RUNGS}},
+                # P0 + eps (P1 - P0) stays between the two chains for eps <= 1
+                "measure": {"type": "object", "required": ["P0", "P1", "eps0"], "properties": {
+                    "P0": _MATRIX, "P1": _MATRIX, **_RUNGS,
+                    "eps0": {"type": "number", "exclusiveMinimum": 0, "maximum": 1}}},
+                "family": {"type": "object", "required": ["p_word", "theta0", "eps0"], "properties": {
+                    "p_word": {"type": "string"},
+                    "theta0": {"type": "number", "exclusiveMinimum": 0}, **_RUNGS}},
             },
+            "required": ["cocycle", "measure", "family"],
         },
         "compare_eps": {"type": "number", "exclusiveMinimum": 0},
         "width_factor": {"type": "number", "exclusiveMinimum": 1},

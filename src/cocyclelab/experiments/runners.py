@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .. import linalg as la
 from ..cocycles import (
@@ -192,20 +193,19 @@ def run_e1(cfg: dict, seed: int) -> dict:
 def _unique_visit_rotation(spec, w: tuple, window: int):
     """Rotate the cyclic word so a uniquely visited cylinder word sits last."""
     q = periodic_point(spec, w)
-    seen = {}
-    for k in range(len(w)):
-        seen.setdefault(q.word_at(k, window), []).append(k)
-    for word in sorted(seen):
-        ks = seen[word]
-        if len(ks) == 1:
-            k = ks[0]
-            return w[k + 1:] + w[:k + 1], word
-    raise ValueError("word visits every cylinder more than once")
+    windows = sliding_window_view(q.word_array(0, len(w) + window - 1), window)
+    words, first, counts = np.unique(windows, axis=0, return_index=True, return_counts=True)
+    once = np.flatnonzero(counts == 1)
+    if not once.size:
+        raise ValueError("word visits every cylinder more than once")
+    k = int(first[once[0]])
+    return w[k + 1:] + w[:k + 1], tuple(words[once[0]].tolist())
 
 
 def _count_visits(spec, w: tuple, support: tuple) -> int:
     q = periodic_point(spec, w)
-    return sum(1 for k in range(len(w)) if q.word_at(k, len(support)) == support)
+    windows = sliding_window_view(q.word_array(0, len(w) + len(support) - 1), len(support))
+    return windows.tolist().count(list(support))
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

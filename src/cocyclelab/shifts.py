@@ -98,13 +98,12 @@ class SftSpec:
         return bool(self.transitions[i, j])
 
     def word_admissible(self, word, cyclic: bool = False) -> bool:
-        w = parse_word(word)
-        if any(not 0 <= s < self.alphabet_size for s in w):
+        w = np.array(parse_word(word), dtype=np.int64)
+        if ((w < 0) | (w >= self.alphabet_size)).any():
             return False
-        pairs = zip(w, w[1:])
-        if cyclic and len(w) >= 1:
-            pairs = zip(w, w[1:] + w[:1])
-        return all(self.is_allowed(a, b) for a, b in pairs)
+        if cyclic:
+            w = np.append(w, w[:1])
+        return bool(self.transitions[w[:-1], w[1:]].all())
 
     def admissible_words(self, length: int) -> list:
         """All admissible words of the given length, lexicographic order."""
@@ -177,26 +176,19 @@ class SymbolicPoint:
     right: tuple
     core_start: int = 0
 
+    def word_array(self, start: int, length: int) -> np.ndarray:
+        """The symbols at [start, start + length) as an int64 array: the one
+        reader of the (left, core, right, core_start) layout."""
+        j = np.arange(start - self.core_start, start - self.core_start + length)
+        nl, n = len(self.left), len(self.core)
+        at = np.where(j < 0, j % nl, nl + np.where(j < n, j, n + (j - n) % len(self.right)))
+        return np.array(self.left + self.core + self.right, dtype=np.int64)[at]
+
     def symbol_at(self, i: int) -> int:
-        b = self.core_start
-        if i < b:
-            return self.left[(i - b) % len(self.left) - len(self.left)]
-        if i < b + len(self.core):
-            return self.core[i - b]
-        return self.right[(i - b - len(self.core)) % len(self.right)]
+        return int(self.word_array(i, 1)[0])
 
     def word_at(self, start: int, length: int) -> tuple:
-        return tuple(self.symbol_at(start + j) for j in range(length))
-
-    def word_array(self, start: int, length: int) -> np.ndarray:
-        """word_at as an int64 array, read without a Python loop."""
-        j = np.arange(start - self.core_start, start - self.core_start + length)
-        n = len(self.core)
-        out = np.asarray(self.right, dtype=np.int64)[(j - n) % len(self.right)]
-        out[j < 0] = np.asarray(self.left, dtype=np.int64)[j[j < 0] % len(self.left)]
-        inside = (j >= 0) & (j < n)
-        out[inside] = np.asarray(self.core, dtype=np.int64)[j[inside]]
-        return out
+        return tuple(self.word_array(start, length).tolist())
 
     def shift(self, k: int = 1) -> "SymbolicPoint":
         return make_point(self.left, self.core, self.right, self.core_start - k)
@@ -211,22 +203,28 @@ class SymbolicPoint:
             raise ValueError("point is not periodic")
         return len(self.right)
 
-    def _compare_bound(self, other: "SymbolicPoint") -> int:
+    def agreement(self, other: "SymbolicPoint") -> tuple:
+        """(B, same): the joint comparison bound B of the two points and the
+        (2, 2B + 1) array with same[0, i] = (x_i == y_i) and same[1, i] =
+        (x_-i == y_-i), from one word_array read of each point over
+        [-2B, 2B].  Beyond B both points repeat their tails with the joint
+        period, so agreement on [0, B] in both rows is equality, and
+        agreement across [B, 2B] in one row decides asymptoticity there."""
         ext = max(
             abs(self.core_start) + len(self.core),
             abs(other.core_start) + len(other.core),
         )
         lcm_r = math.lcm(len(self.right), len(other.right))
         lcm_l = math.lcm(len(self.left), len(other.left))
-        return ext + 2 * max(lcm_r, lcm_l) + 4
+        B = ext + 2 * max(lcm_r, lcm_l) + 4
+        same = self.word_array(-2 * B, 4 * B + 1) == other.word_array(-2 * B, 4 * B + 1)
+        return B, np.stack([same[2 * B :], same[2 * B :: -1]])
 
     def __eq__(self, other):
         if not isinstance(other, SymbolicPoint):
             return NotImplemented
-        bound = self._compare_bound(other)
-        return all(
-            self.symbol_at(i) == other.symbol_at(i) for i in range(-bound, bound + 1)
-        )
+        B, same = self.agreement(other)
+        return bool(same[:, : B + 1].all())
 
     __hash__ = None
 
@@ -258,27 +256,21 @@ def make_point(left, core, right, core_start: int = 0) -> SymbolicPoint:
     if not core:
         # fully periodic iff the left tail continues the right word backwards
         span = math.lcm(len(left), len(right))
-        if all(
-            left[(-1 - j) % len(left) - len(left)] == right[(-1 - j) % len(right)]
-            for j in range(span)
-        ):
-            p = len(right)
-            rot = tuple(right[(i - core_start) % p] for i in range(p))
-            rot = _primitive(rot)
+        if left * (span // len(left)) == right * (span // len(right)):
+            k = -core_start % len(right)
+            rot = _primitive(right[k:] + right[:k])
             return SymbolicPoint(rot, (), rot, 0)
     return SymbolicPoint(left, core, right, core_start)
 
 
 def check_point(spec: SftSpec, x: SymbolicPoint) -> SymbolicPoint:
     """Validate that every adjacent pair of x is an allowed transition."""
-    b = x.core_start
-    lo = b - len(x.left) - 1
-    hi = b + len(x.core) + len(x.right) + 1
-    for i in range(lo, hi):
-        if not spec.is_allowed(x.symbol_at(i), x.symbol_at(i + 1)):
-            raise ValueError(
-                f"inadmissible transition {x.symbol_at(i)}->{x.symbol_at(i + 1)} at {i}"
-            )
+    lo = x.core_start - len(x.left) - 1
+    s = x.word_array(lo, len(x.left) + len(x.core) + len(x.right) + 3)
+    bad = np.flatnonzero(spec.transitions[s[:-1], s[1:]] == 0)
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"inadmissible transition {s[i]}->{s[i + 1]} at {lo + i}")
     return x
 
 
@@ -287,13 +279,9 @@ def metric(x: SymbolicPoint, y: SymbolicPoint, spec: SftSpec) -> float:
 
     Zero for equal points; one when the points already differ at index 0.
     """
-    if x == y:
-        return 0.0
-    bound = x._compare_bound(y)
-    for r in range(bound + 1):
-        if x.symbol_at(r) != y.symbol_at(r) or x.symbol_at(-r) != y.symbol_at(-r):
-            return spec.theta**r
-    raise AssertionError("distinct points must differ within the comparison bound")
+    B, same = x.agreement(y)
+    differ = ~same[:, : B + 1].all(axis=0)
+    return spec.theta ** int(np.argmax(differ)) if differ.any() else 0.0
 
 
 def periodic_point(spec: SftSpec, word) -> SymbolicPoint:

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .cocycles import CocycleSpec
 from .shifts import MarkovMeasure, SftSpec, SymbolicPoint, parse_word, periodic_point, spell_word
@@ -46,7 +47,7 @@ class RoofFunction:
         return cls(base, window, {w: value for w in words})
 
     def at(self, x: SymbolicPoint) -> float:
-        return self.values[x.word_at(0, self.window)]
+        return self.values[tuple(x.word_array(0, self.window).tolist())]
 
     def to_dict(self) -> dict:
         return {spell_word(w): v for w, v in sorted(self.values.items())}
@@ -111,8 +112,8 @@ def period(sys: SuspensionSystem, word) -> float:
     """Total roof time over one cyclic traversal of a periodic word."""
     w = parse_word(word)
     p = periodic_point(sys.base, w)
-    win = sys.roof.window
-    return math.fsum(sys.roof.values[p.word_at(k, win)] for k in range(len(w)))
+    windows = sliding_window_view(p.word_array(0, len(w) + sys.roof.window - 1), sys.roof.window)
+    return math.fsum(sys.roof.values[tuple(u)] for u in windows.tolist())
 
 
 @dataclass(frozen=True)

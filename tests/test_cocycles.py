@@ -151,6 +151,24 @@ class TestCocycleSpec:
         assert np.array_equal(A.value_at(p), SHEAR)
         assert np.array_equal(A.value_at(p.shift(1)), POS)
 
+    def test_forbidden_generator_still_validated(self):
+        with pytest.raises(ValueError, match="non-invertible"):
+            cc.CocycleSpec(GOLDEN, 2, {"00": D2, "01": SHEAR, "10": POS, "11": np.zeros((2, 2))})
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_norm_envelope_same_as_per_matrix_loop(self, d):
+        # the batched norms and inverses of the generator table give the
+        # bits of one norm and one inverse per generator
+        rng = np.random.default_rng(d)
+        for _ in range(40):
+            A = cc.CocycleSpec(FULL2, 2, {w: rng.normal(size=(d, d)) for w in ("00", "01", "10", "11")})
+            gens = list(A.generator.values())
+            assert A.norm_envelope() == (
+                max(float(np.linalg.norm(M, 2)) for M in gens),
+                max(float(np.linalg.norm(np.linalg.inv(M), 2)) for M in gens))
+            inverse = A._generator_table[2]
+            assert all(np.array_equal(inverse[i], np.linalg.inv(M)) for i, M in enumerate(gens))
+
 
 class TestEvaluate:
     def test_periodic_product(self):
@@ -447,6 +465,13 @@ class TestPathMatrices:
             cc.evaluate(A, sh.make_point("0", (1, 1), "0"), 3)
         p = sh.periodic_point(GOLDEN, "001")
         assert np.array_equal(cc.evaluate(A, p, 3), POS @ SHEAR @ D2)
+        # nor read by the norm envelope, nor perturbed
+        B = cc.CocycleSpec(GOLDEN, 2, {"00": rot(0.3), "01": rot(1.1), "10": rot(2.0),
+                                       "11": np.diag([100.0, 0.01])})
+        assert list(B.generator) == [(0, 0), (0, 1), (1, 0)]
+        assert B.norm_envelope() == (1.0, 1.0)
+        with pytest.raises(ValueError, match="not a generator cylinder"):
+            cc.cylinder_perturb(B, "11", rot(0.1))
 
     def test_symbol_out_of_range_rejected(self):
         # window 1: -1 used to wrap around to the generator of word 1

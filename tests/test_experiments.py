@@ -297,6 +297,55 @@ class TestCli:
         assert "Traceback" not in err
         assert not (tmp_path / "e1.json").exists()
 
+    @pytest.mark.parametrize("name,path,value,anchor,message", [
+        ("e2.json", ["suites", 0, "scan_points"], 1,
+         "$.suites[0].scan_points", "1 is less than the minimum of 2"),
+        ("e2.json", ["suites", 1, "scan_points"], 64.5,
+         "$.suites[1].scan_points", "64.5 is not of type 'integer'"),
+        ("e2.json", ["suites", 0, "realify_tol"], 0,
+         "$.suites[0].realify_tol", "0 is less than or equal to the minimum of 0"),
+        ("e5.json", ["ladders", "measure"], None,
+         "$.ladders", "'measure' is a required property"),
+        ("e5.json", ["ladders", "cocycle", "word"], None,
+         "$.ladders.cocycle", "'word' is a required property"),
+        ("e5.json", ["ladders", "cocycle", "word"], 0,
+         "$.ladders.cocycle.word", "0 is not of type 'string'"),
+        ("e5.json", ["ladders", "cocycle", "eps0"], None,
+         "$.ladders.cocycle", "'eps0' is a required property"),
+        ("e5.json", ["ladders", "measure", "P1"], None,
+         "$.ladders.measure", "'P1' is a required property"),
+        ("e5.json", ["ladders", "measure", "P0"], [[0.5, "0.5"], [0.5, 0.5]],
+         "$.ladders.measure.P0[0][1]", "'0.5' is not of type 'number'"),
+        ("e5.json", ["ladders", "measure", "eps0"], 1.5,
+         "$.ladders.measure.eps0", "1.5 is greater than the maximum of 1"),
+        ("e5.json", ["ladders", "family", "p_word"], None,
+         "$.ladders.family", "'p_word' is a required property"),
+        ("e5.json", ["ladders", "family", "theta0"], -0.08,
+         "$.ladders.family.theta0", "-0.08 is less than or equal to the minimum of 0"),
+        ("e5.json", ["ladders", "family", "eps0"], 0.0,
+         "$.ladders.family.eps0", "0.0 is less than or equal to the minimum of 0"),
+        ("e5.json", ["ladders", "family", "rungs"], 0,
+         "$.ladders.family.rungs", "0 is less than the minimum of 1"),
+    ])
+    def test_runner_field_constraint(self, tmp_path, capsys, name, path, value, anchor, message):
+        # every field run_e2 and run_e5 read is declared; these used to pass
+        # validation (value None deletes the field)
+        cfg = load(name)
+        *parents, key = path
+        node = cfg
+        for p in parents:
+            node = node[p]
+        if value is None:
+            del node[key]
+        else:
+            node[key] = value
+        doctored = tmp_path / f"bad_{name}"
+        doctored.write_text(json.dumps(cfg))
+        assert cli.main(["--config", str(doctored), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {doctored}: {anchor}: {message}\n"
+        assert not (tmp_path / name).exists()
+
     def test_experiment_mismatch(self, capsys):
         code = cli.main(["--config", str(CONFIG_DIR / "e3.json"),
                          "--experiment", "E1"])

@@ -345,3 +345,45 @@ class TestModuliSeparation:
     def test_defective_rejected(self):
         with pytest.raises(ValueError, match="non-diagonalizable"):
             la.moduli_separation_perturb(np.array([[2.0, 1.0], [0.0, 2.0]]), 0.1)
+
+    @pytest.mark.parametrize("kind", ["real_pair", "unit_pair", "quad", "quad_snap"])
+    def test_symplectic_simple_spectrum_separated(self, kind):
+        # a simple spectrum takes the symplectic block form; each case puts
+        # its block kind in the perturbing branch: colliding real pairs, a
+        # unit pair and a quadruple within realify_tol of the real axis
+        # (snapped to real), and a conformal quadruple whose modulus
+        # collides with a real pair
+        M, want = symplectic_separation_case(kind)
+        assert want in [b.kind for b in la.symplectic_diagonalize(M).blocks]
+        eps = 0.05
+        out = la.moduli_separation_perturb(M, eps, constraint="symplectic", realify_tol=1e-5)
+        assert out is not M
+        assert la.is_symplectic(out)
+        assert np.linalg.norm(out - M, 2) <= eps
+        rec = la.sorted_spectrum(out)
+        assert la._gaps_ok_outside_pairs(rec)
+        assert rec.all_real() == (kind != "quad")
+
+
+def symplectic_separation_case(kind):
+    """(M, block kind): a symplectic matrix with simple spectrum whose moduli
+    need separating, conjugated by a fixed symplectic basis change."""
+    if kind == "real_pair":
+        n, M = 2, np.diag([2.0, -2.0, 0.5, -0.5])
+    elif kind == "unit_pair":
+        n, M = 2, np.diag([1.0, 3.0, 1.0, 1.0 / 3.0])
+        M[np.ix_([0, 2], [0, 2])] = rotation2(1e-6)
+    else:
+        E = 2.0 * rotation2(1e-7) if kind == "quad_snap" else np.diag([2.0, 2.0, 2.0])
+        if kind == "quad":
+            E[:2, :2] = 2.0 * rotation2(0.7)
+        n = len(E)
+        M = np.block([[E, np.zeros((n, n))], [np.zeros((n, n)), np.linalg.inv(E).T]])
+    rng = np.random.default_rng(3)
+    A = np.eye(n) + 0.3 * rng.normal(size=(n, n))
+    sym = rng.normal(size=(n, n))
+    shear = np.block([[np.eye(n), 0.3 * (sym + sym.T)], [np.zeros((n, n)), np.eye(n)]])
+    scale = np.block([[A, np.zeros((n, n))], [np.zeros((n, n)), np.linalg.inv(A).T]])
+    S = shear @ scale
+    assert la.is_symplectic(S)
+    return S @ M @ np.linalg.inv(S), kind.removesuffix("_snap")

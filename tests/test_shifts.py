@@ -1,4 +1,5 @@
 """Shift space, symbolic points, and Markov/Gibbs measure tests."""
+import ast
 import itertools
 import math
 from pathlib import Path
@@ -406,3 +407,216 @@ class TestCoalescenceSampler:
     def test_length_must_be_positive(self, length):
         with pytest.raises(ValueError, match=rf"^orbit length must be at least 1, got {length}$"):
             sh.parry_measure(GOLDEN).sample_orbit(length, seed=1)
+
+
+# ---------------------------------------------------------------------------
+# one symbol reader: word_array against the scalar definitions it replaced
+# ---------------------------------------------------------------------------
+
+def scalar_symbol_at(x, i):
+    b = x.core_start
+    if i < b:
+        return x.left[(i - b) % len(x.left) - len(x.left)]
+    if i < b + len(x.core):
+        return x.core[i - b]
+    return x.right[(i - b - len(x.core)) % len(x.right)]
+
+
+def scalar_word_at(x, start, length):
+    return tuple(scalar_symbol_at(x, start + j) for j in range(length))
+
+
+def scalar_compare_bound(x, y):
+    ext = max(abs(x.core_start) + len(x.core), abs(y.core_start) + len(y.core))
+    lcm_r = math.lcm(len(x.right), len(y.right))
+    lcm_l = math.lcm(len(x.left), len(y.left))
+    return ext + 2 * max(lcm_r, lcm_l) + 4
+
+
+def scalar_eq(x, y):
+    bound = scalar_compare_bound(x, y)
+    return all(scalar_symbol_at(x, i) == scalar_symbol_at(y, i) for i in range(-bound, bound + 1))
+
+
+def scalar_check_point(spec, x):
+    b = x.core_start
+    lo = b - len(x.left) - 1
+    hi = b + len(x.core) + len(x.right) + 1
+    for i in range(lo, hi):
+        a, c = scalar_symbol_at(x, i), scalar_symbol_at(x, i + 1)
+        if not spec.is_allowed(a, c):
+            raise ValueError(f"inadmissible transition {a}->{c} at {i}")
+    return x
+
+
+def scalar_metric(x, y, spec):
+    if scalar_eq(x, y):
+        return 0.0
+    bound = scalar_compare_bound(x, y)
+    for r in range(bound + 1):
+        if (scalar_symbol_at(x, r) != scalar_symbol_at(y, r)
+                or scalar_symbol_at(x, -r) != scalar_symbol_at(y, -r)):
+            return spec.theta**r
+    raise AssertionError("distinct points must differ within the comparison bound")
+
+
+def scalar_agreement_index(x, y, sign):
+    bound = scalar_compare_bound(x, y)
+    if any(scalar_symbol_at(x, sign * i) != scalar_symbol_at(y, sign * i)
+           for i in range(bound, 2 * bound + 1)):
+        side = "forward" if sign > 0 else "backward"
+        raise ValueError(f"points are not {side} asymptotic")
+    i0 = bound
+    while i0 > 0 and scalar_symbol_at(x, sign * (i0 - 1)) == scalar_symbol_at(y, sign * (i0 - 1)):
+        i0 -= 1
+    return i0
+
+
+def scalar_make_point(left, core, right, core_start=0):
+    left, core, right = sh.parse_word(left), sh.parse_word(core), sh.parse_word(right)
+    left, right = sh._primitive(left), sh._primitive(right)
+    while core and core[-1] == right[-1]:
+        core = core[:-1]
+        right = right[-1:] + right[:-1]
+    while core and core[0] == left[0]:
+        core = core[1:]
+        left = left[1:] + left[:1]
+        core_start += 1
+    if not core:
+        span = math.lcm(len(left), len(right))
+        if all(left[(-1 - j) % len(left) - len(left)] == right[(-1 - j) % len(right)]
+               for j in range(span)):
+            p = len(right)
+            rot = sh._primitive(tuple(right[(i - core_start) % p] for i in range(p)))
+            return rot, (), rot, 0
+    return left, core, right, core_start
+
+
+def scalar_word_admissible(spec, word, cyclic=False):
+    w = sh.parse_word(word)
+    if any(not 0 <= s < spec.alphabet_size for s in w):
+        return False
+    pairs = zip(w, w[1:])
+    if cyclic and len(w) >= 1:
+        pairs = zip(w, w[1:] + w[:1])
+    return all(spec.is_allowed(a, b) for a, b in pairs)
+
+
+def outcome(f):
+    try:
+        return "returns", f()
+    except ValueError as e:
+        return "raises", str(e)
+
+
+def layout(x):
+    return x.left, x.core, x.right, x.core_start
+
+
+def words(spec, lo, hi):
+    return st.lists(st.integers(0, spec.alphabet_size - 1), min_size=lo, max_size=hi).map(tuple)
+
+
+@st.composite
+def point_pairs(draw):
+    """(spec, x, y): x any eventually periodic point, negative and positive
+    core offsets alike; y equals x with a few symbols of [lo, hi) redrawn
+    and, independently, either tail beyond replaced, so the pair is
+    asymptotic on both sides, one side or none."""
+    spec = WINDOW_SPECS[draw(st.sampled_from(sorted(WINDOW_SPECS)))]
+    x = sh.make_point(draw(words(spec, 1, 4)), draw(words(spec, 0, 5)),
+                      draw(words(spec, 1, 4)), draw(st.integers(-8, 8)))
+    lo = x.core_start - draw(st.integers(0, 4))
+    hi = x.core_start + len(x.core) + draw(st.integers(0, 4))
+    core = list(scalar_word_at(x, lo, hi - lo))
+    if core:
+        for i in draw(st.lists(st.integers(0, len(core) - 1), max_size=3)):
+            core[i] = draw(st.integers(0, spec.alphabet_size - 1))
+    left = scalar_word_at(x, lo - len(x.left), len(x.left))
+    right = scalar_word_at(x, hi, len(x.right))
+    if draw(st.booleans()):
+        left = draw(words(spec, 1, 4))
+    if draw(st.booleans()):
+        right = draw(words(spec, 1, 4))
+    return spec, x, sh.make_point(left, core, right, lo)
+
+
+class TestOneSymbolReader:
+    @given(point_pairs())
+    @settings(max_examples=400, deadline=None)
+    def test_same_as_scalar_reads(self, case):
+        from cocyclelab.cocycles import _agreement_index
+
+        spec, x, y = case
+        for z in (x, y):
+            assert [z.symbol_at(i) for i in range(-25, 26)] == [
+                scalar_symbol_at(z, i) for i in range(-25, 26)]
+            assert all(type(z.symbol_at(i)) is int for i in (-9, 0, 9))
+            assert z.word_at(-17, 40) == scalar_word_at(z, -17, 40)
+            assert z.word_array(-17, 40).tolist() == list(scalar_word_at(z, -17, 40))
+            assert outcome(lambda: sh.check_point(spec, z) is z) == outcome(
+                lambda: scalar_check_point(spec, z) is z)
+        assert (x == y) is scalar_eq(x, y)
+        assert (y == x) is scalar_eq(y, x)
+        assert sh.metric(x, y, spec) == scalar_metric(x, y, spec)
+        for sign in (1, -1):
+            assert outcome(lambda: _agreement_index(x, y, sign)) == outcome(
+                lambda: scalar_agreement_index(x, y, sign))
+
+    def test_pairs_reach_every_branch(self):
+        # the drawn pairs include equal points, points asymptotic on one side
+        # only, and inadmissible points
+        from cocyclelab.cocycles import _agreement_index
+
+        x = sh.make_point("01", "2", "1", -3)
+        assert outcome(lambda: sh.check_point(THREE, x)) == outcome(
+            lambda: scalar_check_point(THREE, x))
+        assert outcome(lambda: sh.check_point(THREE, x))[0] == "raises"
+        y = sh.make_point("01", "22", "1", -3)    # differs from x at -2 only
+        assert _agreement_index(x, y, -1) == scalar_agreement_index(x, y, -1) == 3
+        assert _agreement_index(x, y, 1) == scalar_agreement_index(x, y, 1) == 0
+        z = sh.make_point("0", "2", "1", -3)
+        assert outcome(lambda: _agreement_index(x, z, -1)) == (
+            "raises", "points are not backward asymptotic")
+        assert _agreement_index(x, z, 1) == scalar_agreement_index(x, z, 1) == 0
+        assert sh.metric(x, x.shift(2).shift(-2), THREE) == 0.0
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_make_point_same_as_scalar(self, data):
+        spec = WINDOW_SPECS[data.draw(st.sampled_from(sorted(WINDOW_SPECS)))]
+        args = (data.draw(words(spec, 1, 4)), data.draw(words(spec, 0, 3)),
+                data.draw(words(spec, 1, 4)), data.draw(st.integers(-6, 6)))
+        assert layout(sh.make_point(*args)) == scalar_make_point(*args)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_word_admissible_same_as_scalar(self, data):
+        spec = WINDOW_SPECS[data.draw(st.sampled_from(sorted(WINDOW_SPECS)))]
+        w = data.draw(st.lists(st.integers(-1, spec.alphabet_size), max_size=6))
+        for cyclic in (False, True):
+            assert spec.word_admissible(w, cyclic) is scalar_word_admissible(spec, w, cyclic)
+
+
+class TestOneReaderGuard:
+    """word_array is the only code that turns an index into a symbol."""
+
+    SRC = Path(sh.__file__).parent
+
+    def test_no_other_module_reads_single_symbols(self):
+        for path in sorted(self.SRC.rglob("*.py")):
+            if path == self.SRC / "shifts.py":
+                continue
+            reads = [node.attr for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.Attribute) and node.attr in ("symbol_at", "word_at")]
+            assert not reads, f"{path.relative_to(self.SRC)} calls {reads}"
+
+    def test_symbol_at_and_word_at_are_views_of_word_array(self):
+        tree = ast.parse((self.SRC / "shifts.py").read_text())
+        point = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "SymbolicPoint")
+        for name in ("symbol_at", "word_at"):
+            fn = next(n for n in point.body if isinstance(n, ast.FunctionDef) and n.name == name)
+            nodes = list(ast.walk(fn))
+            assert len(fn.body) == 1
+            assert not [n for n in nodes if isinstance(n, (ast.BinOp, ast.UnaryOp, ast.AugAssign))]
+            assert any(isinstance(n, ast.Attribute) and n.attr == "word_array" for n in nodes)
