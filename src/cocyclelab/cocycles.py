@@ -142,9 +142,8 @@ class CocycleSpec:
 
     def norm_envelope(self):
         """(sup ||A||, sup ||A^-1||) upper bounds over all points."""
-        stack, _, inverse = self._generator_table
-        sup_a = float(np.linalg.norm(stack, 2, axis=(1, 2)).max())
-        sup_inv = float(np.linalg.norm(inverse, 2, axis=(1, 2)).max())
+        sup_a = float(np.linalg.norm(self._generator_table[0], 2, axis=(1, 2)).max())
+        sup_inv = float(np.linalg.norm(self._generator_inverse, 2, axis=(1, 2)).max())
         growth = self._bump_growth()
         return sup_a * growth, sup_inv * growth
 
@@ -207,7 +206,7 @@ class CocycleSpec:
             bad = symbols[(symbols < 0) | (symbols >= m)][0]
             raise ValueError(f"path symbol {bad} outside [0, {m})")
         idx = self.base.window_index(symbols[first : first + steps + w - 1], w)
-        stack, logdets, _ = self._generator_table
+        stack, logdets = self._generator_table
         out, logdet = stack[idx], logdets[idx]
         if self.is_locally_constant:
             return out, logdet
@@ -237,11 +236,16 @@ class CocycleSpec:
 
     @cached_property
     def _generator_table(self):
-        """(stack, logdet, inverse): the generators stacked in
-        base.window_table(window) order, log|det| and the inverse of each;
-        built once per cocycle."""
+        """(stack, logdet): the generators stacked in base.window_table(window)
+        order and the log|det| of each; built once per cocycle."""
         stack = np.stack(list(self.generator.values()))
-        return stack, np.log(np.abs(np.linalg.det(stack))), np.linalg.inv(stack)
+        return stack, np.log(np.abs(np.linalg.det(stack)))
+
+    @cached_property
+    def _generator_inverse(self):
+        """The inverse of each generator, in _generator_table order; built on
+        first read."""
+        return np.linalg.inv(self._generator_table[0])
 
 
 def _diagonalize(D: np.ndarray):
@@ -525,9 +529,8 @@ def _series_holonomy(A: CocycleSpec, x: SymbolicPoint, y: SymbolicPoint, side: i
             exact = _factor_gap(dg, gx, gy, directions, side)
             if side < 0:
                 # A(y') A(x')^-1 = M G(y) G(x)^-1 M^-1 for the common generator M
-                stack, _, inverse = A._generator_table
-                idx = A.base.window_index(sym_x[halo : halo + n + w - 1], w)
-                exact = stack[idx][order] @ exact @ inverse[idx][order]
+                idx = A.base.window_index(sym_x[halo : halo + n + w - 1], w)[order]
+                exact = A._generator_table[0][idx] @ exact @ A._generator_inverse[idx]
             gap[same] = exact[same]
         # running products before each step, kept at unit Frobenius norm,
         # and the log of the scale factor that their terms carry

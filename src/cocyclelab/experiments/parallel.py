@@ -1,4 +1,7 @@
-"""Order-preserving parallel map for independent experiment units.
+"""Order-preserving parallel map for experiment units that spend their time
+in GIL-free LAPACK and batched numpy calls (E1's QR jobs, E4's flow runs).
+Units that are Python loops around small matrices only take turns on the
+interpreter lock, so their runners loop serially instead.
 
 Worker count comes from COCYCLE_LAB_THREADS when set, and otherwise is the
 number of CPUs this process may run on, at most 4; results are always

@@ -12,6 +12,7 @@ verdict entries name the library invariant they instantiate.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -211,7 +212,7 @@ def _count_visits(spec, w: tuple, support: tuple) -> int:
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _locate_collision(fam, w, lift, scan_points: int, tol: float):
+def _locate_collision(at, w, lift, scan_points: int, tol: float):
     """Parameter s where the tracked pair turns real with positive eigenvalues.
 
     A fine scan walks the tracked pair by modulus continuity and returns the
@@ -223,7 +224,7 @@ def _locate_collision(fam, w, lift, scan_points: int, tol: float):
     prev_mod = None
     for s in np.linspace(0.0, 1.0, scan_points):
         try:
-            ang, mod, is_real, _ = tracked_raw_angle(fam.at(float(s)), w, prev_mod)
+            ang, mod, is_real, _ = tracked_raw_angle(at(float(s)), w, prev_mod)
         except ValueError:
             prev_mod = None
             continue
@@ -236,10 +237,10 @@ def _locate_collision(fam, w, lift, scan_points: int, tol: float):
         lo, hi = sorted((float(th[i]), float(th[i + 1])))
         if math.ceil(lo / TWO_PI) * TWO_PI > hi:
             continue
-        anchor_mod = tracked_raw_angle(fam.at(float(sv[i])), w, None)[1]
+        anchor_mod = tracked_raw_angle(at(float(sv[i])), w, None)[1]
 
         def raw(s):
-            ang, _, _, _ = tracked_raw_angle(fam.at(s), w, anchor_mod)
+            ang, _, _, _ = tracked_raw_angle(at(s), w, anchor_mod)
             return ang
 
         a, b = float(sv[i]), float(sv[i + 1])
@@ -264,12 +265,12 @@ def _locate_collision(fam, w, lift, scan_points: int, tol: float):
     raise ValueError("no full-turn crossing inside the parameter range")
 
 
-def _grid_residuals(fam, sysm, w, s_grid):
+def _grid_residuals(at, sysm, w, s_grid):
     worst = 0.0
     skipped = 0
     for s in s_grid:
         try:
-            rep = theta_ell_rho_check(fam.at(float(s)), sysm, w)
+            rep = theta_ell_rho_check(at(float(s)), sysm, w)
         except ValueError:
             # fully real spectrum at this grid point: no block to compare
             skipped += 1
@@ -297,20 +298,21 @@ def run_e2(cfg: dict, seed: int) -> dict:
         b = parse_word(suite["bridge"])
         theta0 = float(suite["theta0"])
         fam = rotation_perturb_family(A, suite["p_word"], theta0)
+        # one build per parameter value: the residual grid and the scan
+        # reuse the lift grid's members
+        at = functools.cache(fam.at)
         s_grid = np.linspace(0.0, 1.0, int(suite["s_points"]))
         # two short lead-in steps pin the branch slope before the first
         # possible fold of the unsigned argument
         s_lift = np.unique(np.concatenate([[0.0, 1e-3, 2e-3], s_grid]))
         n_grid = sorted(int(n) for n in suite["n_grid"])
 
-        def lift_one(n):
+        lifted = []
+        for n in n_grid:
             w = homoclinic_family(spec, p, b, n)
-            lift = lift_theta_family(fam.at, sysm, w, s_lift)
+            lift = lift_theta_family(at, sysm, w, s_lift)
             visits = _count_visits(spec, w, fam.support_word)
-            res, skipped = _grid_residuals(fam, sysm, w, s_grid)
-            return w, lift, visits, res, skipped
-
-        lifted = pmap(lift_one, n_grid)
+            lifted.append((w, lift, visits, *_grid_residuals(at, sysm, w, s_grid)))
         deltas = {}
         predictions = {}
         residual_worst = 0.0
@@ -376,11 +378,11 @@ def run_e2(cfg: dict, seed: int) -> dict:
         n_star = n_star_measured
         w_star, lift_star, _, _, _ = lifted[n_grid.index(n_star)]
         s_star, how = _locate_collision(
-            fam, w_star, lift_star,
+            at, w_star, lift_star,
             int(suite.get("scan_points", 129)),
             float(suite.get("collision_tol", COLLISION_TOL)),
         )
-        A_star = fam.at(s_star)
+        A_star = at(s_star)
         w_rot, cyl = _unique_visit_rotation(spec, w_star, A.window)
         q_rot = periodic_point(spec, w_rot)
         M_rot = evaluate(A_star, q_rot, len(w_rot))
@@ -630,7 +632,7 @@ def run_e5(cfg: dict, seed: int) -> dict:
         eps0 = float(lad[ladder]["eps0"])
         rungs = int(lad[ladder].get("rungs", 8))
         eps_values = [eps0 * 2.0**-k for k in range(rungs)]
-        ests = pmap(lambda e, ld=ladder: at_eps(ld, e), eps_values)
+        ests = [at_eps(ladder, e) for e in eps_values]
         dists = [
             max(abs(e.upper - base.upper), abs(e.lower - base.lower)) for e in ests
         ]

@@ -33,9 +33,12 @@ def lc(base, g0, g1):
 
 def brute_bump_field(x, word, theta, nu, span=4000):
     L = len(word)
+    word = list(word)
+    # one read of the scanned symbols, matched window by window
+    symbols = x.word_array(-span, 2 * span + L).tolist()
     total = 0.0
     for k in range(-span, span + 1):
-        if all(x.symbol_at(k + j) == word[j] for j in range(L)):
+        if symbols[k + span : k + span + L] == word:
             total += theta ** (nu * abs(k))
     return total
 
@@ -166,8 +169,17 @@ class TestCocycleSpec:
             assert A.norm_envelope() == (
                 max(float(np.linalg.norm(M, 2)) for M in gens),
                 max(float(np.linalg.norm(np.linalg.inv(M), 2)) for M in gens))
-            inverse = A._generator_table[2]
+            inverse = A._generator_inverse
             assert all(np.array_equal(inverse[i], np.linalg.inv(M)) for i, M in enumerate(gens))
+
+    def test_generator_inverse_built_on_first_read(self):
+        # products and log|det| do not need the inverses; the envelope does
+        A = lc(FULL2, D2, SHEAR)
+        A.path_matrices(np.array([0, 1, 1, 0]))
+        cc.evaluate(A, sh.periodic_point(FULL2, "01"), 4)
+        assert "_generator_inverse" not in vars(A)
+        A.norm_envelope()
+        assert np.array_equal(A._generator_inverse, np.linalg.inv(A._generator_table[0]))
 
 
 class TestEvaluate:
@@ -242,11 +254,15 @@ def reference_bump_field(x, word, theta, nu):
     geometric tails summed in closed form."""
     L = len(word)
     q = theta**nu
+    B = abs(x.core_start) + len(x.core) + L + 2
+    # one read of every symbol the scan below visits
+    lo = -B - len(x.left)
+    symbols = x.word_array(lo, B + len(x.right) - lo + L).tolist()
+    word = list(word)
 
     def matches(k):
-        return all(x.symbol_at(k + j) == word[j] for j in range(L))
+        return symbols[k - lo : k - lo + L] == word
 
-    B = abs(x.core_start) + len(x.core) + L + 2
     total = sum(q ** abs(k) for k in range(-B, B + 1) if matches(k))
     p_r = len(x.right)
     for k0 in range(B + 1, B + p_r + 1):

@@ -238,6 +238,29 @@ class TestRunners:
         by_name = {v["name"]: v for v in out["verdicts"]}
         assert by_name["integral-height"]["detail"]["error"] <= 1e-12
 
+    @pytest.mark.parametrize("name", ["e2.json", "e5.json"])
+    def test_e2_e5_stay_off_the_pool(self, name, tmp_path, monkeypatch):
+        # their units are Python loops around 2x2 and 4x4 matrices, which a
+        # pool only queues on the interpreter lock: they must run serially
+        def no_pool(fn, items):
+            raise AssertionError(f"{name} reached the worker pool")
+
+        cfg = cf.validate_config(load(name))
+        seed = int(cfg["seed"])
+
+        def report(out, sub):
+            paths = rp.write_report(str(tmp_path / sub), cfg["experiment"], cfg, seed, out)
+            return {os.path.basename(p): Path(p).read_bytes() for p in paths}
+
+        with monkeypatch.context() as m:
+            m.setattr(rn, "pmap", no_pool)
+            out = rn.run_experiment(cfg, seed)
+        assert rp.all_passed(out)
+        guarded = report(out, "guarded")
+        for threads in ("1", "2"):
+            monkeypatch.setenv("COCYCLE_LAB_THREADS", threads)
+            assert report(rn.run_experiment(cfg, seed), threads) == guarded
+
     def test_e5_shipped(self):
         _, out = run_shipped("e5.json")
         assert all(v["passed"] for v in out["verdicts"])
