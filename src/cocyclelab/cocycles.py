@@ -746,95 +746,6 @@ def simplicity_check(A: CocycleSpec, p_word, bridge) -> SimplicityReport:
 
 
 # ---------------------------------------------------------------------------
-# invariant splittings along homoclinic orbits
-# ---------------------------------------------------------------------------
-
-def _subspace_intersection(U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Basis of the intersection of two column spans."""
-    from scipy.linalg import null_space
-
-    ns = null_space(np.hstack([U, -V]), rcond=1e-10)
-    if ns.size == 0:
-        return np.zeros((U.shape[0], 0))
-    basis = U @ ns[: U.shape[1]]
-    q, r = np.linalg.qr(basis)
-    rank = int(np.sum(np.abs(np.diag(r)) > 1e-10 * max(1.0, abs(r[0, 0]))))
-    return q[:, :rank]
-
-
-def _principal_angle(U: np.ndarray, V: np.ndarray) -> float:
-    """Smallest principal angle between two column spans (orthonormalized)."""
-    qu, _ = np.linalg.qr(U)
-    qv, _ = np.linalg.qr(V)
-    s = np.linalg.svd(qu.T @ qv, compute_uv=False)
-    s = np.clip(s, -1.0, 1.0)
-    return float(np.arccos(np.max(s))) if s.size else np.pi / 2
-
-
-@dataclass(frozen=True)
-class SplittingExtension:
-    blocks_at_z: tuple           # tuple of (d, dim_j) bases at z
-    min_angle: float
-
-    def blocks_along(self, A: CocycleSpec, z: SymbolicPoint, k: int) -> list:
-        T = evaluate(A, z, k)
-        return [T @ B for B in self.blocks_at_z]
-
-
-def extend_splitting(
-    A: CocycleSpec,
-    p: SymbolicPoint,
-    z: SymbolicPoint,
-    splitting=None,
-    min_angle: float = 1e-6,
-) -> SplittingExtension:
-    """Transport a splitting of the fiber at p to the homoclinic point z.
-
-    Block j at z is the intersection of the stable-holonomy image of the fast
-    partial sum with the unstable-holonomy image of the slow partial sum.
-    When ``splitting`` is None the eigensplitting of the return matrix is
-    used (requires a real simple return spectrum); otherwise pass a sequence
-    of (d, k_j) basis arrays whose columns jointly span the fiber, ordered
-    from fastest to slowest block.  Raises when a transversality failure
-    collapses a block.
-    """
-    d = A.dim
-    if splitting is None:
-        M, rec = periodic_eigendata(A, p)
-        if not _pinched(rec):
-            raise ValueError("splitting requires a real simple return spectrum")
-        Q = _normalized_eigenbasis(M, rec)
-        blocks_at_p = [Q[:, j : j + 1] for j in range(d)]
-    else:
-        blocks_at_p = [np.atleast_2d(np.asarray(B, dtype=float)) for B in splitting]
-        dims = [B.shape[1] for B in blocks_at_p]
-        if any(B.shape[0] != d for B in blocks_at_p) or sum(dims) != d:
-            raise ValueError("splitting blocks must partition the fiber dimension")
-        if np.linalg.matrix_rank(np.hstack(blocks_at_p)) != d:
-            raise ValueError("splitting blocks are not in general position")
-    phi_s = np.linalg.inv(stable_holonomy(A, z, p).matrix)    # fiber p -> fiber z
-    # reuse the exit-aligned stable comparison: z -> p inverted
-    phi_u = unstable_holonomy(A, p, z).matrix
-    m = len(blocks_at_p)
-    blocks = []
-    for j in range(m):
-        F = np.hstack(blocks_at_p[: j + 1])   # fast sum through block j
-        G = np.hstack(blocks_at_p[j:])        # slow sum from block j
-        E = _subspace_intersection(phi_s @ F, phi_u @ G)
-        if E.shape[1] != blocks_at_p[j].shape[1]:
-            raise ArithmeticError("splitting extension failed: non-transversal intersection")
-        blocks.append(E)
-    angle = min(
-        _principal_angle(blocks[i], blocks[j])
-        for i in range(m)
-        for j in range(i + 1, m)
-    )
-    if angle < min_angle:
-        raise ArithmeticError("splitting extension failed: blocks nearly collapse")
-    return SplittingExtension(blocks_at_z=tuple(blocks), min_angle=angle)
-
-
-# ---------------------------------------------------------------------------
 # structured perturbations
 # ---------------------------------------------------------------------------
 

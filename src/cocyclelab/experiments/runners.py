@@ -41,7 +41,7 @@ from ..shadowing import (
     period_difference_bound,
     toral_close,
 )
-from ..shifts import parse_word, periodic_point, spell_word
+from ..shifts import parse_word, periodic_point
 from ..suspension import (
     FlowCocycle,
     HeightPolynomial,
@@ -212,7 +212,7 @@ def _count_visits(spec, w: tuple, support: tuple) -> int:
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _locate_collision(at, w, lift, scan_points: int, tol: float):
+def _locate_collision(spec, at, w, lift, scan_points: int, tol: float):
     """Parameter s where the tracked pair turns real with positive eigenvalues.
 
     A fine scan walks the tracked pair by modulus continuity and returns the
@@ -221,10 +221,11 @@ def _locate_collision(at, w, lift, scan_points: int, tol: float):
     lift brackets a full-turn multiple, where the unsigned block argument is
     a V-shaped function of s, and a golden-section search drives it to zero.
     """
+    q, ell = periodic_point(spec, w), len(w)
     prev_mod = None
     for s in np.linspace(0.0, 1.0, scan_points):
         try:
-            ang, mod, is_real, _ = tracked_raw_angle(at(float(s)), w, prev_mod)
+            ang, mod, is_real, _ = tracked_raw_angle(at(float(s)), q, ell, prev_mod)
         except ValueError:
             prev_mod = None
             continue
@@ -237,10 +238,10 @@ def _locate_collision(at, w, lift, scan_points: int, tol: float):
         lo, hi = sorted((float(th[i]), float(th[i + 1])))
         if math.ceil(lo / TWO_PI) * TWO_PI > hi:
             continue
-        anchor_mod = tracked_raw_angle(at(float(sv[i])), w, None)[1]
+        anchor_mod = tracked_raw_angle(at(float(sv[i])), q, ell, None)[1]
 
         def raw(s):
-            ang, _, _, _ = tracked_raw_angle(at(s), w, anchor_mod)
+            ang, _, _, _ = tracked_raw_angle(at(s), q, ell, anchor_mod)
             return ang
 
         a, b = float(sv[i]), float(sv[i + 1])
@@ -378,7 +379,7 @@ def run_e2(cfg: dict, seed: int) -> dict:
         n_star = n_star_measured
         w_star, lift_star, _, _, _ = lifted[n_grid.index(n_star)]
         s_star, how = _locate_collision(
-            at, w_star, lift_star,
+            spec, at, w_star, lift_star,
             int(suite.get("scan_points", 129)),
             float(suite.get("collision_tol", COLLISION_TOL)),
         )

@@ -14,9 +14,6 @@ import numpy as np
 # Relative tolerance for treating an eigenvalue as real and for the
 # pairwise-distinct-moduli (pinching) gap test.
 REAL_TOL = 1e-9
-# Zero test for the characteristic-polynomial discriminant, scaled by
-# coefficient magnitudes.
-DISCRIMINANT_TOL = 1e-10
 # Residual allowed when checking that a matrix preserves a symplectic form.
 SYMPLECTIC_TOL = 1e-8
 # Relative floor below which a wedge coefficient counts as a twisting failure.
@@ -103,37 +100,6 @@ def sorted_spectrum(M) -> SpectrumRecord:
     )
 
 
-def _char_poly_discriminant(coeffs: np.ndarray) -> float:
-    """Discriminant of a monic polynomial given by numpy-style coefficients."""
-    d = len(coeffs) - 1
-    deriv = np.polyder(coeffs)
-    n = d + (d - 1)
-    syl = np.zeros((n, n))
-    for i in range(d - 1):
-        syl[i, i : i + d + 1] = coeffs
-    for i in range(d):
-        syl[d - 1 + i, i : i + d] = deriv
-    res = float(np.linalg.det(syl))
-    sign = (-1) ** (d * (d - 1) // 2)
-    return sign * res  # leading coefficient is 1, no division needed
-
-
-def discriminant_distinct(M) -> bool:
-    """True when the characteristic polynomial of M has no repeated root.
-
-    The zero test is scaled by the coefficient magnitudes: the discriminant
-    is homogeneous of degree 2d-2 in the coefficients.
-    """
-    M = _as_matrix(M)
-    d = M.shape[0]
-    if d == 1:
-        return True
-    coeffs = np.poly(M)
-    disc = _char_poly_discriminant(coeffs)
-    scale = max(1.0, float(np.max(np.abs(coeffs)))) ** (2 * d - 2)
-    return abs(disc) > DISCRIMINANT_TOL * scale
-
-
 # ---------------------------------------------------------------------------
 # symplectic structure
 # ---------------------------------------------------------------------------
@@ -172,23 +138,12 @@ class SymplecticBlock:
     e_slots: tuple
     f_slots: tuple
 
-    @property
-    def moduli(self) -> tuple:
-        return tuple(sorted({round(abs(z), 12) for z in self.eigenvalues}, reverse=True))
-
 
 @dataclass
 class SymplecticBlockForm:
     P: np.ndarray                    # symplectic basis change, columns at slot order
     blocks: list = field(default_factory=list)
     block_matrix: np.ndarray = None  # P^{-1} M P with off-block entries zeroed
-
-    @property
-    def moduli(self) -> list:
-        out = []
-        for b in self.blocks:
-            out.extend(b.moduli)
-        return sorted(out, reverse=True)
 
 
 def _eig_partner(values, i, target, used, tol):

@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, replace
-from math import comb
 
 import numpy as np
 # the LAPACK gufuncs behind np.linalg.qr, called bare by _qr_step
@@ -117,18 +116,16 @@ def _shared_tree(sub: np.ndarray, inverse: np.ndarray | None, n: int):
 
 @dataclass(frozen=True)
 class _PathSteps:
-    """The step matrices of A along a symbol path, or their k-th exterior
-    powers, built a chunk at a time by chunk(a, b, B).  shape is that of
-    the whole (T, C, C) array, C = binom(d, k), which is never built."""
+    """The step matrices of A along a symbol path, built a chunk at a time
+    by chunk(a, b, B).  shape is that of the whole (T, d, d) array, which
+    is never built."""
 
     A: CocycleSpec
     symbols: np.ndarray
-    k: int = 1
 
     @property
     def shape(self):
-        C = comb(self.A.dim, self.k)
-        return (len(self.symbols) - self.A.window + 1, C, C)
+        return (len(self.symbols) - self.A.window + 1, self.A.dim, self.A.dim)
 
     def sub_block(self, B: int) -> int:
         """Size h of the sub-blocks that blocks of B steps share.  On a
@@ -151,10 +148,9 @@ class _PathSteps:
     def chunk(self, a: int, b: int, B: int):
         """Steps a to b - 1, whole blocks of B steps, as (sub, logdet,
         inverse): their consecutive h-step sub-blocks (h = sub_block(B))
-        are sub[inverse], sub (K, h, C, C) holding each distinct one once,
+        are sub[inverse], sub (K, h, d, d) holding each distinct one once,
         keyed by the symbols it reads.  With h = 1 inverse is None and sub
-        is the (b - a) / B blocks in order.  path_matrices builds every
-        step; exterior minors are taken of the K h distinct steps only."""
+        is the (b - a) / B blocks in order."""
         mats, logdet = self.A.path_matrices(self.symbols, a, b)
         h = self.sub_block(B)
         if h == 1:
@@ -165,9 +161,6 @@ class _PathSteps:
             keys = window_code([s[j : j + n * h : h] for j in range(h + self.A.window - 1)], m)
             _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
             sub = mats.reshape(n, h, *mats.shape[1:])[first]
-        if self.k > 1:
-            sub = la.exterior_power(sub, self.k)
-            logdet = logdet * comb(self.A.dim - 1, self.k - 1)
         return sub, logdet, inverse
 
 
@@ -384,21 +377,13 @@ def qr_spectrum(mats: np.ndarray | _PathSteps, logdet: np.ndarray | None, block_
     )
 
 
-def _sampled_spectrum(A: CocycleSpec, mu: MarkovMeasure, n_steps: int, seed: int, n_batches: int):
-    """Sample a mu-orbit once and run the blocked QR over its steps, built
-    a chunk at a time.
-
-    Returns (path, block_size, estimate) so callers can reuse the path."""
+def lyapunov_qr(A: CocycleSpec, mu: MarkovMeasure, n_steps: int, seed: int, n_batches: int = DEFAULT_BATCHES) -> LyapunovEstimate:
+    """Sample a mu-orbit of the base shift once and run the blocked QR over
+    its steps, built a chunk at a time."""
     if n_steps < MIN_STEPS:
         raise ValueError(f"need at least {MIN_STEPS} steps for a stable estimate")
     path = _PathSteps(A, mu.sample_orbit(n_steps + A.window - 1, seed))
-    B = _adaptive_block(A, n_steps, n_batches)
-    return path, B, qr_spectrum(path, None, B, n_batches)
-
-
-def lyapunov_qr(A: CocycleSpec, mu: MarkovMeasure, n_steps: int, seed: int, n_batches: int = DEFAULT_BATCHES) -> LyapunovEstimate:
-    """Sample a mu-orbit of the base shift and accumulate the QR spectrum."""
-    *_, est = _sampled_spectrum(A, mu, n_steps, seed, n_batches)
+    est = qr_spectrum(path, None, _adaptive_block(A, n_steps, n_batches), n_batches)
     mult = tuple(multiplicity_cluster(est.exponents, n_steps=est.n_steps))
     return replace(est, multiplicities=mult, seed=seed)
 
@@ -533,39 +518,3 @@ def multiplicity_cluster(exponents: np.ndarray, n_steps: int | None = None, gap_
         else:
             sizes.append(1)
     return sizes
-
-
-# ---------------------------------------------------------------------------
-# exterior-power consistency
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ExteriorCheck:
-    k: int
-    top_sum: float               # sum of the k largest base exponents
-    exterior_top: float          # leading exponent of the k-th exterior power
-    residual: float
-    tolerance: float
-    consistent: bool
-
-
-def exterior_sum_check(A: CocycleSpec, mu: MarkovMeasure, k: int, n_steps: int, seed: int, n_batches: int = DEFAULT_BATCHES) -> ExteriorCheck:
-    """Same-path comparison of sum of top-k exponents against the top
-    exponent of the k-th exterior power."""
-    d = A.dim
-    if not (1 <= k <= d):
-        raise ValueError("exterior order out of range")
-    path, B, base = _sampled_spectrum(A, mu, n_steps, seed, n_batches)
-    ext = qr_spectrum(replace(path, k=k), None, max(1, B // 2), n_batches)
-    top_sum = float(base.exponents[:k].sum())
-    ext_top = float(ext.exponents[0])
-    tol = 3.0 * float(np.sqrt((base.stderr[:k] ** 2).sum()) + ext.stderr[0]) + 1e-6
-    residual = abs(top_sum - ext_top)
-    return ExteriorCheck(
-        k=k,
-        top_sum=top_sum,
-        exterior_top=ext_top,
-        residual=residual,
-        tolerance=tol,
-        consistent=residual <= tol,
-    )

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cocycles import CocycleSpec, evaluate
-from .shifts import parse_word, periodic_point
+from .shifts import SymbolicPoint, parse_word, periodic_point
 from .suspension import SuspensionSystem
 from . import linalg as la
 
@@ -78,9 +78,6 @@ class CircleMap:
         )
         out = np.asarray(phi, dtype=float) + 2.0 * self.beta + 2.0 * delta
         return out if out.ndim else float(out)
-
-    def displacement(self, phi):
-        return self.lift(phi) - phi
 
     def __call__(self, phi):
         return np.mod(self.lift(phi), TWO_PI)
@@ -193,7 +190,7 @@ class CircleCocycle:
             if M.shape != (2, 2) or np.linalg.det(M) <= 0.0:
                 raise ValueError("orientation-reversing block: determinant must be positive")
         roofs = tuple(float(r) for r in self.roofs)
-        # a zero or negative roof would stall the roof-timed walk in sigma_tau
+        # a zero or negative roof would stall the roof-timed stopping walk
         if not all(0.0 < r < math.inf for r in roofs):
             raise ValueError(f"roofs must be positive and finite, got {roofs}")
         object.__setattr__(self, "maps", mats)
@@ -209,9 +206,6 @@ class CircleCocycle:
         for M in self.maps:
             out = M @ out
         return out
-
-    def step_map(self, k: int) -> CircleMap:
-        return projectivize_block(self.maps[k % len(self.maps)])
 
 
 def circle_cocycle(A: CocycleSpec, sys: SuspensionSystem, word, block_index: int = 0) -> CircleCocycle:
@@ -265,32 +259,6 @@ def circle_cocycle(A: CocycleSpec, sys: SuspensionSystem, word, block_index: int
         raise ArithmeticError("tracked block returned with reversed orientation")
     factors[-1] = O @ factors[-1]
     return CircleCocycle(w, roofs, tuple(factors))
-
-
-@dataclass(frozen=True)
-class LiftRecord:
-    """Lift of one projective trajectory sampled at return times."""
-
-    times: np.ndarray
-    values: np.ndarray
-    theta: float
-
-    @property
-    def displacement(self) -> float:
-        return float(self.values[-1] - self.values[0])
-
-
-def lift_record(C: CircleCocycle, theta: float, n_returns: int) -> LiftRecord:
-    times = [0.0]
-    values = [float(theta)]
-    w = float(theta)
-    acc = 0.0
-    for k in range(n_returns):
-        w = C.step_map(k).lift(w)
-        acc += C.roofs[k % len(C.roofs)]
-        times.append(acc)
-        values.append(w)
-    return LiftRecord(np.array(times), np.array(values), float(theta))
 
 
 class _Level(NamedTuple):
@@ -404,24 +372,6 @@ def _preorder(levels):
     return np.argsort(np.concatenate(positions))
 
 
-def sigma_tau(C: CircleCocycle, t: float, start: int = 0):
-    """Extremal doubled lift displacements over all start angles at flow
-    time t, in closed form from the polar data of the composed map.  Steps
-    run cyclically from index start; the first with acc + r >= t enters as
-    the fractional map M^u, u = (t - acc) / r, and is skipped when u = 0.
-    The walk is the batched walk of rho_measure with a single path."""
-    if t < 0:
-        raise ValueError("flow time must be nonnegative")
-    n = len(C.roofs)
-
-    def next_step(origin, word, depth):
-        return np.zeros(len(word), dtype=np.int64), (word + 1) % n
-
-    levels = _stopping_levels(np.array([start % n]), next_step, np.array(C.roofs), t)
-    (hi,), (lo,) = _walk(levels, C.maps)
-    return float(hi), float(lo)
-
-
 def rho_periodic(C: CircleCocycle, tol: float = RHO_TOL) -> float:
     """Rotation number of the periodic-orbit return map, halved to the
     line-angle convention and divided by the flow period."""
@@ -489,12 +439,13 @@ class ThetaLift:
         return float(self.theta_values[-1] - self.theta_values[0])
 
 
-def tracked_raw_angle(A: CocycleSpec, word, prev_modulus: float | None):
+def tracked_raw_angle(A: CocycleSpec, p: SymbolicPoint, ell: int, prev_modulus: float | None):
     """(raw |arg| in [0, pi], modulus, is_real, gap) of the tracked pair of
-    the return matrix, matching blocks to the previous modulus when given;
-    gap is the distance to the nearest other eigenvalue modulus."""
-    p = periodic_point(A.base, parse_word(word))
-    M = evaluate(A, p, len(parse_word(word)))
+    the return matrix over ell steps from the periodic point p of a word
+    (ell its length, also when the word is not primitive), matching blocks
+    to the previous modulus when given; gap is the distance to the nearest
+    other eigenvalue modulus."""
+    M = evaluate(A, p, ell)
     rec = la.sorted_spectrum(M)
     pairs = []
     for i in range(rec.dim):
@@ -541,7 +492,9 @@ def lift_theta_family(family, sys: SuspensionSystem, word, grid,
     A0 = family(grid[0])
     C0 = circle_cocycle(A0, sys, word)
     anchor_halved = rho_periodic(C0) * C0.period
-    raw0, mod0, real0, _ = tracked_raw_angle(A0, word, None)
+    w = parse_word(word)
+    p = periodic_point(A0.base, w)
+    raw0, mod0, real0, _ = tracked_raw_angle(A0, p, len(w), None)
     if real0:
         raise ValueError("family must start with a complex pair on the tracked block")
     # match the anchor to the signed branch consistent with the raw angle
@@ -562,7 +515,7 @@ def lift_theta_family(family, sys: SuspensionSystem, word, grid,
     def advance(s_a, th_a, s_b, depth):
         nonlocal prev_mod
         A = family(s_b)
-        raw, mod, is_real, gap = tracked_raw_angle(A, word, prev_mod)
+        raw, mod, is_real, gap = tracked_raw_angle(A, p, len(w), prev_mod)
         if gap < _BLOCK_GAP_TOL and not is_real:
             raise ValueError("tracked block modulus gap degenerated")
         # aim at the linear continuation of the lift: near a fold of the
@@ -617,7 +570,9 @@ def rho_measure(A: CocycleSpec, sys: SuspensionSystem, mu, t: float,
     bound integrates the per-path supremum displacement at time t, the lower
     one the infimum; halved convention per unit flow time.
 
-    Every path stops at flow time t by the rule of sigma_tau.  The
+    Every path stops at flow time t: the first step with acc + r >= t,
+    acc the flow time before it and r its roof, enters as the fractional
+    map M^u, u = (t - acc) / r, and is skipped when u = 0.  The
     stopping-time tree of admissible window words is first counted level
     by level from the words, flow times and allowed transitions alone.  If
     it has at most path_limit nodes it is walked level by level, every node

@@ -477,21 +477,3 @@ def gibbs_locally_constant(spec: SftSpec, phi) -> MarkovMeasure:
         spec=spec, P=P, pi=pi, entropy=pressure - mean_phi, pressure=pressure,
         potential=phi,
     )
-
-
-def gibbs_bound_constant(mu: MarkovMeasure, max_len: int = 12) -> float:
-    """Empirical constant C with C^-1 <= mu[w] / exp(-|w| P + S_phi) <= C.
-
-    Scans all admissible words up to max_len.  For phi = 0 this inspects the
-    Parry measure against exp(-|w| h_top).
-    """
-    phi = mu.potential if mu.potential is not None else np.zeros_like(mu.P)
-    worst = 1.0
-    for n in range(1, max_len + 1):
-        for w in mu.spec.admissible_words(n):
-            m_w = mu.cylinder(w)
-            s_phi = sum(phi[a, b] for a, b in zip(w, w[1:]))
-            ref = math.exp(-n * mu.pressure + s_phi)
-            ratio = m_w / ref
-            worst = max(worst, ratio, 1.0 / ratio)
-    return worst

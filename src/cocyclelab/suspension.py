@@ -1,9 +1,8 @@
 """Suspension flows over subshifts.
 
-Roof functions, flow in normal form on the mapping torus, periods of
-periodic words, exact height-polynomial integrals (induced potentials and
-measure lifts), and the time-change scalar linking discrete and flow
-Lyapunov spectra.
+Roof functions, periods of periodic words, exact height-polynomial
+integrals of lifted measures, the time-change scalar linking discrete and
+flow Lyapunov spectra, and the first-return cocycle of a flow cocycle.
 """
 from __future__ import annotations
 
@@ -14,7 +13,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .cocycles import CocycleSpec
-from .shifts import MarkovMeasure, SftSpec, SymbolicPoint, parse_word, periodic_point, spell_word
+from .shifts import MarkovMeasure, SftSpec, parse_word, periodic_point
 
 MIN_ROOF = 1e-3
 MAX_POLY_DEGREE = 3
@@ -46,16 +45,6 @@ class RoofFunction:
         words = base.admissible_words(window)
         return cls(base, window, {w: value for w in words})
 
-    def at(self, x: SymbolicPoint) -> float:
-        return self.values[tuple(x.word_array(0, self.window).tolist())]
-
-    def to_dict(self) -> dict:
-        return {spell_word(w): v for w, v in sorted(self.values.items())}
-
-    @classmethod
-    def from_dict(cls, base: SftSpec, window: int, data: dict) -> "RoofFunction":
-        return cls(base, window, dict(data))
-
 
 @dataclass(frozen=True)
 class SuspensionSystem:
@@ -65,47 +54,6 @@ class SuspensionSystem:
     def __post_init__(self):
         if self.roof.base != self.base:
             raise ValueError("roof is defined over a different base shift")
-
-
-def flow(sys: SuspensionSystem, x: SymbolicPoint, s: float, t: float):
-    """Advance (x, s) by time t in the mapping torus, returning the normal
-    form representative (point, height) with 0 <= height < roof(point).
-
-    Heights accumulate through a compensated sum so that composing two flows
-    agrees with one combined flow whenever the roof values and times are
-    exactly representable.
-    """
-    roof = sys.roof
-    r = roof.at(x)
-    if not 0.0 <= s < r:
-        raise ValueError("height must lie in [0, roof(x))")
-    acc = 0.0
-    comp = 0.0
-
-    def add(v: float):
-        nonlocal acc, comp
-        tmp = acc + v
-        if abs(acc) >= abs(v):
-            comp += (acc - tmp) + v
-        else:
-            comp += (v - tmp) + acc
-        acc = tmp
-
-    add(s)
-    add(t)
-    budget = int(abs(s + t) / MIN_ROOF) + 2
-    for _ in range(budget):
-        h = acc + comp
-        r = roof.at(x)
-        if h >= r:
-            add(-r)
-            x = x.shift(1)
-        elif h < 0.0:
-            x = x.shift(-1)
-            add(roof.at(x))
-        else:
-            return x, h
-    raise ArithmeticError("flow failed to reach normal form within the step budget")
 
 
 def period(sys: SuspensionSystem, word) -> float:
@@ -144,10 +92,6 @@ class HeightPolynomial:
         words = base.admissible_words(window)
         return cls(base, window, {w: (value,) for w in words})
 
-    def value(self, word, height: float) -> float:
-        c = self.coeffs[parse_word(word)]
-        return math.fsum(cj * height**j for j, cj in enumerate(c))
-
     def integral(self, word, height: float) -> float:
         """Exact integral of the height polynomial over [0, height]."""
         c = self.coeffs[parse_word(word)]
@@ -158,19 +102,6 @@ def _refined(sys: SuspensionSystem, other_window: int):
     win = max(sys.roof.window, other_window)
     words = sys.base.admissible_words(win)
     return win, words
-
-
-def induced_potential(sys: SuspensionSystem, rho: HeightPolynomial, pressure: float) -> dict:
-    """Potential on the base shift whose equilibrium data matches the flow
-    potential: integral of rho over one roof interval minus pressure times
-    the roof, per refined cylinder word."""
-    _, words = _refined(sys, rho.window)
-    rw, pw = sys.roof.window, rho.window
-    out = {}
-    for w in words:
-        r = sys.roof.values[w[:rw]]
-        out[w] = rho.integral(w[:pw], r) - pressure * r
-    return out
 
 
 def roof_integral(mu: MarkovMeasure, roof: RoofFunction) -> float:
@@ -247,17 +178,3 @@ def return_cocycle(sys: SuspensionSystem, flow_cocycle: FlowCocycle) -> CocycleS
         M = flow_cocycle.per_unit[w[:fw]]
         gen[w] = _real_power(M, sys.roof.values[w[:rw]])
     return CocycleSpec(sys.base, win, gen)
-
-
-def suspend_cocycle(sys: SuspensionSystem, A: CocycleSpec) -> FlowCocycle:
-    """Inverse packaging of return_cocycle: per-unit generators whose
-    roof-powers recover the discrete generators."""
-    if A.base != sys.base:
-        raise ValueError("cocycle lives over a different base shift")
-    win, words = _refined(sys, A.window)
-    rw, aw = sys.roof.window, A.window
-    per_unit = {}
-    for w in words:
-        G = A.generator[w[:aw]]
-        per_unit[w] = _real_power(G, 1.0 / sys.roof.values[w[:rw]])
-    return FlowCocycle(sys, win, per_unit)

@@ -1229,75 +1229,6 @@ class TestSimplicity:
         assert np.allclose(rb.psi * rb.psi.T, ra.psi * ra.psi.T, atol=1e-10)
 
 
-class TestExtendSplitting:
-    def test_blocks_lie_in_holonomy_images(self):
-        A = lc(FULL2, D2, POS)
-        p = sh.periodic_point(FULL2, "0")
-        z, _ = sh.homoclinic_point(FULL2, "0", "1")
-        ext = cc.extend_splitting(A, p, z)
-        assert len(ext.blocks_at_z) == 2
-        assert ext.min_angle > 1e-6
-        M, rec = cc.periodic_eigendata(A, p)
-        Q = cc._normalized_eigenbasis(M, rec)
-        phi_s = np.linalg.inv(cc.stable_holonomy(A, z, p).matrix)
-        phi_u = cc.unstable_holonomy(A, p, z).matrix
-        for j, E in enumerate(ext.blocks_at_z):
-            F = phi_s @ Q[:, : j + 1]
-            G = phi_u @ Q[:, j:]
-            assert np.linalg.matrix_rank(np.hstack([F, E]), tol=1e-9) == F.shape[1]
-            assert np.linalg.matrix_rank(np.hstack([G, E]), tol=1e-9) == G.shape[1]
-
-    def test_transport_along_orbit(self):
-        A = lc(FULL2, D2, POS)
-        p = sh.periodic_point(FULL2, "0")
-        z, _ = sh.homoclinic_point(FULL2, "0", "1")
-        ext = cc.extend_splitting(A, p, z)
-        moved = ext.blocks_along(A, z, 3)
-        T = cc.evaluate(A, z, 3)
-        for E, Emoved in zip(ext.blocks_at_z, moved):
-            assert np.allclose(T @ E, Emoved)
-
-    def test_swap_alignment_collapses(self):
-        swap = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        A = lc(FULL2, D2, swap)
-        p = sh.periodic_point(FULL2, "0")
-        z, _ = sh.homoclinic_point(FULL2, "0", "1")
-        with pytest.raises(ArithmeticError, match="splitting extension failed"):
-            cc.extend_splitting(A, p, z)
-
-    def test_explicit_splitting_matches_default(self):
-        A = lc(FULL2, D2, POS)
-        p = sh.periodic_point(FULL2, "0")
-        z, _ = sh.homoclinic_point(FULL2, "0", "1")
-        M, rec = cc.periodic_eigendata(A, p)
-        Q = cc._normalized_eigenbasis(M, rec)
-        ext_default = cc.extend_splitting(A, p, z)
-        ext_given = cc.extend_splitting(A, p, z, splitting=[Q[:, :1], Q[:, 1:]])
-        for E, F in zip(ext_default.blocks_at_z, ext_given.blocks_at_z):
-            assert np.linalg.matrix_rank(np.hstack([E, F]), tol=1e-9) == 1
-
-    def test_coarse_block_splitting(self):
-        g0 = np.zeros((3, 3))
-        g0[:2, :2] = 2.0 * rot(0.3)
-        g0[2, 2] = 0.25
-        A = cc.CocycleSpec(FULL2, 1, {"0": g0, "1": g0 @ np.diag([1.1, 1.0, 0.9])})
-        p = sh.periodic_point(FULL2, "0")
-        z, _ = sh.homoclinic_point(FULL2, "0", "1")
-        fast = np.eye(3)[:, :2]
-        slow = np.eye(3)[:, 2:]
-        ext = cc.extend_splitting(A, p, z, splitting=[fast, slow])
-        assert ext.blocks_at_z[0].shape == (3, 2)
-        assert ext.blocks_at_z[1].shape == (3, 1)
-
-    def test_bad_splitting_rejected(self):
-        A = lc(FULL2, D2, POS)
-        p = sh.periodic_point(FULL2, "0")
-        z, _ = sh.homoclinic_point(FULL2, "0", "1")
-        v = np.array([[1.0], [0.0]])
-        with pytest.raises(ValueError, match="general position"):
-            cc.extend_splitting(A, p, z, splitting=[v, v])
-
-
 class TestPerturbations:
     def test_cylinder_perturb_touches_one_word(self):
         A = lc(FULL2, D2, SHEAR)

@@ -172,6 +172,49 @@ def run_shipped(name):
     return cfg, rn.run_experiment(cfg, int(cfg["seed"]))
 
 
+def referenced_names(tree, skip=frozenset()):
+    """Names read as a variable, an attribute or an import alias anywhere in
+    tree, outside the nodes in skip; comments and docstrings do not count."""
+    out = set()
+    for node in ast.walk(tree):
+        if node in skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.update({node.name.rsplit(".", 1)[-1], node.asname})
+    return out
+
+
+class TestShippedCallers:
+    def test_every_public_definition_has_a_library_bench_or_gate_reference(self):
+        # a public top-level function or class of the library is referenced
+        # outside its own definition, in a library module (its own
+        # included), in the benchmark or in the acceptance gate; the
+        # package's re-exports and the unit tests do not count.  This only
+        # guards against regrowth: a referenced name may still never run.
+        pkg = Path(ex.__file__).parents[1]
+        root = Path(__file__).parents[1]
+        trees = {path: ast.parse(path.read_text()) for path in sorted(pkg.rglob("*.py"))
+                 if path != pkg / "__init__.py"}
+        names = {path: referenced_names(tree) for path, tree in trees.items()}
+        outside = set()
+        for path in [*sorted((root / "bench").glob("*.py")), root / "tests" / "test_acceptance.py"]:
+            outside |= referenced_names(ast.parse(path.read_text()))
+        unreferenced = []
+        for path, tree in trees.items():
+            others = outside.union(*(n for p, n in names.items() if p != path))
+            for node in tree.body:
+                if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                        and not node.name.startswith("_")
+                        and node.name not in others
+                        and node.name not in referenced_names(tree, frozenset(ast.walk(node)))):
+                    unreferenced.append(f"{path.relative_to(pkg)}:{node.name}")
+        assert unreferenced == []
+
+
 class TestRunners:
     def test_runners_import_no_private_library_names(self):
         tree = ast.parse(Path(rn.__file__).read_text())
@@ -431,8 +474,8 @@ class TestCli:
 
 class TestColdStart:
     def test_shipped_runs_do_not_import_scipy(self, tmp_path):
-        # scipy is only needed for non-integer matrix powers and subspace
-        # intersections; importing it would be half of every cold start
+        # scipy is only needed for non-integer matrix powers; importing it
+        # would be half of every cold start
         script = (
             "import sys\n"
             "import cocyclelab\n"

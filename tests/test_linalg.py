@@ -52,8 +52,17 @@ def random_symplectic4(rng):
     return la.paired_rotation(theta, 1, 2, 2) @ shear @ scal
 
 
+def block_moduli(form):
+    """The distinct eigenvalue moduli of every block of a symplectic block
+    form, rounded to 12 digits, all blocks together in decreasing order."""
+    out = []
+    for b in form.blocks:
+        out.extend({round(abs(z), 12) for z in b.eigenvalues})
+    return sorted(out, reverse=True)
+
+
 # ---------------------------------------------------------------------------
-# sorted_spectrum / discriminant
+# sorted_spectrum
 # ---------------------------------------------------------------------------
 
 class TestSortedSpectrum:
@@ -103,29 +112,6 @@ class TestSortedSpectrum:
             )
 
 
-class TestDiscriminant:
-    def test_distinct_roots(self):
-        assert la.discriminant_distinct([[2, 1], [1, 1]])  # disc = 9 - 4 = 5
-
-    def test_repeated_root(self):
-        assert not la.discriminant_distinct(np.eye(2))
-
-    def test_diagonal_distinct(self):
-        assert la.discriminant_distinct(np.diag([1.0, 2.0, 3.0]))
-
-    def test_agrees_with_root_gaps(self):
-        for _ in range(100):
-            M = RNG.normal(size=(3, 3))
-            roots = np.roots(np.poly(M))
-            min_gap = min(
-                abs(roots[i] - roots[j])
-                for i in range(3)
-                for j in range(i + 1, 3)
-            )
-            if min_gap > 1e-3:
-                assert la.discriminant_distinct(M)
-
-
 # ---------------------------------------------------------------------------
 # symplectic operations
 # ---------------------------------------------------------------------------
@@ -134,7 +120,7 @@ class TestSymplecticDiagonalize:
     def test_hyperbolic_pair_identity_basis(self):
         form = la.symplectic_diagonalize(np.diag([2.0, 0.5]))
         assert np.allclose(np.abs(form.P), np.eye(2), atol=1e-9)
-        assert form.moduli == [2.0, 0.5]
+        assert block_moduli(form) == [2.0, 0.5]
         assert form.blocks[0].kind == "real_pair"
 
     def test_embedded_conformal_quadruple(self):
@@ -145,7 +131,7 @@ class TestSymplecticDiagonalize:
         S = random_symplectic4(np.random.default_rng(3))
         M = S @ M0 @ np.linalg.inv(S)
         form = la.symplectic_diagonalize(M)
-        assert form.moduli == pytest.approx([2.0, 0.5], abs=1e-9)
+        assert block_moduli(form) == pytest.approx([2.0, 0.5], abs=1e-9)
         assert form.blocks[0].kind == "quad"
         omega = la.standard_symplectic_form(2)
         assert np.allclose(form.P.T @ omega @ form.P, omega, atol=1e-8)

@@ -1,7 +1,6 @@
 """Blocked QR Lyapunov estimates against closed-form and brute-force oracles."""
 import tracemalloc
 import types
-from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -229,61 +228,6 @@ class TestMultiplicity:
         mu = sh.parry_measure(FULL2)
         est = ly.lyapunov_qr(A, mu, n_steps=4_000, seed=1)
         assert ly.multiplicity_cluster(est.exponents, n_steps=est.n_steps) == [2]
-
-
-class TestExteriorCheck:
-    def test_top_power_is_determinant(self):
-        A = lc(FULL2, np.diag([2.0, 0.5]), np.array([[1.0, 1.0], [0.5, 2.0]]))
-        mu = sh.parry_measure(FULL2)
-        chk = ly.exterior_sum_check(A, mu, k=2, n_steps=20_000, seed=4)
-        assert chk.consistent
-        assert chk.residual < 1e-6
-
-    def test_three_dim_pair_sum(self):
-        g0 = np.diag([3.0, 1.0, 0.25])
-        g1 = np.diag([2.0, 1.5, 0.4])
-        A = lc(FULL2, g0, g1)
-        mu = sh.parry_measure(FULL2)
-        chk = ly.exterior_sum_check(A, mu, k=2, n_steps=50_000, seed=7)
-        assert chk.consistent
-        oracle = ly.closed_form_oracle(A, mu)
-        assert chk.top_sum == pytest.approx(oracle[0] + oracle[1], abs=5e-3)
-
-    def test_bad_order_rejected(self):
-        A = lc(FULL2, np.diag([2.0, 0.5]), np.diag([3.0, 1.0 / 3.0]))
-        mu = sh.parry_measure(FULL2)
-        with pytest.raises(ValueError, match="order"):
-            ly.exterior_sum_check(A, mu, k=3, n_steps=1000, seed=0)
-
-    def test_short_path_rejected(self):
-        A = lc(FULL2, np.diag([2.0, 0.5]), np.diag([3.0, 1.0 / 3.0]))
-        mu = sh.parry_measure(FULL2)
-        with pytest.raises(ValueError, match="at least"):
-            ly.exterior_sum_check(A, mu, k=1, n_steps=ly.MIN_STEPS - 1, seed=0)
-
-    @pytest.mark.parametrize("name,k,n_steps", [
-        ("generic-d4", 2, 60_000), ("generic-d4", 3, 60_000), ("bump", 2, 40_000)])
-    def test_same_check_as_without_shared_sub_blocks(self, monkeypatch, name, k, n_steps):
-        A = hoelder_bump_cocycle() if name == "bump" else e1_cocycle(name)
-        mu = sh.parry_measure(A.base)
-        minors = []
-        exterior_power = la.exterior_power
-
-        def counting(M, k):
-            minors.append(len(M) * M.shape[1])
-            return exterior_power(M, k)
-
-        monkeypatch.setattr(la, "exterior_power", counting)
-        shared = ly.exterior_sum_check(A, mu, k, n_steps, seed=E1_CONFIG["seed"])
-        # minors of the distinct sub-blocks' steps only on a locally
-        # constant cocycle, of every step used on a bump cocycle
-        if A.is_locally_constant:
-            assert sum(minors) < n_steps / 10
-        else:
-            assert sum(minors) > n_steps - 64
-        # nothing shared: every block reduced from its own steps
-        monkeypatch.setattr(ly._PathSteps, "sub_block", lambda self, B: 1)
-        assert ly.exterior_sum_check(A, mu, k, n_steps, seed=E1_CONFIG["seed"]) == shared
 
 
 # ---------------------------------------------------------------------------
@@ -796,12 +740,11 @@ def random_cocycle(base, window, d, seed):
     return cc.CocycleSpec(base, window, {w: rng.normal(size=(d, d)) for w in words})
 
 
-# locally constant paths whose blocks share sub-blocks: (cocycle, exterior order)
+# locally constant paths whose blocks share sub-blocks
 SHARED_PATHS = {
-    "golden-window2-d3": lambda: (random_cocycle(GOLDEN, 2, 3, 11), 1),
-    "full3-d2": lambda: (random_cocycle(sh.SftSpec.full_shift(3, theta=0.5), 1, 2, 12), 1),
-    "full2-d4-k2": lambda: (random_cocycle(FULL2, 1, 4, 13), 2),
-    "full2-d4-k3": lambda: (random_cocycle(FULL2, 1, 4, 13), 3),
+    "golden-window2-d3": lambda: random_cocycle(GOLDEN, 2, 3, 11),
+    "full3-d2": lambda: random_cocycle(sh.SftSpec.full_shift(3, theta=0.5), 1, 2, 12),
+    "full2-d4": lambda: random_cocycle(FULL2, 1, 4, 13),
 }
 
 
@@ -830,26 +773,17 @@ class TestStreamedBlocks:
         assert_same_estimate(ly.qr_spectrum(ly._PathSteps(A, symbols), None, 8),
                              ly.qr_spectrum(mats, logdet, 8))
 
-    def test_exterior_path_same_blocks(self):
-        A = hoelder_bump_cocycle()
-        symbols = sh.parry_measure(A.base).sample_orbit(40_000, seed=5)
-        mats, logdet = A.path_matrices(symbols)
-        assert_same_blocks(ly._PathSteps(A, symbols, 2), la.exterior_power(mats, 2),
-                           logdet * 2, 4)
-
     @pytest.mark.parametrize("B", [1, 2, 4, 8, 16, 32, 64])
     @pytest.mark.parametrize("name", sorted(SHARED_PATHS))
     def test_shared_sub_blocks_same_blocks(self, monkeypatch, name, B):
         # a smaller chunk keeps the whole-path reference small; the
         # sub-block size then ranges over h = 1, 2, 4 and 8
         monkeypatch.setattr(ly, "_CHUNK_BLOCKS", 256)
-        A, k = SHARED_PATHS[name]()
+        A = SHARED_PATHS[name]()
         n_steps = (2 * ly._CHUNK_BLOCKS + 37) * B + 5
         symbols = sh.parry_measure(A.base).sample_orbit(n_steps + A.window - 1, seed=B)
         mats, logdet = A.path_matrices(symbols)
-        if k > 1:
-            mats, logdet = la.exterior_power(mats, k), logdet * comb(A.dim - 1, k - 1)
-        path = ly._PathSteps(A, symbols, k)
+        path = ly._PathSteps(A, symbols)
         assert (path.sub_block(B) > 1) == (B > 1)
         assert_same_blocks(path, mats, logdet, B)
         *_, reduced = ly._block_products(path.chunk, n_steps // B, B)

@@ -67,6 +67,22 @@ def path_extremes_reference(mats):
     return center + half, center - half
 
 
+def sigma_tau(C, t, start=0):
+    """Extremal doubled lift displacements over all start angles at flow
+    time t: rho_measure's stopping-time walk with one path, whose steps run
+    cyclically through C from index start."""
+    if t < 0:
+        raise ValueError("flow time must be nonnegative")
+    n = len(C.roofs)
+
+    def next_step(origin, word, depth):
+        return np.zeros(len(word), dtype=np.int64), (word + 1) % n
+
+    levels = ro._stopping_levels(np.array([start % n]), next_step, np.array(C.roofs), t)
+    (hi,), (lo,) = ro._walk(levels, C.maps)
+    return float(hi), float(lo)
+
+
 def rho_measure_reference(A, sys, mu, t, path_limit, seed=0, n_samples=2000):
     """(value, lower, upper, exact) of rho_measure on the same paths, with
     each DFS leaf and each sampled path keeping its full matrix list for
@@ -254,7 +270,8 @@ def per_point_circle_cocycle(A, sys, word, block_index=0):
     p = sh.periodic_point(A.base, w)
     ell = len(w)
     steps = [cc.evaluate(A, p.shift(k), 1) for k in range(ell)]
-    roofs = tuple(sys.roof.at(p.shift(k)) for k in range(ell))
+    roofs = tuple(sys.roof.values[tuple(p.shift(k).word_array(0, sys.roof.window).tolist())]
+                  for k in range(ell))
     if A.dim == 2:
         return ro.CircleCocycle(w, roofs, tuple(steps))
     M = cc.evaluate(A, p, ell)
@@ -415,66 +432,52 @@ class TestCircleCocycle:
             ro.CircleCocycle((0, 1), (1.0, roof), (np.eye(2), np.eye(2)))
 
 
-class TestLiftRecord:
-    def test_conformal_record_is_linear(self):
-        C = ro.CircleCocycle((0,), (1.0,), (1.3 * rot(0.2),))
-        rec = ro.lift_record(C, theta=0.5, n_returns=6)
-        assert rec.times == pytest.approx(np.arange(7.0))
-        assert rec.values == pytest.approx(0.5 + 0.4 * np.arange(7.0), abs=1e-12)
-        assert rec.displacement == pytest.approx(2.4, abs=1e-12)
-
-    def test_distinct_starts_stay_within_one_turn(self):
-        g0, g1 = 1.2 * rot(0.4), rot(0.7) @ np.diag([1.3, 0.8])
-        C = ro.CircleCocycle((0, 1), (1.0, 2.0), (g0, g1))
-        r1 = ro.lift_record(C, 0.0, 40)
-        r2 = ro.lift_record(C, 2.0, 40)
-        assert np.all(np.abs(r1.values - r2.values) < TWO_PI + 2.0)
-
-
 class TestSigmaTau:
     def test_rigid_conformal_collapses(self):
         C = ro.CircleCocycle((0,), (1.0,), (1.5 * rot(0.2),))
-        sigma, tau = ro.sigma_tau(C, 2.5)
+        sigma, tau = sigma_tau(C, 2.5)
         assert sigma == pytest.approx(2 * 0.2 * 2.5, abs=1e-9)
         assert tau == pytest.approx(2 * 0.2 * 2.5, abs=1e-9)
 
     def test_zero_time(self):
         C = ro.CircleCocycle((0,), (1.0,), (rot(0.2),))
-        assert ro.sigma_tau(C, 0.0) == (0.0, 0.0)
+        assert sigma_tau(C, 0.0) == (0.0, 0.0)
 
     def test_bracket_orders_and_stays_under_one_turn_per_step(self):
         g0, g1 = 1.2 * rot(0.4), rot(0.7) @ np.diag([1.3, 0.8])
         C = ro.CircleCocycle((0, 1), (1.0, 2.0), (g0, g1))
-        sigma, tau = ro.sigma_tau(C, 3.0)
+        sigma, tau = sigma_tau(C, 3.0)
         assert sigma > tau
         assert sigma - tau < TWO_PI
 
     def test_contains_every_orbit_displacement(self):
         g0, g1 = 1.2 * rot(0.4), rot(0.7) @ np.diag([1.3, 0.8])
         C = ro.CircleCocycle((0, 1), (1.0, 2.0), (g0, g1))
-        sigma, tau = ro.sigma_tau(C, 6.0)
+        sigma, tau = sigma_tau(C, 6.0)
         for theta in np.linspace(0.0, TWO_PI, 17):
-            rec = ro.lift_record(C, theta, 4)   # 4 returns = flow time 6
-            assert tau - 1e-9 <= rec.displacement <= sigma + 1e-9
+            w = float(theta)
+            for k in range(4):   # 4 returns = flow time 6
+                w = ro.projectivize_block(C.maps[k % 2]).lift(w)
+            assert tau - 1e-9 <= w - theta <= sigma + 1e-9
 
     def test_subadditive_at_return_times(self):
         g0, g1 = 1.2 * rot(0.4), rot(0.7) @ np.diag([1.3, 0.8])
         C = ro.CircleCocycle((0, 1), (1.0, 2.0), (g0, g1))
-        s3, t3 = ro.sigma_tau(C, 3.0)
-        s6, t6 = ro.sigma_tau(C, 6.0)
+        s3, t3 = sigma_tau(C, 3.0)
+        s6, t6 = sigma_tau(C, 6.0)
         assert s6 <= 2 * s3 + 1e-9
         assert t6 >= 2 * t3 - 1e-9
 
     def test_start_offset_uses_later_steps(self):
         C = ro.CircleCocycle((0, 1), (1.0, 2.0), (rot(0.1), 2.0 * rot(0.3)))
-        sigma, tau = ro.sigma_tau(C, 2.0, start=1)
+        sigma, tau = sigma_tau(C, 2.0, start=1)
         assert sigma == pytest.approx(0.6, abs=1e-9)
         assert tau == pytest.approx(0.6, abs=1e-9)
 
     def test_negative_time_rejected(self):
         C = ro.CircleCocycle((0,), (1.0,), (rot(0.2),))
         with pytest.raises(ValueError, match="nonnegative"):
-            ro.sigma_tau(C, -1.0)
+            sigma_tau(C, -1.0)
 
     @pytest.mark.parametrize("seed", range(50))
     def test_brackets_dense_grid_of_composed_lifts(self, seed):
@@ -499,7 +502,7 @@ class TestSigmaTau:
         for k in range(n):
             w = ro.projectivize_block(gens[(start + k) % 2]).lift(w)
         disp = w - phi
-        sigma, tau = ro.sigma_tau(C, t, start)
+        sigma, tau = sigma_tau(C, t, start)
         # 1e-12 allows for round-off where a grid point hits an extremum
         assert tau <= disp.min() + 1e-12
         assert disp.max() <= sigma + 1e-12
@@ -524,7 +527,7 @@ class TestSigmaTau:
         t = 0.0
         for k in range(m):
             t += roofs[(start + k) % n]
-        sigma, tau = ro.sigma_tau(C, t, start)
+        sigma, tau = sigma_tau(C, t, start)
         ref_sigma, ref_tau = path_extremes_reference(
             [gens[(start + k) % n] for k in range(m)])
         if m == 0:
@@ -551,7 +554,7 @@ class TestSigmaTau:
             acc += roofs[k % n]
             k += 1
         mats.append(ro._fractional_map(gens[k % n], (t - acc) / roofs[k % n]))
-        assert ro.sigma_tau(C, t, start) == path_extremes_reference(mats)
+        assert sigma_tau(C, t, start) == path_extremes_reference(mats)
 
 
 class TestRhoPeriodic:

@@ -236,13 +236,6 @@ class TestGibbs:
         assert np.allclose(mu0.P, mu1.P, atol=1e-12)
         assert mu0.pressure == pytest.approx(mu1.pressure, abs=1e-12)
 
-    def test_gibbs_bound_finite(self):
-        phi = np.array([[0.2, -0.1], [0.4, 0.0]])
-        mu = sh.gibbs_locally_constant(FULL2, phi)
-        C = sh.gibbs_bound_constant(mu, max_len=12)
-        assert np.isfinite(C)
-        assert C < 50.0
-
     def test_dict_potential(self):
         mu = sh.gibbs_locally_constant(FULL2, {"00": 0.3, (0, 1): -0.2})
         assert mu.potential[0, 0] == 0.3
