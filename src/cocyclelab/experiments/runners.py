@@ -267,11 +267,12 @@ def _locate_collision(spec, at, w, lift, scan_points: int, tol: float):
 
 
 def _grid_residuals(at, sysm, w, s_grid):
+    q, ell = periodic_point(sysm.base, w), len(w)
     worst = 0.0
     skipped = 0
     for s in s_grid:
         try:
-            rep = theta_ell_rho_check(at(float(s)), sysm, w)
+            rep = theta_ell_rho_check(at(float(s)), sysm, q, ell)
         except ValueError:
             # fully real spectrum at this grid point: no block to compare
             skipped += 1

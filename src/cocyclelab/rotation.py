@@ -34,27 +34,31 @@ _BLOCK_GAP_TOL = 1e-6
 _SAMPLE_CHUNK = 256
 
 
+def _polar_angle(a: float, b: float, c: float, d: float) -> float:
+    """Rotation angle beta of the polar form [[a, b], [c, d]] = R(beta) P."""
+    return math.atan2(c - b, a + d)
+
+
 def _polar2(M: np.ndarray):
     """Rotation angle beta and SPD factor P of the polar form M = R(beta) P.
 
     Closed form for 2x2 matrices with positive determinant.
     """
-    c1 = M[0, 0] + M[1, 1]
-    c2 = M[1, 0] - M[0, 1]
-    beta = math.atan2(c2, c1)
+    a, b, c, d = M.ravel().tolist()
+    c1, c2 = a + d, c - b
     n = math.hypot(c1, c2)
     R = np.array([[c1, -c2], [c2, c1]]) / n
     P = R.T @ M
     P = 0.5 * (P + P.T)
-    return beta, P
+    return _polar_angle(a, b, c, d), P
 
 
-def _spread(M: np.ndarray) -> float:
-    """Half-spread of the doubled displacement of the circle map of M around
-    its polar rotation angle: the maximal line-angle tilt of the SPD factor,
-    doubled.  Exact for Moebius maps."""
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    f2 = float(np.sum(M * M)) / det
+def _spread(a: float, b: float, c: float, d: float) -> float:
+    """Half-spread of the doubled displacement of the circle map of
+    [[a, b], [c, d]] around its polar rotation angle: the maximal line-angle
+    tilt of the SPD factor, doubled.  Exact for Moebius maps.  The squares
+    are summed in row order, which is np.sum's order on four entries."""
+    f2 = (a * a + b * b + c * c + d * d) / (a * d - b * c)
     s2 = 0.5 * (f2 + math.sqrt(max(f2 * f2 - 4.0, 0.0)))
     return 2.0 * math.asin(min((s2 - 1.0) / (s2 + 1.0), 1.0))
 
@@ -68,7 +72,19 @@ class CircleMap:
     spd: np.ndarray        # positive definite half
 
     def lift(self, phi):
-        """Canonical continuous lift; commutes with phi -> phi + 2*pi."""
+        """Canonical continuous lift; commutes with phi -> phi + 2*pi.
+
+        A scalar phi runs on Python floats except for two numpy calls, whose
+        bits Python floats do not reproduce: the product with the SPD factor
+        (BLAS, with fused multiply-adds) and np.arctan2 (math.atan2 rounds
+        differently).  An array phi runs on arrays; its stacked product goes
+        through gemm and can differ from the scalar lift in the last bits."""
+        if isinstance(phi, (int, float)) or np.ndim(phi) == 0:
+            phi = float(phi)
+            c, s = math.cos(phi / 2.0), math.sin(phi / 2.0)
+            u0, u1 = (np.array([c, s]) @ self.spd.T).tolist()
+            delta = float(np.arctan2(c * u1 - s * u0, c * u0 + s * u1))
+            return phi + 2.0 * self.beta + 2.0 * delta
         a = np.asarray(phi, dtype=float) / 2.0
         v = np.stack([np.cos(a), np.sin(a)], axis=-1)
         u = v @ self.spd.T
@@ -76,8 +92,7 @@ class CircleMap:
             v[..., 0] * u[..., 1] - v[..., 1] * u[..., 0],
             v[..., 0] * u[..., 0] + v[..., 1] * u[..., 1],
         )
-        out = np.asarray(phi, dtype=float) + 2.0 * self.beta + 2.0 * delta
-        return out if out.ndim else float(out)
+        return np.asarray(phi, dtype=float) + 2.0 * self.beta + 2.0 * delta
 
     def __call__(self, phi):
         return np.mod(self.lift(phi), TWO_PI)
@@ -110,7 +125,8 @@ def _fractional_map(M: np.ndarray, u: float) -> np.ndarray:
 
 
 def _normalize_det(M: np.ndarray) -> np.ndarray:
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+    a, b, c, d = M.ravel().tolist()
+    det = a * d - b * c
     if det <= 0.0:
         raise ValueError("orientation-reversing block: determinant must be positive")
     return M / math.sqrt(det)
@@ -127,6 +143,14 @@ def doubled_rotation_number(M, tol: float = RHO_TOL, max_iter: int = MAX_LIFT_IT
     tolerance is honoured down to the conditioning floor of double
     precision, roughly eps times the squared condition number of the
     conjugacy that makes M a rotation.
+
+    Each step reads the accumulated power once and does its scalar work on
+    Python floats: the lift's cos, sin, cross and dot terms, the polar
+    angle, the spread and the branch rounding.  Three operations stay in
+    numpy, because Python floats do not reproduce their bits: the 2x2
+    product of the powers and the lift's product with the SPD factor (BLAS
+    with fused multiply-adds) and the lift's np.arctan2.  The results equal
+    an all-numpy loop over 0-d and 2x2 arrays bit for bit.
     """
     M = _normalize_det(np.asarray(M, dtype=float))
     rho = _doubled_rho(M, tol, max_iter, 0)
@@ -150,8 +174,9 @@ def _doubled_rho(M: np.ndarray, tol: float, max_iter: int, depth: int) -> float:
     for k in range(1, max_iter + 1):
         w = f.lift(w)
         Mk = _normalize_det(Mk @ M)
-        beta, _ = _polar2(Mk)
-        half = _spread(Mk)
+        entries = Mk.ravel().tolist()
+        beta = _polar_angle(*entries)
+        half = _spread(*entries)
         j = round((w - 2.0 * beta) / TWO_PI)
         center = (TWO_PI * j + 2.0 * beta) / k
         if half / k < best_width:
@@ -159,7 +184,7 @@ def _doubled_rho(M: np.ndarray, tol: float, max_iter: int, depth: int) -> float:
         if best_width <= tol:
             return best_center
         if k >= 2 and (candidate is None or half < candidate[0]):
-            candidate = (half, k, j, beta, Mk.copy())
+            candidate = (half, k, j, beta, Mk)
         if renorm and candidate is not None and (
             candidate[0] < _RENORM_SPREAD or k >= _RENORM_SCAN
         ):
@@ -208,8 +233,10 @@ class CircleCocycle:
         return out
 
 
-def circle_cocycle(A: CocycleSpec, sys: SuspensionSystem, word, block_index: int = 0) -> CircleCocycle:
-    """Projectivize a matrix cocycle along the periodic orbit of a word.
+def circle_cocycle(A: CocycleSpec, sys: SuspensionSystem, p: SymbolicPoint, ell: int,
+                   block_index: int = 0) -> CircleCocycle:
+    """Projectivize a matrix cocycle along ell steps from the periodic point
+    p of a word (ell its length, also when the word is not primitive).
 
     The step matrices come from one path_matrices call over the word
     (A.point_steps) and the roofs from one read of its windows.  In
@@ -220,12 +247,10 @@ def circle_cocycle(A: CocycleSpec, sys: SuspensionSystem, word, block_index: int
     and the closing frame rotation is folded into the last step so the
     composite equals the restriction of the return matrix.
     """
-    w = parse_word(word)
-    p = periodic_point(A.base, w)
-    ell = len(w)
     steps = A.point_steps(p, 0, ell)
     rw = sys.roof.window
     symbols = p.word_array(0, ell + rw - 1).tolist()
+    w = tuple(symbols[:ell])
     roofs = tuple(sys.roof.values[tuple(symbols[k : k + rw])] for k in range(ell))
     if A.dim == 2:
         return CircleCocycle(w, roofs, tuple(steps))
@@ -326,7 +351,7 @@ def _extremes(W, C):
 
     The angles come from math.atan2 and math.asin per path: numpy's
     vectorized arctan2 and arcsin round differently in some last bits, and
-    these must equal the scalar _polar2 and _spread.  Sums, products,
+    these must equal the scalar _polar_angle and _spread.  Sums, products,
     square roots and rounding are exact elementwise and stay arrays."""
     c1 = C[:, 0, 0] + C[:, 1, 1]
     c2 = C[:, 1, 0] - C[:, 0, 1]
@@ -403,14 +428,15 @@ class ThetaEllRhoReport:
     skipped: bool
 
 
-def theta_ell_rho_check(A: CocycleSpec, sys: SuspensionSystem, word,
+def theta_ell_rho_check(A: CocycleSpec, sys: SuspensionSystem, p: SymbolicPoint, ell: int,
                         block_index: int = 0, tol: float = RHO_TOL) -> ThetaEllRhoReport:
-    """Compare the eigenvalue argument of the return block against period
-    times the iterated-lift rotation number, folding the rotation sign.
+    """Compare the eigenvalue argument of the return block over ell steps
+    from the periodic point p against period times the iterated-lift
+    rotation number, folding the rotation sign.
 
     Returns a skipped report when the block has real spectrum.
     """
-    C = circle_cocycle(A, sys, word, block_index=block_index)
+    C = circle_cocycle(A, sys, p, ell, block_index=block_index)
     M = C.composite()
     rho = rho_periodic(C, tol=tol)
     try:
@@ -490,10 +516,10 @@ def lift_theta_family(family, sys: SuspensionSystem, word, grid,
     if len(grid) < 2:
         raise ValueError("grid needs at least two parameter values")
     A0 = family(grid[0])
-    C0 = circle_cocycle(A0, sys, word)
-    anchor_halved = rho_periodic(C0) * C0.period
     w = parse_word(word)
     p = periodic_point(A0.base, w)
+    C0 = circle_cocycle(A0, sys, p, len(w))
+    anchor_halved = rho_periodic(C0) * C0.period
     raw0, mod0, real0, _ = tracked_raw_angle(A0, p, len(w), None)
     if real0:
         raise ValueError("family must start with a complex pair on the tracked block")

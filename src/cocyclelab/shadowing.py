@@ -170,7 +170,8 @@ def period_difference_bound(roof0: RoofFunction, roof1: RoofFunction,
     deltas = []
     for n in n_values:
         w = homoclinic_family(spec, p, b, int(n))
-        deltas.append(abs(period(sys1, w) - period(sys0, w)))
+        q = periodic_point(spec, w)
+        deltas.append(abs(period(sys1, q, len(w)) - period(sys0, q, len(w))))
     deltas = np.asarray(deltas)
     return PeriodDifferenceReport(
         n_values=tuple(int(n) for n in n_values),

@@ -13,7 +13,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .cocycles import CocycleSpec
-from .shifts import MarkovMeasure, SftSpec, parse_word, periodic_point
+from .shifts import MarkovMeasure, SftSpec, SymbolicPoint, parse_word
 
 MIN_ROOF = 1e-3
 MAX_POLY_DEGREE = 3
@@ -40,11 +40,6 @@ class RoofFunction:
             raise ValueError(f"roof values must be at least {MIN_ROOF}")
         object.__setattr__(self, "values", vals)
 
-    @classmethod
-    def constant(cls, base: SftSpec, value: float, window: int = 1) -> "RoofFunction":
-        words = base.admissible_words(window)
-        return cls(base, window, {w: value for w in words})
-
 
 @dataclass(frozen=True)
 class SuspensionSystem:
@@ -56,11 +51,10 @@ class SuspensionSystem:
             raise ValueError("roof is defined over a different base shift")
 
 
-def period(sys: SuspensionSystem, word) -> float:
-    """Total roof time over one cyclic traversal of a periodic word."""
-    w = parse_word(word)
-    p = periodic_point(sys.base, w)
-    windows = sliding_window_view(p.word_array(0, len(w) + sys.roof.window - 1), sys.roof.window)
+def period(sys: SuspensionSystem, p: SymbolicPoint, ell: int) -> float:
+    """Total roof time over the ell steps from the periodic point p of a
+    word (ell its length): one cyclic traversal of the word."""
+    windows = sliding_window_view(p.word_array(0, ell + sys.roof.window - 1), sys.roof.window)
     return math.fsum(sys.roof.values[tuple(u)] for u in windows.tolist())
 
 
@@ -86,11 +80,6 @@ class HeightPolynomial:
         if set(parsed) != need:
             raise ValueError("coefficients required for every admissible window-word")
         object.__setattr__(self, "coeffs", parsed)
-
-    @classmethod
-    def constant(cls, base: SftSpec, value: float, window: int = 1) -> "HeightPolynomial":
-        words = base.admissible_words(window)
-        return cls(base, window, {w: (value,) for w in words})
 
     def integral(self, word, height: float) -> float:
         """Exact integral of the height polynomial over [0, height]."""

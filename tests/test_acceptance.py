@@ -134,7 +134,7 @@ def test_criterion_03_theta_ell_rho_identity():
                 break
             if not primitive(w):
                 continue
-            rep = rt.theta_ell_rho_check(A, sysm, w)
+            rep = rt.theta_ell_rho_check(A, sysm, sh.periodic_point(FULL2, w), len(w))
             if not rep.skipped:
                 residuals.append(rep.residual)
     assert len(residuals) == 50

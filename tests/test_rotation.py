@@ -14,6 +14,7 @@ import cocyclelab.suspension as sp
 from cocyclelab.experiments import config as cfgmod
 from cocyclelab.experiments import runners
 
+E2_CONFIG = Path(cfgmod.__file__).parent / "configs" / "e2.json"
 E5_CONFIG = Path(cfgmod.__file__).parent / "configs" / "e5.json"
 
 FULL2 = sh.SftSpec.full_shift(2, theta=0.5)
@@ -35,7 +36,14 @@ def const_cocycle(*mats):
 
 
 def unit_flow(base=FULL2, value=1.0):
-    return sp.SuspensionSystem(base, sp.RoofFunction.constant(base, value))
+    roof = sp.RoofFunction(base, 1, {w: value for w in base.admissible_words(1)})
+    return sp.SuspensionSystem(base, roof)
+
+
+def orbit(word, base=FULL2):
+    """(periodic point, step count) of a word, as circle_cocycle takes them."""
+    w = sh.parse_word(word)
+    return sh.periodic_point(base, w), len(w)
 
 
 def e5_setup():
@@ -60,8 +68,9 @@ def path_extremes_reference(mats):
     for M in mats:
         w = ro.projectivize_block(M).lift(w)
         comp = ro._normalize_det(M) @ comp
-    beta, _ = ro._polar2(comp)
-    half = ro._spread(comp)
+    entries = comp.ravel().tolist()
+    beta = ro._polar_angle(*entries)
+    half = ro._spread(*entries)
     j = round((w - 2.0 * beta) / TWO_PI)
     center = TWO_PI * j + 2.0 * beta
     return center + half, center - half
@@ -200,6 +209,27 @@ class TestProjectivize:
         assert circ_dist(one, two) < 1e-8
 
 
+def conjugated_rotations():
+    """25 pairs (theta, M): M = W R(theta) W^-1, rescaled, with W of
+    condition number up to 300."""
+    rng = np.random.default_rng(5)
+    for _ in range(25):
+        theta = rng.uniform(0.05, 3.1)
+        c = rng.uniform(1.0, 300.0)
+        W = rot(rng.uniform(0, TWO_PI)) @ np.diag(
+            [math.sqrt(c), 1 / math.sqrt(c)]
+        ) @ rot(rng.uniform(0, TWO_PI))
+        yield theta, W @ rot(theta) @ np.linalg.inv(W) * rng.uniform(0.5, 2.0)
+
+
+def near_resonant():
+    """(theta, M) with close returns only at even powers, which exercises
+    the renormalization."""
+    theta = math.pi / 2.0 + 1e-4
+    W = np.diag([20.0, 0.05]) @ rot(0.4)
+    return theta, W @ rot(theta) @ np.linalg.inv(W)
+
+
 class TestDoubledRotationNumber:
     def test_rigid_rotation(self):
         assert ro.doubled_rotation_number(rot(0.7)) == pytest.approx(1.4, abs=1e-12)
@@ -231,24 +261,14 @@ class TestDoubledRotationNumber:
     def test_conjugated_rotation_oracle(self):
         # the rotation number is invariant under det-positive conjugation,
         # so W R(theta) W^-1 must report 2*theta no matter how skew W is
-        rng = np.random.default_rng(5)
         worst = 0.0
-        for _ in range(25):
-            theta = rng.uniform(0.05, 3.1)
-            c = rng.uniform(1.0, 300.0)
-            W = rot(rng.uniform(0, TWO_PI)) @ np.diag(
-                [math.sqrt(c), 1 / math.sqrt(c)]
-            ) @ rot(rng.uniform(0, TWO_PI))
-            M = W @ rot(theta) @ np.linalg.inv(W) * rng.uniform(0.5, 2.0)
+        for theta, M in conjugated_rotations():
             got = ro.doubled_rotation_number(M)
             worst = max(worst, circ_dist(got, 2.0 * theta))
         assert worst < 1e-9
 
     def test_near_resonant_ill_conditioned(self):
-        # close returns only at even powers; exercises the renormalization
-        theta = math.pi / 2.0 + 1e-4
-        W = np.diag([20.0, 0.05]) @ rot(0.4)
-        M = W @ rot(theta) @ np.linalg.inv(W)
+        theta, M = near_resonant()
         got = ro.doubled_rotation_number(M)
         assert circ_dist(got, 2.0 * theta) < 1e-9
 
@@ -261,6 +281,150 @@ class TestDoubledRotationNumber:
     def test_orientation_reversing_rejected(self):
         with pytest.raises(ValueError, match="determinant"):
             ro.doubled_rotation_number(np.diag([1.0, -2.0]))
+
+
+# The rotation-number loop on 0-d and 2x2 numpy arrays, as it stood before
+# doubled_rotation_number moved its scalar work onto Python floats; the
+# float loop must reproduce it bit for bit.
+
+def reference_polar2(M):
+    c1 = M[0, 0] + M[1, 1]
+    c2 = M[1, 0] - M[0, 1]
+    beta = math.atan2(c2, c1)
+    n = math.hypot(c1, c2)
+    R = np.array([[c1, -c2], [c2, c1]]) / n
+    P = R.T @ M
+    P = 0.5 * (P + P.T)
+    return beta, P
+
+
+def reference_spread(M):
+    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+    f2 = float(np.sum(M * M)) / det
+    s2 = 0.5 * (f2 + math.sqrt(max(f2 * f2 - 4.0, 0.0)))
+    return 2.0 * math.asin(min((s2 - 1.0) / (s2 + 1.0), 1.0))
+
+
+def reference_lift(beta, spd, phi):
+    a = np.asarray(phi, dtype=float) / 2.0
+    v = np.stack([np.cos(a), np.sin(a)], axis=-1)
+    u = v @ spd.T
+    delta = np.arctan2(
+        v[..., 0] * u[..., 1] - v[..., 1] * u[..., 0],
+        v[..., 0] * u[..., 0] + v[..., 1] * u[..., 1],
+    )
+    out = np.asarray(phi, dtype=float) + 2.0 * beta + 2.0 * delta
+    return out if out.ndim else float(out)
+
+
+def reference_normalize_det(M):
+    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+    return M / math.sqrt(det)
+
+
+def reference_doubled_rho(M, tol, max_iter, depth):
+    tr = M[0, 0] + M[1, 1]
+    if tr * tr >= 4.0 - ro._REAL_DISC_TOL:
+        return 0.0
+    f_beta, f_spd = reference_polar2(M)
+    w = 0.0
+    Mk = np.eye(2)
+    best_center, best_width = None, math.inf
+    candidate = None
+    renorm = depth < ro._MAX_RENORM_DEPTH
+    for k in range(1, max_iter + 1):
+        w = reference_lift(f_beta, f_spd, w)
+        Mk = reference_normalize_det(Mk @ M)
+        beta, _ = reference_polar2(Mk)
+        half = reference_spread(Mk)
+        j = round((w - 2.0 * beta) / TWO_PI)
+        center = (TWO_PI * j + 2.0 * beta) / k
+        if half / k < best_width:
+            best_center, best_width = center, half / k
+        if best_width <= tol:
+            return best_center
+        if k >= 2 and (candidate is None or half < candidate[0]):
+            candidate = (half, k, j, beta, Mk.copy())
+        if renorm and candidate is not None and (
+            candidate[0] < ro._RENORM_SPREAD or k >= ro._RENORM_SCAN
+        ):
+            half_r, k_r, j_r, beta_r, M_r = candidate
+            child_tol = min(tol * k_r, 0.5, 0.25 * (math.pi - half_r))
+            child = reference_doubled_rho(M_r, child_tol, max_iter, depth + 1)
+            child += TWO_PI * round((2.0 * beta_r - child) / TWO_PI)
+            return (TWO_PI * j_r + child) / k_r
+    return best_center
+
+
+def reference_doubled_rotation_number(M, tol=ro.RHO_TOL):
+    M = reference_normalize_det(np.asarray(M, dtype=float))
+    return float(np.mod(reference_doubled_rho(M, tol, ro.MAX_LIFT_ITER, 0), TWO_PI))
+
+
+def det_positive(draw_angle=st.floats(0.0, TWO_PI)):
+    """det > 0 2x2 matrices: generic ones (angle times positive-diagonal
+    triangular), conjugated rotations with trace near +-2, and real
+    spectra, hyperbolic or parabolic."""
+    cond = st.floats(1.0, 1e3)
+    scale = st.floats(0.2, 5.0)
+
+    def conjugate(a, c, b, M, s):
+        W = rot(a) @ np.diag([math.sqrt(c), 1.0 / math.sqrt(c)]) @ rot(b)
+        return s * (W @ M @ np.linalg.inv(W))
+
+    near = st.one_of(st.floats(1e-9, 1e-3), st.floats(math.pi - 1e-3, math.pi - 1e-9))
+    generic = st.builds(lambda b, p, q, r: rot(b) @ np.array([[p, q], [0.0, r]]),
+                        draw_angle, st.floats(0.2, 3.0), st.floats(-3.0, 3.0),
+                        st.floats(0.2, 3.0))
+    resonant = st.builds(lambda a, c, b, t, s: conjugate(a, c, b, rot(t), s),
+                         draw_angle, cond, draw_angle, near, scale)
+    hyperbolic = st.builds(lambda a, c, b, lam, s: conjugate(a, c, b, np.diag([lam, 1 / lam]), s),
+                           draw_angle, cond, draw_angle, st.floats(1.0, 3.0), scale)
+    parabolic = st.builds(lambda a, c, b, x, s: conjugate(a, c, b, np.array([[1.0, x], [0.0, 1.0]]), s),
+                          draw_angle, cond, draw_angle, st.floats(-3.0, 3.0), scale)
+    return st.one_of(generic, resonant, hyperbolic, parabolic)
+
+
+class TestFloatLoopSamePath:
+    """doubled_rotation_number and the scalar CircleMap.lift against the
+    numpy-scalar loop above, compared with ==."""
+
+    def test_every_e2_input(self, monkeypatch):
+        # run_e2 draws nothing from its seed, so these are E2's inputs at
+        # every seed
+        calls = []
+        doubled_rotation_number = ro.doubled_rotation_number
+
+        def record(M, tol=ro.RHO_TOL):
+            out = doubled_rotation_number(M, tol=tol)
+            calls.append((np.array(M), tol, out))
+            return out
+
+        monkeypatch.setattr(ro, "doubled_rotation_number", record)
+        runners.run_e2(cfgmod.load_config(str(E2_CONFIG)), 2024)
+        assert len(calls) == 138
+        for M, tol, out in calls:
+            assert out == reference_doubled_rotation_number(M, tol)
+
+    def test_oracle_ensembles(self):
+        for _, M in [*conjugated_rotations(), near_resonant()]:
+            assert ro.doubled_rotation_number(M) == reference_doubled_rotation_number(M)
+
+    @settings(max_examples=200, deadline=None)
+    @given(det_positive())
+    def test_random_matrices(self, M):
+        assert ro.doubled_rotation_number(M) == reference_doubled_rotation_number(M)
+
+    @settings(max_examples=200, deadline=None)
+    @given(det_positive(), st.floats(-50.0, 50.0))
+    def test_scalar_lift_and_polar_data(self, M, phi):
+        f = ro.projectivize_block(M)
+        beta, P = reference_polar2(M)
+        assert f.beta == beta and np.array_equal(f.spd, P)
+        assert ro._spread(*M.ravel().tolist()) == reference_spread(M)
+        assert f.lift(phi) == reference_lift(beta, P, phi)
+        grid = phi + np.linspace(0.0, TWO_PI, 16)
+        assert np.array_equal(f.lift(grid), reference_lift(beta, P, grid))
 
 
 def per_point_circle_cocycle(A, sys, word, block_index=0):
@@ -343,7 +507,7 @@ class TestCircleCocycle:
     def test_planar_steps_are_generators(self):
         g0, g1 = 1.2 * rot(0.4), rot(0.7) @ np.diag([1.05, 0.95])
         A = const_cocycle(g0, g1)
-        C = ro.circle_cocycle(A, unit_flow(), "01")
+        C = ro.circle_cocycle(A, unit_flow(), *orbit("01"))
         assert np.array_equal(C.maps[0], g0)
         assert np.array_equal(C.maps[1], g1)
         assert C.period == pytest.approx(2.0)
@@ -351,14 +515,14 @@ class TestCircleCocycle:
     def test_composite_is_return_matrix(self):
         g0, g1 = 1.2 * rot(0.4), rot(0.7) @ np.diag([1.05, 0.95])
         A = const_cocycle(g0, g1)
-        C = ro.circle_cocycle(A, unit_flow(), "01")
+        C = ro.circle_cocycle(A, unit_flow(), *orbit("01"))
         p = sh.periodic_point(FULL2, "01")
         assert np.allclose(C.composite(), cc.evaluate(A, p, 2), atol=1e-12)
 
     def test_roofs_follow_the_orbit(self):
         roof = sp.RoofFunction(FULL2, 1, {"0": 1.0, "1": 2.5})
         sys = sp.SuspensionSystem(FULL2, roof)
-        C = ro.circle_cocycle(const_cocycle(rot(0.1), rot(0.2)), sys, "01")
+        C = ro.circle_cocycle(const_cocycle(rot(0.1), rot(0.2)), sys, *orbit("01"))
         assert C.roofs == (1.0, 2.5)
         assert C.period == pytest.approx(3.5)
 
@@ -367,8 +531,8 @@ class TestCircleCocycle:
         g[:2, :2] = 2.0 * rot(0.3)
         g[2:, 2:] = 0.5 * rot(0.2)
         A = cc.CocycleSpec(FULL2, 1, {"0": g, "1": g})
-        fast = ro.circle_cocycle(A, unit_flow(), "01", block_index=0)
-        slow = ro.circle_cocycle(A, unit_flow(), "01", block_index=1)
+        fast = ro.circle_cocycle(A, unit_flow(), *orbit("01"), block_index=0)
+        slow = ro.circle_cocycle(A, unit_flow(), *orbit("01"), block_index=1)
         assert ro.eigen_argument(fast.composite()) == pytest.approx(0.6, abs=1e-10)
         assert ro.eigen_argument(slow.composite()) == pytest.approx(0.4, abs=1e-10)
         assert np.max(np.abs(np.linalg.eigvals(fast.composite()))) == pytest.approx(4.0, abs=1e-10)
@@ -382,7 +546,7 @@ class TestCircleCocycle:
         g1[:2, :2] = 1.5 * rot(0.5)
         g1[2:, 2:] = 0.4 * rot(0.45)
         A = cc.CocycleSpec(FULL2, 1, {"0": g0, "1": g1})
-        C = ro.circle_cocycle(A, unit_flow(), "01", block_index=0)
+        C = ro.circle_cocycle(A, unit_flow(), *orbit("01"), block_index=0)
         assert ro.eigen_argument(C.composite()) == pytest.approx(0.8, abs=1e-9)
 
     def test_block_index_out_of_range(self):
@@ -392,7 +556,7 @@ class TestCircleCocycle:
         g[2:, 2:] = np.diag([0.5, 0.25])
         B = cc.CocycleSpec(FULL2, 1, {"0": g, "1": g})
         with pytest.raises(ValueError, match="block_index"):
-            ro.circle_cocycle(B, unit_flow(), "0", block_index=1)
+            ro.circle_cocycle(B, unit_flow(), *orbit("0"), block_index=1)
 
     @pytest.mark.parametrize("case", sorted(CIRCLE_CASES))
     def test_same_as_per_point_build(self, case, monkeypatch):
@@ -412,7 +576,7 @@ class TestCircleCocycle:
         monkeypatch.setattr(cc.CocycleSpec, "path_matrices", counting_path_matrices)
         monkeypatch.setattr(cc, "evaluate", counting_evaluate)
         monkeypatch.setattr(ro, "evaluate", counting_evaluate)
-        C = ro.circle_cocycle(A, sys, word, block_index)
+        C = ro.circle_cocycle(A, sys, *orbit(word, A.base), block_index)
         assert calls == {"path_matrices": 1, "evaluate": 0}
         assert C.roofs == ref.roofs
         assert all(np.array_equal(a, b) for a, b in zip(C.maps, ref.maps, strict=True))
@@ -598,7 +762,7 @@ class TestEigenArgument:
 class TestThetaEllRho:
     def test_conformal_residual_vanishes(self):
         A = const_cocycle(1.2 * rot(0.15), 0.8 * rot(0.15))
-        rep = ro.theta_ell_rho_check(A, unit_flow(), "01")
+        rep = ro.theta_ell_rho_check(A, unit_flow(), *orbit("01"))
         assert not rep.skipped
         assert rep.period == pytest.approx(2.0)
         assert rep.residual < 1e-10
@@ -606,12 +770,12 @@ class TestThetaEllRho:
 
     def test_negative_direction_folds_sign(self):
         A = const_cocycle(1.2 * rot(-0.15), 0.8 * rot(-0.15))
-        rep = ro.theta_ell_rho_check(A, unit_flow(), "01")
+        rep = ro.theta_ell_rho_check(A, unit_flow(), *orbit("01"))
         assert rep.residual < 1e-10
 
     def test_noncommuting_generators(self):
         A = const_cocycle(1.1 * rot(0.4), rot(0.7) @ np.diag([1.05, 0.95]))
-        rep = ro.theta_ell_rho_check(A, unit_flow(), "01")
+        rep = ro.theta_ell_rho_check(A, unit_flow(), *orbit("01"))
         assert not rep.skipped
         assert rep.residual < 1e-8
 
@@ -619,13 +783,13 @@ class TestThetaEllRho:
         roof = sp.RoofFunction(FULL2, 1, {"0": 1.0, "1": 2.5})
         sys = sp.SuspensionSystem(FULL2, roof)
         A = const_cocycle(1.1 * rot(0.4), rot(0.7) @ np.diag([1.05, 0.95]))
-        rep = ro.theta_ell_rho_check(A, sys, "01")
+        rep = ro.theta_ell_rho_check(A, sys, *orbit("01"))
         assert rep.period == pytest.approx(3.5)
         assert rep.residual < 1e-8
 
     def test_real_return_is_skipped(self):
         A = const_cocycle(np.diag([2.0, 0.5]), np.diag([1.5, 0.4]))
-        rep = ro.theta_ell_rho_check(A, unit_flow(), "01")
+        rep = ro.theta_ell_rho_check(A, unit_flow(), *orbit("01"))
         assert rep.skipped
         assert rep.theta is None
         assert math.isnan(rep.residual)
@@ -635,7 +799,7 @@ class TestThetaEllRho:
         g[:2, :2] = 2.0 * rot(0.3)
         g[2:, 2:] = 0.5 * rot(0.2)
         A = cc.CocycleSpec(FULL2, 1, {"0": g, "1": g})
-        rep = ro.theta_ell_rho_check(A, unit_flow(), "0", block_index=1)
+        rep = ro.theta_ell_rho_check(A, unit_flow(), *orbit("0"), block_index=1)
         assert rep.theta == pytest.approx(0.2, abs=1e-10)
         assert rep.residual < 1e-9
 
@@ -727,7 +891,7 @@ class TestRhoMeasure:
             entropy=0.0,
             pressure=0.0,
         )
-        per = ro.rho_periodic(ro.circle_cocycle(A, unit_flow(), "01"))
+        per = ro.rho_periodic(ro.circle_cocycle(A, unit_flow(), *orbit("01")))
         est = ro.rho_measure(A, unit_flow(), mu, t=8.0)
         assert est.exact
         assert est.lower - 1e-9 <= per <= est.upper + 1e-9

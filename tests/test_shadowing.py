@@ -11,6 +11,11 @@ import cocyclelab.suspension as sp
 FULL2 = sh.SftSpec.full_shift(2, theta=0.5)
 GOLDEN = sh.SftSpec.golden_mean(theta=0.5)
 
+
+def constant_roof(base, value, window=1):
+    return sp.RoofFunction(base, window, {w: value for w in base.admissible_words(window)})
+
+
 CAT = np.array([[2, 1], [1, 1]])
 
 
@@ -100,14 +105,14 @@ class TestExponentialShadowing:
 
 class TestPeriodDifferenceBound:
     def test_equal_roofs_give_zero(self):
-        roof = sp.RoofFunction.constant(FULL2, 1.0)
+        roof = constant_roof(FULL2, 1.0)
         rep = sd.period_difference_bound(roof, roof, "0", "1", range(1, 9))
         assert np.all(rep.deltas == 0.0)
         assert rep.sup_delta == 0.0
         assert rep.m2 == 0.0
 
     def test_bridge_cylinder_difference_is_one_visit(self):
-        roof0 = sp.RoofFunction.constant(FULL2, 1.0)
+        roof0 = constant_roof(FULL2, 1.0)
         roof1 = sp.RoofFunction(FULL2, 1, {"0": 1.0, "1": 1.3})
         rep = sd.period_difference_bound(roof0, roof1, "0", "1", range(1, 13))
         assert rep.deltas == pytest.approx(np.full(12, 0.3), abs=1e-12)
@@ -116,7 +121,7 @@ class TestPeriodDifferenceBound:
         assert rep.m2 == pytest.approx(2 * (0.3 + 0.3) / 0.5, abs=1e-12)
 
     def test_two_window_bump_stabilizes(self):
-        roof0 = sp.RoofFunction.constant(FULL2, 1.0, window=2)
+        roof0 = constant_roof(FULL2, 1.0, 2)
         vals = {w: 1.0 for w in FULL2.admissible_words(2)}
         vals[(1, 0)] = 1.2
         roof1 = sp.RoofFunction(FULL2, 2, vals)
@@ -126,7 +131,7 @@ class TestPeriodDifferenceBound:
         assert rep.sup_delta <= rep.m2
 
     def test_monotone_in_support_size(self):
-        roof0 = sp.RoofFunction.constant(FULL2, 1.0, window=2)
+        roof0 = constant_roof(FULL2, 1.0, 2)
         small = {w: 1.0 for w in FULL2.admissible_words(2)}
         small[(1, 0)] = 1.2
         large = dict(small)
@@ -136,7 +141,7 @@ class TestPeriodDifferenceBound:
         assert rep_l.deltas[0] >= rep_s.deltas[0]
 
     def test_uniform_bound_to_n_64(self):
-        roof0 = sp.RoofFunction.constant(FULL2, 1.0, window=2)
+        roof0 = constant_roof(FULL2, 1.0, 2)
         vals = {w: 1.0 for w in FULL2.admissible_words(2)}
         vals[(1, 0)] = 1.15
         vals[(0, 1)] = 0.9
@@ -146,7 +151,7 @@ class TestPeriodDifferenceBound:
         assert len(rep.deltas) == 64
 
     def test_mixed_windows(self):
-        roof0 = sp.RoofFunction.constant(FULL2, 1.0)
+        roof0 = constant_roof(FULL2, 1.0)
         vals = {w: 1.0 for w in FULL2.admissible_words(2)}
         vals[(1, 1)] = 1.4
         roof1 = sp.RoofFunction(FULL2, 2, vals)
@@ -155,19 +160,19 @@ class TestPeriodDifferenceBound:
         assert rep.sup_delta <= rep.m2
 
     def test_support_violation(self):
-        roof0 = sp.RoofFunction.constant(FULL2, 1.0)
+        roof0 = constant_roof(FULL2, 1.0)
         roof1 = sp.RoofFunction(FULL2, 1, {"0": 1.1, "1": 1.0})
         with pytest.raises(ValueError, match="support violation"):
             sd.period_difference_bound(roof0, roof1, "0", "1", [1, 2])
 
     def test_different_bases_rejected(self):
-        r0 = sp.RoofFunction.constant(FULL2, 1.0)
-        r1 = sp.RoofFunction.constant(GOLDEN, 1.0)
+        r0 = constant_roof(FULL2, 1.0)
+        r1 = constant_roof(GOLDEN, 1.0)
         with pytest.raises(ValueError, match="same base"):
             sd.period_difference_bound(r0, r1, "0", "1", [1])
 
     def test_holder_exponent_changes_bound_not_deltas(self):
-        roof0 = sp.RoofFunction.constant(FULL2, 1.0)
+        roof0 = constant_roof(FULL2, 1.0)
         roof1 = sp.RoofFunction(FULL2, 1, {"0": 1.0, "1": 1.3})
         a = sd.period_difference_bound(roof0, roof1, "0", "1", [3], nu=1.0)
         b = sd.period_difference_bound(roof0, roof1, "0", "1", [3], nu=0.5)
