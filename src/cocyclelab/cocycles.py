@@ -316,7 +316,6 @@ class DominationResult:
     dominated: bool
     power: int | None
     margin: float
-    locally_constant: bool
 
 
 def domination_check(A: CocycleSpec) -> DominationResult:
@@ -347,7 +346,7 @@ def domination_check(A: CocycleSpec) -> DominationResult:
     while True:
         bound = float(np.max(np.linalg.cond(P, 2))) * env_factor**N * theta ** (nu * N)
         if bound < 1.0:
-            return DominationResult(True, N, 1.0 - bound, A.is_locally_constant)
+            return DominationResult(True, N, 1.0 - bound)
         if N >= _DOMINATION_MAX_POWER:
             break
         rows, syms = np.nonzero(successor[idx] >= 0)
@@ -356,7 +355,7 @@ def domination_check(A: CocycleSpec) -> DominationResult:
         N += 1
         if len(idx) * m > _DOMINATION_BUDGET:
             break
-    return DominationResult(False, None, 0.0, A.is_locally_constant)
+    return DominationResult(False, None, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -630,17 +629,8 @@ def holonomy_constants(A: CocycleSpec):
 # homoclinic transitions and simplicity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HomoclinicTransition:
-    psi: np.ndarray
-    exit_time: int
-    stable_part: np.ndarray
-    unstable_part: np.ndarray
-    truncation_error: float
-
-
-def psi_transition(A: CocycleSpec, p: SymbolicPoint, z: SymbolicPoint, exit_time: int, tol: float = 1e-12) -> HomoclinicTransition:
-    """Transition map at p through its homoclinic point z: the stable
+def psi_transition(A: CocycleSpec, p: SymbolicPoint, z: SymbolicPoint, exit_time: int) -> np.ndarray:
+    """Transition matrix at p through its homoclinic point z: the stable
     holonomy pulled back through the exit composed with the unstable holonomy.
 
     Requires shift(z, exit_time) to agree with p itself on all i >= 0, i.e.
@@ -656,19 +646,11 @@ def psi_transition(A: CocycleSpec, p: SymbolicPoint, z: SymbolicPoint, exit_time
     B, same = zN.agreement(p)
     if not same[0, : B + 1].all():
         raise ValueError("misaligned exit time")
-    phi_u = unstable_holonomy(A, p, z, tol)
-    phi_s_loc = stable_holonomy(A, zN, p.shift(N), tol)
+    phi_u = unstable_holonomy(A, p, z)
+    phi_s_loc = stable_holonomy(A, zN, p.shift(N))
     Ap = evaluate(A, p, N)
     Az = evaluate(A, z, N)
-    stable_part = np.linalg.solve(Ap, phi_s_loc.matrix @ Az)
-    psi = stable_part @ phi_u.matrix
-    return HomoclinicTransition(
-        psi=psi,
-        exit_time=N,
-        stable_part=stable_part,
-        unstable_part=phi_u.matrix,
-        truncation_error=phi_u.truncation_error + phi_s_loc.truncation_error,
-    )
+    return np.linalg.solve(Ap, phi_s_loc.matrix @ Az) @ phi_u.matrix
 
 
 def periodic_eigendata(A: CocycleSpec, p: SymbolicPoint):
@@ -718,8 +700,6 @@ class SimplicityReport:
     pinching: bool
     twisting: bool
     verdict: bool
-    spectrum: la.SpectrumRecord
-    failing_pairs: tuple
     psi: np.ndarray | None
 
 
@@ -730,19 +710,11 @@ def simplicity_check(A: CocycleSpec, p_word, bridge) -> SimplicityReport:
     z, N = homoclinic_point(A.base, parse_word(p_word), parse_word(bridge))
     M, rec = periodic_eigendata(A, p)
     if not _pinched(rec):
-        return SimplicityReport(False, False, False, rec, (), None)
+        return SimplicityReport(False, False, False, None)
     Q = _normalized_eigenbasis(M, rec)
-    trans = psi_transition(A, p, z, N)
-    psi_eig = np.linalg.solve(Q, trans.psi @ Q)
-    ok, failing = la.twisting_check(psi_eig)
-    return SimplicityReport(
-        pinching=True,
-        twisting=ok,
-        verdict=ok,
-        spectrum=rec,
-        failing_pairs=tuple(failing),
-        psi=psi_eig,
-    )
+    psi_eig = np.linalg.solve(Q, psi_transition(A, p, z, N) @ Q)
+    ok, _ = la.twisting_check(psi_eig)
+    return SimplicityReport(pinching=True, twisting=ok, verdict=ok, psi=psi_eig)
 
 
 # ---------------------------------------------------------------------------
@@ -757,8 +729,6 @@ def cylinder_perturb(A: CocycleSpec, word, G, constraint: str | None = None) -> 
     G = la.check_invertible(G)
     if constraint == "symplectic" and not la.is_symplectic(G):
         raise ValueError("perturbation violates the symplectic constraint")
-    if constraint == "det" and abs(np.linalg.det(G) - 1.0) > 1e-10:
-        raise ValueError("perturbation violates the determinant constraint")
     gen = dict(A.generator)
     gen[w] = G @ gen[w]
     return CocycleSpec(A.base, A.window, gen, A.perturbation)
@@ -770,14 +740,11 @@ class RotationFamily:
     return matrix at the support cylinder; at(0) is the base cocycle."""
 
     base_cocycle: CocycleSpec
-    p_word: tuple
     support_word: tuple
     theta0: float
-    plane: np.ndarray            # (d, 2) tracked-plane basis at the base point
     symplectic: bool
     insertion_basis: np.ndarray  # full-rank basis used to build insertions
     block_slots: tuple
-    visits_per_period: int
     orientation: float = 1.0     # sign making arg(lam) increase with s
 
     def insertion(self, s: float) -> np.ndarray:
@@ -813,12 +780,12 @@ def rotation_perturb_family(
     A: CocycleSpec,
     p_word,
     theta0: float,
-    support_word=None,
     pair_index: int = 0,
 ) -> RotationFamily:
     """Family A_s inserting a rotation by s*theta0 of a complex eigenplane of
     the return matrix (the ``pair_index``-th conformal pair in decreasing
-    modulus order), applied on the support cylinder.
+    modulus order), applied on the support cylinder: the first A.window
+    symbols of the periodic word.
 
     For symplectic-valued cocycles the insertion is built inside a symplectic
     block basis so every A_s stays symplectic.  The block argument at p moves
@@ -838,15 +805,8 @@ def rotation_perturb_family(
             f"pair_index {pair_index} out of range: {len(candidates)} conformal pair(s)"
         )
     lam = rec.eigenvalues[candidates[pair_index]]
-    windows = sliding_window_view(p.word_array(0, p.period + A.window - 1), A.window)
-    support = tuple(windows[0].tolist()) if support_word is None else parse_word(support_word)
-    visits = windows.tolist().count(list(support))
+    support = tuple(p.word_array(0, A.window).tolist())
     symplectic = all(la.is_symplectic(G) for G in A.generator.values()) and A.dim % 2 == 0
-
-    eig, vec = np.linalg.eig(M)
-    vi = int(np.argmin(np.abs(eig - lam)))
-    v = vec[:, vi]
-    plane = np.column_stack([v.real, v.imag])
 
     if symplectic:
         form = la.symplectic_diagonalize(M)
@@ -867,19 +827,19 @@ def rotation_perturb_family(
             off = coords[slots[0], n + slots[0]]
         return RotationFamily(
             base_cocycle=A,
-            p_word=parse_word(p_word),
             support_word=support,
             theta0=theta0,
-            plane=plane,
             symplectic=True,
             insertion_basis=form.P,
             block_slots=tuple(slots),
-            visits_per_period=visits,
             orientation=1.0 if off >= 0 else -1.0,
         )
-    # complete the plane to a basis with the other real-Jordan directions
+    # complete the eigenplane of lam to a basis with the other real-Jordan
+    # directions
+    eig, vec = np.linalg.eig(M)
+    v = vec[:, int(np.argmin(np.abs(eig - lam)))]
     W, blocks = la._real_jordan_basis(M)
-    cols = [plane[:, 0], plane[:, 1]]
+    cols = [v.real, v.imag]
     for kind, pos, lam_b in blocks:
         take = [pos] if kind == "real" else [pos, pos + 1]
         for c in take:
@@ -892,12 +852,9 @@ def rotation_perturb_family(
         raise ArithmeticError("could not complete the rotation plane to a basis")
     return RotationFamily(
         base_cocycle=A,
-        p_word=parse_word(p_word),
         support_word=support,
         theta0=theta0,
-        plane=plane,
         symplectic=False,
         insertion_basis=Wfull,
         block_slots=(0, 1),
-        visits_per_period=visits,
     )

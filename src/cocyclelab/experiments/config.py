@@ -319,8 +319,7 @@ def markov_from_P(spec: SftSpec, P: np.ndarray) -> MarkovMeasure:
     i = int(np.argmin(np.abs(vals - 1.0)))
     pi = np.real(vecs[:, i])
     pi = pi / pi.sum()
-    ent = float(-np.sum(pi[:, None] * P * np.log(P, where=P > 0, out=np.zeros_like(P))))
-    return MarkovMeasure(spec=spec, P=P, pi=pi, entropy=ent, pressure=0.0)
+    return MarkovMeasure(spec=spec, P=P, pi=pi)
 
 
 def build_cocycle(spec: SftSpec, d: dict) -> CocycleSpec:

@@ -191,28 +191,29 @@ def run_e1(cfg: dict, seed: int) -> dict:
 # E2: rotation propagation to a real collision, then moduli separation
 # ---------------------------------------------------------------------------
 
-def _unique_visit_rotation(spec, w: tuple, window: int):
-    """Rotate the cyclic word so a uniquely visited cylinder word sits last."""
-    q = periodic_point(spec, w)
-    windows = sliding_window_view(q.word_array(0, len(w) + window - 1), window)
+def _unique_visit_rotation(q, ell: int, window: int):
+    """Rotate the cyclic word of the periodic point q (ell steps) so a
+    uniquely visited cylinder word sits last."""
+    symbols = q.word_array(0, ell + window - 1)
+    windows = sliding_window_view(symbols, window)
     words, first, counts = np.unique(windows, axis=0, return_index=True, return_counts=True)
     once = np.flatnonzero(counts == 1)
     if not once.size:
         raise ValueError("word visits every cylinder more than once")
     k = int(first[once[0]])
+    w = tuple(symbols[:ell].tolist())
     return w[k + 1:] + w[:k + 1], tuple(words[once[0]].tolist())
 
 
-def _count_visits(spec, w: tuple, support: tuple) -> int:
-    q = periodic_point(spec, w)
-    windows = sliding_window_view(q.word_array(0, len(w) + len(support) - 1), len(support))
+def _count_visits(q, ell: int, support: tuple) -> int:
+    windows = sliding_window_view(q.word_array(0, ell + len(support) - 1), len(support))
     return windows.tolist().count(list(support))
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _locate_collision(spec, at, w, lift, scan_points: int, tol: float):
+def _locate_collision(at, q, ell: int, lift, scan_points: int, tol: float):
     """Parameter s where the tracked pair turns real with positive eigenvalues.
 
     A fine scan walks the tracked pair by modulus continuity and returns the
@@ -221,7 +222,6 @@ def _locate_collision(spec, at, w, lift, scan_points: int, tol: float):
     lift brackets a full-turn multiple, where the unsigned block argument is
     a V-shaped function of s, and a golden-section search drives it to zero.
     """
-    q, ell = periodic_point(spec, w), len(w)
     prev_mod = None
     for s in np.linspace(0.0, 1.0, scan_points):
         try:
@@ -266,8 +266,7 @@ def _locate_collision(spec, at, w, lift, scan_points: int, tol: float):
     raise ValueError("no full-turn crossing inside the parameter range")
 
 
-def _grid_residuals(at, sysm, w, s_grid):
-    q, ell = periodic_point(sysm.base, w), len(w)
+def _grid_residuals(at, sysm, q, ell: int, s_grid):
     worst = 0.0
     skipped = 0
     for s in s_grid:
@@ -311,14 +310,16 @@ def run_e2(cfg: dict, seed: int) -> dict:
 
         lifted = []
         for n in n_grid:
+            # one periodic point per word, read by every step below
             w = homoclinic_family(spec, p, b, n)
-            lift = lift_theta_family(at, sysm, w, s_lift)
-            visits = _count_visits(spec, w, fam.support_word)
-            lifted.append((w, lift, visits, *_grid_residuals(at, sysm, w, s_grid)))
+            q = periodic_point(spec, w)
+            lift = lift_theta_family(at, sysm, q, len(w), s_lift)
+            visits = _count_visits(q, len(w), fam.support_word)
+            lifted.append((w, q, lift, visits, *_grid_residuals(at, sysm, q, len(w), s_grid)))
         deltas = {}
         predictions = {}
         residual_worst = 0.0
-        for n, (w, lift, visits, res, skipped) in zip(n_grid, lifted):
+        for n, (w, _, lift, visits, res, skipped) in zip(n_grid, lifted):
             delta = abs(lift.total_change)
             pred = visits * theta0
             deltas[n] = delta
@@ -378,14 +379,14 @@ def run_e2(cfg: dict, seed: int) -> dict:
             continue
 
         n_star = n_star_measured
-        w_star, lift_star, _, _, _ = lifted[n_grid.index(n_star)]
+        w_star, q_star, lift_star, _, _, _ = lifted[n_grid.index(n_star)]
         s_star, how = _locate_collision(
-            spec, at, w_star, lift_star,
+            at, q_star, len(w_star), lift_star,
             int(suite.get("scan_points", 129)),
             float(suite.get("collision_tol", COLLISION_TOL)),
         )
         A_star = at(s_star)
-        w_rot, cyl = _unique_visit_rotation(spec, w_star, A.window)
+        w_rot, cyl = _unique_visit_rotation(q_star, len(w_star), A.window)
         q_rot = periodic_point(spec, w_rot)
         M_rot = evaluate(A_star, q_rot, len(w_rot))
         constraint = "symplectic" if kind == "symplectic" else "none"

@@ -112,13 +112,13 @@ def standard_symplectic_form(n: int) -> np.ndarray:
     return omega
 
 
-def is_symplectic(M, omega=None, tol: float = SYMPLECTIC_TOL) -> bool:
+def is_symplectic(M, tol: float = SYMPLECTIC_TOL) -> bool:
+    """Whether M preserves the standard symplectic form, up to tol."""
     M = _as_matrix(M)
     n = M.shape[0] // 2
     if M.shape[0] != 2 * n:
         return False
-    if omega is None:
-        omega = standard_symplectic_form(n)
+    omega = standard_symplectic_form(n)
     resid = M.T @ omega @ M - omega
     return float(np.max(np.abs(resid))) <= tol * max(1.0, float(np.max(np.abs(M))) ** 2)
 
@@ -143,7 +143,6 @@ class SymplecticBlock:
 class SymplecticBlockForm:
     P: np.ndarray                    # symplectic basis change, columns at slot order
     blocks: list = field(default_factory=list)
-    block_matrix: np.ndarray = None  # P^{-1} M P with off-block entries zeroed
 
 
 def _eig_partner(values, i, target, used, tol):
@@ -158,8 +157,9 @@ def _eig_partner(values, i, target, used, tol):
     return best
 
 
-def symplectic_diagonalize(M, omega=None) -> SymplecticBlockForm:
-    """Real block diagonalization of a symplectic matrix by a symplectic basis.
+def symplectic_diagonalize(M) -> SymplecticBlockForm:
+    """Real block diagonalization of a matrix preserving the standard
+    symplectic form by a symplectic basis.
 
     Requires all eigenvalues distinct.  Eigenvalues are grouped into
     {lam, 1/lam} pairs and {lam, conj, 1/lam, 1/conj} quadruples; each group
@@ -171,10 +171,8 @@ def symplectic_diagonalize(M, omega=None) -> SymplecticBlockForm:
     if M.shape[0] % 2:
         raise ValueError("symplectic matrices have even dimension")
     n = M.shape[0] // 2
-    if omega is None:
-        omega = standard_symplectic_form(n)
-    omega = _as_matrix(omega)
-    if not is_symplectic(M, omega):
+    omega = standard_symplectic_form(n)
+    if not is_symplectic(M):
         raise ValueError("matrix does not preserve the symplectic form")
 
     eig, vec = np.linalg.eig(M)
@@ -277,7 +275,7 @@ def symplectic_diagonalize(M, omega=None) -> SymplecticBlockForm:
     assert slot == n
 
     P = np.column_stack(e_cols + f_cols)
-    if not is_symplectic(P, omega):
+    if not is_symplectic(P):
         raise ArithmeticError("constructed basis is not symplectic")
     B = np.linalg.solve(P, M @ P)
 
@@ -293,7 +291,7 @@ def symplectic_diagonalize(M, omega=None) -> SymplecticBlockForm:
     resid = float(np.max(np.abs(np.where(mask, 0.0, B))))
     if resid > SYMPLECTIC_TOL * max(1.0, float(np.max(np.abs(M)))):
         raise ArithmeticError("block form residual too large")
-    return SymplecticBlockForm(P=P, blocks=blocks, block_matrix=np.where(mask, B, 0.0))
+    return SymplecticBlockForm(P=P, blocks=blocks)
 
 
 def paired_rotation(theta: float, i: int, j: int, n: int) -> np.ndarray:
@@ -349,11 +347,11 @@ def exterior_power(M, k: int) -> np.ndarray:
     return out
 
 
-def twisting_check(psi, d: int | None = None, tol: float = TWISTING_TOL):
+def twisting_check(psi, d: int | None = None):
     """Exhaustive wedge non-degeneracy test for a d x d matrix.
 
     For every pair of index sets I, I' with |I| + |I'| = d the wedge
-    (ext^{|I|} psi)(e_I) ^ e_{I'} must be nonzero beyond tol, scaled by
+    (ext^{|I|} psi)(e_I) ^ e_{I'} must be nonzero beyond TWISTING_TOL, scaled by
     ||psi||^|I|.  Up to sign that wedge is the minor det psi[I'^c, I], the
     entry of exterior_power(psi, |I|) at row complement(I'), column I.
     Returns (ok, failing_pairs) with 1-based index tuples, ordered by |I|,
@@ -367,7 +365,7 @@ def twisting_check(psi, d: int | None = None, tol: float = TWISTING_TOL):
     opnorm = max(1.0, float(np.linalg.norm(psi, 2)))
     failing = []
     for k in range(d + 1):
-        thresh = tol * opnorm**k
+        thresh = TWISTING_TOL * opnorm**k
         ext = exterior_power(psi, k)
         # complement reverses lexicographic order, so the row of the j-th I'
         # is the j-th from the end
@@ -411,7 +409,7 @@ def _rotation_for_failing_pair(A_u: np.ndarray, I0: tuple, Ip0: tuple, n: int, t
     return R
 
 
-def twisting_witness(n: int, max_iterations: int | None = None) -> np.ndarray:
+def twisting_witness(n: int) -> np.ndarray:
     """A symplectic 2n x 2n matrix preserving span{e_i} whose restriction
     to span{e_i} passes twisting_check in dimension n.
 
@@ -421,7 +419,7 @@ def twisting_witness(n: int, max_iterations: int | None = None) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    cap = max_iterations if max_iterations is not None else 2 * 4**n
+    cap = 2 * 4**n
     A = np.eye(2 * n)
     theta = 0.3
     ok, failing = twisting_check(A[:n, :n], n)
@@ -456,7 +454,7 @@ def twisting_witness(n: int, max_iterations: int | None = None) -> np.ndarray:
 # moduli separation
 # ---------------------------------------------------------------------------
 
-def _conjugate_classes(eig, tol=1e-9):
+def _conjugate_classes(eig):
     """Group eigenvalue indices into real singletons and conjugate pairs."""
     classes = []
     used = set()
@@ -464,7 +462,7 @@ def _conjugate_classes(eig, tol=1e-9):
         if i in used:
             continue
         lam = eig[i]
-        if abs(lam.imag) <= tol * max(1.0, abs(lam)):
+        if abs(lam.imag) <= REAL_TOL * max(1.0, abs(lam)):
             classes.append([i])
             used.add(i)
         else:
@@ -532,7 +530,6 @@ def moduli_separation_perturb(
     M,
     eps: float,
     constraint: str = "none",
-    min_gap: float = 1e-6,
     realify_tol: float = 1e-6,
 ):
     """Perturb M within eps so eigenvalue moduli become pairwise distinct.
@@ -540,13 +537,12 @@ def moduli_separation_perturb(
     Conjugate pairs keep equal moduli with each other.  A complex pair whose
     argument is within realify_tol of 0 or pi is snapped to a real pair with
     slightly distinct moduli; genuinely complex pairs stay conformal.
-    constraint 'det' preserves the determinant, 'symplectic' scales
-    reciprocal eigenvalue families by reciprocal factors.  Returns M
-    unchanged when all class moduli already differ by more than min_gap
-    relatively and no pair needs snapping.
+    constraint 'symplectic' scales reciprocal eigenvalue families by
+    reciprocal factors.  Returns M unchanged when all class moduli already
+    differ by more than 1e-6 relatively and no pair needs snapping.
     """
     M = _as_matrix(M)
-    if constraint not in ("none", "det", "symplectic"):
+    if constraint not in ("none", "symplectic"):
         raise ValueError(f"unknown constraint {constraint!r}")
     eig = np.linalg.eigvals(M)
     classes = _conjugate_classes(eig)
@@ -556,7 +552,7 @@ def moduli_separation_perturb(
     mods = sorted((abs(eig[c[0]]) for c in classes), reverse=True)
     scale = max(mods)
     separated = all(
-        mods[a] - mods[a + 1] > min_gap * scale for a in range(len(mods) - 1)
+        mods[a] - mods[a + 1] > 1e-6 * scale for a in range(len(mods) - 1)
     )
     if separated and not any(near_real):
         return M
@@ -570,10 +566,6 @@ def moduli_separation_perturb(
     for attempt in range(10):
         step = (eps / (10.0 * max(1, len(blocks)))) / (1.6**attempt)
         mults = [1.0 + a * step for a in range(len(blocks))]
-        if constraint == "det":
-            weights = [1 if b[0] == "real" else 2 for b in blocks]
-            g = np.prod([m**w for m, w in zip(mults, weights)]) ** (1.0 / d)
-            mults = [m / g for m in mults]
         B = np.zeros((d, d))
         for (kind, pos, lam), m, snap in zip(blocks, mults, near_real):
             if kind == "real":

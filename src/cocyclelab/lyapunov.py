@@ -66,13 +66,13 @@ class LyapunovEstimate:
         return len(self.exponents)
 
 
-def _adaptive_block(A: CocycleSpec, n_steps: int, n_batches: int) -> int:
+def _adaptive_block(A: CocycleSpec, n_steps: int) -> int:
     sup_a, sup_inv = A.norm_envelope()
     log_cond = max(np.log(sup_a * sup_inv), 0.05)
     B = 1
     while B * 2 * log_cond <= MAX_BLOCK_LOG_COND and B < 64:
         B *= 2
-    while B > 1 and n_steps // B < 4 * n_batches:
+    while B > 1 and n_steps // B < 4 * DEFAULT_BATCHES:
         B //= 2
     return B
 
@@ -377,13 +377,13 @@ def qr_spectrum(mats: np.ndarray | _PathSteps, logdet: np.ndarray | None, block_
     )
 
 
-def lyapunov_qr(A: CocycleSpec, mu: MarkovMeasure, n_steps: int, seed: int, n_batches: int = DEFAULT_BATCHES) -> LyapunovEstimate:
+def lyapunov_qr(A: CocycleSpec, mu: MarkovMeasure, n_steps: int, seed: int) -> LyapunovEstimate:
     """Sample a mu-orbit of the base shift once and run the blocked QR over
     its steps, built a chunk at a time."""
     if n_steps < MIN_STEPS:
         raise ValueError(f"need at least {MIN_STEPS} steps for a stable estimate")
     path = _PathSteps(A, mu.sample_orbit(n_steps + A.window - 1, seed))
-    est = qr_spectrum(path, None, _adaptive_block(A, n_steps, n_batches), n_batches)
+    est = qr_spectrum(path, None, _adaptive_block(A, n_steps))
     mult = tuple(multiplicity_cluster(est.exponents, n_steps=est.n_steps))
     return replace(est, multiplicities=mult, seed=seed)
 

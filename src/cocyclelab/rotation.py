@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cocycles import CocycleSpec, evaluate
-from .shifts import SymbolicPoint, parse_word, periodic_point
+from .shifts import SymbolicPoint
 from .suspension import SuspensionSystem
 from . import linalg as la
 
@@ -28,6 +28,8 @@ MAX_LIFT_ITER = 10_000
 _RENORM_SPREAD = 0.2
 _RENORM_SCAN = 512
 _MAX_RENORM_DEPTH = 60
+# s-step halvings lift_theta_family may make to resolve one branch
+_MAX_LIFT_DEPTH = 40
 _REAL_DISC_TOL = 1e-12
 _BLOCK_GAP_TOL = 1e-6
 # orbits the sampled fallback walks at once, which bounds its memory
@@ -132,7 +134,7 @@ def _normalize_det(M: np.ndarray) -> np.ndarray:
     return M / math.sqrt(det)
 
 
-def doubled_rotation_number(M, tol: float = RHO_TOL, max_iter: int = MAX_LIFT_ITER) -> float:
+def doubled_rotation_number(M, tol: float = RHO_TOL) -> float:
     """Poincare rotation number, in [0, 2*pi), of the circle map of M.
 
     Iterates the canonical lift; at each step the polar data of the
@@ -153,11 +155,11 @@ def doubled_rotation_number(M, tol: float = RHO_TOL, max_iter: int = MAX_LIFT_IT
     an all-numpy loop over 0-d and 2x2 arrays bit for bit.
     """
     M = _normalize_det(np.asarray(M, dtype=float))
-    rho = _doubled_rho(M, tol, max_iter, 0)
+    rho = _doubled_rho(M, tol, 0)
     return float(np.mod(rho, TWO_PI))
 
 
-def _doubled_rho(M: np.ndarray, tol: float, max_iter: int, depth: int) -> float:
+def _doubled_rho(M: np.ndarray, tol: float, depth: int) -> float:
     tr = M[0, 0] + M[1, 1]
     if tr * tr >= 4.0 - _REAL_DISC_TOL:
         return 0.0
@@ -171,7 +173,7 @@ def _doubled_rho(M: np.ndarray, tol: float, max_iter: int, depth: int) -> float:
     # never dipped below the fast-path threshold
     candidate = None
     renorm = depth < _MAX_RENORM_DEPTH
-    for k in range(1, max_iter + 1):
+    for k in range(1, MAX_LIFT_ITER + 1):
         w = f.lift(w)
         Mk = _normalize_det(Mk @ M)
         entries = Mk.ravel().tolist()
@@ -192,7 +194,7 @@ def _doubled_rho(M: np.ndarray, tol: float, max_iter: int, depth: int) -> float:
             # the child's tolerance must stay inside the branch margin so the
             # rounding below pins the correct lift of the child's value
             child_tol = min(tol * k_r, 0.5, 0.25 * (math.pi - half_r))
-            child = _doubled_rho(M_r, child_tol, max_iter, depth + 1)
+            child = _doubled_rho(M_r, child_tol, depth + 1)
             child += TWO_PI * round((2.0 * beta_r - child) / TWO_PI)
             return (TWO_PI * j_r + child) / k_r
     return best_center
@@ -397,10 +399,10 @@ def _preorder(levels):
     return np.argsort(np.concatenate(positions))
 
 
-def rho_periodic(C: CircleCocycle, tol: float = RHO_TOL) -> float:
+def rho_periodic(C: CircleCocycle) -> float:
     """Rotation number of the periodic-orbit return map, halved to the
     line-angle convention and divided by the flow period."""
-    return doubled_rotation_number(C.composite(), tol=tol) / 2.0 / C.period
+    return doubled_rotation_number(C.composite()) / 2.0 / C.period
 
 
 def eigen_argument(M) -> float:
@@ -423,13 +425,12 @@ def _circ(a: float) -> float:
 class ThetaEllRhoReport:
     residual: float
     theta: float | None
-    rho: float
     period: float
     skipped: bool
 
 
 def theta_ell_rho_check(A: CocycleSpec, sys: SuspensionSystem, p: SymbolicPoint, ell: int,
-                        block_index: int = 0, tol: float = RHO_TOL) -> ThetaEllRhoReport:
+                        block_index: int = 0) -> ThetaEllRhoReport:
     """Compare the eigenvalue argument of the return block over ell steps
     from the periodic point p against period times the iterated-lift
     rotation number, folding the rotation sign.
@@ -438,14 +439,14 @@ def theta_ell_rho_check(A: CocycleSpec, sys: SuspensionSystem, p: SymbolicPoint,
     """
     C = circle_cocycle(A, sys, p, ell, block_index=block_index)
     M = C.composite()
-    rho = rho_periodic(C, tol=tol)
+    rho = rho_periodic(C)
     try:
         theta = eigen_argument(M)
     except ValueError:
-        return ThetaEllRhoReport(math.nan, None, rho, C.period, True)
+        return ThetaEllRhoReport(math.nan, None, C.period, True)
     doubled = 2.0 * C.period * rho
     residual = min(_circ(doubled - 2.0 * theta), _circ(doubled + 2.0 * theta)) / 2.0
-    return ThetaEllRhoReport(float(residual), theta, rho, C.period, False)
+    return ThetaEllRhoReport(float(residual), theta, C.period, False)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +459,6 @@ class ThetaLift:
 
     s_values: np.ndarray
     theta_values: np.ndarray
-    crossings: tuple          # s where the tracked pair had real spectrum
 
     @property
     def total_change(self) -> float:
@@ -501,33 +501,29 @@ def tracked_raw_angle(A: CocycleSpec, p: SymbolicPoint, ell: int, prev_modulus: 
     return ang, mod, is_real, gap
 
 
-def lift_theta_family(family, sys: SuspensionSystem, word, grid,
-                      max_depth: int = 40) -> ThetaLift:
-    """Continuous lift s -> theta(s) of the tracked block argument along a
+def lift_theta_family(family, sys: SuspensionSystem, p: SymbolicPoint, ell: int,
+                      grid) -> ThetaLift:
+    """Continuous lift s -> theta(s) of the tracked block argument over ell
+    steps from the periodic point p of a word (ell its length) along a
     family of cocycles, anchored at s = grid[0] to period * rho of the
     projectivized block there.
 
     Each step picks the branch 2*pi*m +/- raw_angle closest to the previous
-    value, refining the s grid until every increment is below pi/4.  Grid
-    points where the pair collides into a real pair are recorded as
-    crossing events.
+    value, refining the s grid until every increment is below pi/4.
     """
     grid = [float(s) for s in grid]
     if len(grid) < 2:
         raise ValueError("grid needs at least two parameter values")
     A0 = family(grid[0])
-    w = parse_word(word)
-    p = periodic_point(A0.base, w)
-    C0 = circle_cocycle(A0, sys, p, len(w))
+    C0 = circle_cocycle(A0, sys, p, ell)
     anchor_halved = rho_periodic(C0) * C0.period
-    raw0, mod0, real0, _ = tracked_raw_angle(A0, p, len(w), None)
+    raw0, mod0, real0, _ = tracked_raw_angle(A0, p, ell, None)
     if real0:
         raise ValueError("family must start with a complex pair on the tracked block")
     # match the anchor to the signed branch consistent with the raw angle
     theta0 = raw0 if _circ(2 * anchor_halved - 2 * raw0) <= _circ(2 * anchor_halved + 2 * raw0) else -raw0
     s_out = [grid[0]]
     th_out = [theta0]
-    crossings = []
     prev_mod = mod0
 
     def branch(target, raw):
@@ -541,7 +537,7 @@ def lift_theta_family(family, sys: SuspensionSystem, word, grid,
     def advance(s_a, th_a, s_b, depth):
         nonlocal prev_mod
         A = family(s_b)
-        raw, mod, is_real, gap = tracked_raw_angle(A, p, len(w), prev_mod)
+        raw, mod, is_real, gap = tracked_raw_angle(A, p, ell, prev_mod)
         if gap < _BLOCK_GAP_TOL and not is_real:
             raise ValueError("tracked block modulus gap degenerated")
         # aim at the linear continuation of the lift: near a fold of the
@@ -555,14 +551,12 @@ def lift_theta_family(family, sys: SuspensionSystem, word, grid,
             pred = th_a
         cand = branch(pred, raw)
         if abs(cand - th_a) >= math.pi / 4.0:
-            if depth >= max_depth:
+            if depth >= _MAX_LIFT_DEPTH:
                 raise ArithmeticError("could not resolve the argument branch")
             mid = 0.5 * (s_a + s_b)
             th_mid = advance(s_a, th_a, mid, depth + 1)
             return advance(mid, th_mid, s_b, depth + 1)
         prev_mod = mod
-        if is_real:
-            crossings.append(s_b)
         s_out.append(s_b)
         th_out.append(cand)
         return cand
@@ -570,9 +564,7 @@ def lift_theta_family(family, sys: SuspensionSystem, word, grid,
     for a, b in zip(grid, grid[1:]):
         advance(a, th_out[-1], b, 0)
     order = np.argsort(s_out)
-    return ThetaLift(
-        np.asarray(s_out)[order], np.asarray(th_out)[order], tuple(crossings)
-    )
+    return ThetaLift(np.asarray(s_out)[order], np.asarray(th_out)[order])
 
 
 # ---------------------------------------------------------------------------

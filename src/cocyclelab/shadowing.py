@@ -47,21 +47,11 @@ class ShadowingFit:
     """Least-squares fit of log-distance against time-to-the-ends."""
 
     c: float
-    eta: float
     eta_per_period: float
     target_per_period: float
     residual: float
     n_values: tuple
     profiles: dict           # n -> (centered offsets, metric distances)
-
-    def to_dict(self) -> dict:
-        return {
-            "c": self.c,
-            "eta": self.eta,
-            "eta_per_period": self.eta_per_period,
-            "target_per_period": self.target_per_period,
-            "residual": self.residual,
-        }
 
     def profile_rows(self):
         """(n, offset, distance) rows for all family members."""
@@ -106,11 +96,9 @@ def exponential_shadowing_check(spec: SftSpec, p_word, bridge, n_values) -> Shad
     y = np.asarray(ys)
     sol, *_ = np.linalg.lstsq(X, y, rcond=None)
     resid = float(np.sqrt(np.mean((X @ sol - y) ** 2)))
-    eta = -float(sol[1])
     return ShadowingFit(
         c=math.exp(float(sol[0])),
-        eta=eta,
-        eta_per_period=eta * len(p),
+        eta_per_period=-float(sol[1]) * len(p),
         target_per_period=math.log(1.0 / spec.theta) * len(p),
         residual=resid,
         n_values=tuple(int(n) for n in n_values),
@@ -125,9 +113,7 @@ class PeriodDifferenceReport:
     n_values: tuple
     deltas: np.ndarray
     sup_delta: float
-    holder_norm: float
     m2: float
-    nu: float
 
 
 def period_difference_bound(roof0: RoofFunction, roof1: RoofFunction,
@@ -177,9 +163,7 @@ def period_difference_bound(roof0: RoofFunction, roof1: RoofFunction,
         n_values=tuple(int(n) for n in n_values),
         deltas=deltas,
         sup_delta=float(np.max(deltas)),
-        holder_norm=float(holder),
         m2=float(m2),
-        nu=float(nu),
     )
 
 
@@ -286,7 +270,6 @@ class PseudoOrbit:
 
     points: np.ndarray
     epsilon: float
-    periodic: bool = True
 
     def __post_init__(self):
         P = np.asarray(self.points, dtype=float)
@@ -330,15 +313,9 @@ class ShadowResult:
 
     numerators: tuple
     denominator: int
-    distances: np.ndarray
     sup_distance: float
     bound: float
-    shadowing_constant: float
     epsilon: float
-
-    @property
-    def point(self) -> np.ndarray:
-        return np.asarray(self.numerators, dtype=float) / self.denominator
 
 
 def toral_close(T: ToralAutomorphism, pseudo: PseudoOrbit) -> ShadowResult:
@@ -378,8 +355,7 @@ def toral_close(T: ToralAutomorphism, pseudo: PseudoOrbit) -> ShadowResult:
         fs = f[(np.arange(N) + s) % N]
         comp = np.array([scale[i] * (geo[i] @ fs[:, i]) for i in range(d)])
         corrections[s] = np.real(V @ comp)
-    L = T.shadowing_constant
-    bound = L * pseudo.epsilon
+    bound = T.shadowing_constant * pseudo.epsilon
     sup_c = float(np.max(np.abs(corrections)))
     if sup_c > bound:
         raise ArithmeticError("closing correction exceeded the shadowing bound")
@@ -410,9 +386,7 @@ def toral_close(T: ToralAutomorphism, pseudo: PseudoOrbit) -> ShadowResult:
     return ShadowResult(
         numerators=tuple(nums),
         denominator=D,
-        distances=dists,
         sup_distance=sup,
         bound=bound,
-        shadowing_constant=L,
         epsilon=pseudo.epsilon,
     )

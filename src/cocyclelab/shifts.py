@@ -8,7 +8,7 @@ spellings use digits then lowercase letters (alphabets up to 36).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -184,12 +184,6 @@ class SymbolicPoint:
         at = np.where(j < 0, j % nl, nl + np.where(j < n, j, n + (j - n) % len(self.right)))
         return np.array(self.left + self.core + self.right, dtype=np.int64)[at]
 
-    def symbol_at(self, i: int) -> int:
-        return int(self.word_array(i, 1)[0])
-
-    def word_at(self, start: int, length: int) -> tuple:
-        return tuple(self.word_array(start, length).tolist())
-
     def shift(self, k: int = 1) -> "SymbolicPoint":
         return make_point(self.left, self.core, self.right, self.core_start - k)
 
@@ -344,19 +338,18 @@ def _perron(L: np.ndarray):
 
 @dataclass(frozen=True)
 class MarkovMeasure:
-    """Shift-invariant Markov measure with its thermodynamic data."""
+    """Shift-invariant Markov measure."""
 
     spec: SftSpec
     P: np.ndarray                  # row-stochastic, supported on transitions
     pi: np.ndarray                 # stationary distribution
-    entropy: float
-    pressure: float
-    potential: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
         P = np.asarray(self.P, dtype=float)
         pi = np.asarray(self.pi, dtype=float)
         T = self.spec.transitions
+        if (P < 0.0).any() or (pi < 0.0).any():
+            raise ValueError("P and pi must have nonnegative entries")
         if np.any(P[T == 0] != 0.0):
             raise ValueError("stochastic matrix charges a forbidden transition")
         if not np.allclose(P.sum(axis=1), 1.0, atol=1e-10):
@@ -450,8 +443,8 @@ def gibbs_locally_constant(spec: SftSpec, phi) -> MarkovMeasure:
     """Equilibrium state of a two-coordinate potential phi(x) = phi(x_0, x_1).
 
     phi may be an m x m array or a dict keyed by (i, j) or two-symbol words.
-    The tilted transfer matrix L_ij = T_ij exp(phi_ij) yields the pressure
-    log(lam) and a Markov measure through its Perron eigendata.
+    The tilted transfer matrix L_ij = T_ij exp(phi_ij) yields a Markov
+    measure through its Perron eigendata.
     """
     if not spec.is_primitive:
         raise ValueError("transition matrix must be primitive")
@@ -471,9 +464,4 @@ def gibbs_locally_constant(spec: SftSpec, phi) -> MarkovMeasure:
     P = L * r[None, :] / (lam * r[:, None])
     pi = l * r
     pi /= pi.sum()
-    pressure = float(np.log(lam))
-    mean_phi = float(np.sum(pi[:, None] * P * phi))
-    return MarkovMeasure(
-        spec=spec, P=P, pi=pi, entropy=pressure - mean_phi, pressure=pressure,
-        potential=phi,
-    )
+    return MarkovMeasure(spec=spec, P=P, pi=pi)

@@ -72,7 +72,7 @@ def reference_domination(A, nu=None, max_power=64):
         )
         best[N] = ratio * env_factor**N * theta ** (nu * N)
         if best[N] < 1.0:
-            return cc.DominationResult(True, N, 1.0 - best[N], A.is_locally_constant)
+            return cc.DominationResult(True, N, 1.0 - best[N])
         if N >= max_power:
             break
         nxt = {}
@@ -91,8 +91,8 @@ def reference_domination(A, nu=None, max_power=64):
             default=np.inf,
         )
         if best[target] < 1.0:
-            return cc.DominationResult(True, target, 1.0 - best[target], A.is_locally_constant)
-    return cc.DominationResult(False, None, 0.0, A.is_locally_constant)
+            return cc.DominationResult(True, target, 1.0 - best[target])
+    return cc.DominationResult(False, None, 0.0)
 
 
 def random_cocycle(seed):
@@ -278,7 +278,7 @@ def reference_bump_field(x, word, theta, nu):
 def reference_value_at(A, x):
     """A(x) from the generator and the eigen-decomposed bump factors of
     the exactly scanned fields."""
-    M = A.generator[x.word_at(0, A.window)]
+    M = A.generator[tuple(x.word_array(0, A.window).tolist())]
     if A.perturbation is None:
         return M
     for b in A.perturbation.bumps:
@@ -349,7 +349,8 @@ def decimal_field_differences(x, y, word, q, side, steps, span=400):
         L = len(word)
         diff = {}
         for p in range(-span, span + 1):
-            v = (x.word_at(p, L) == word) - (y.word_at(p, L) == word)
+            v = ((tuple(x.word_array(p, L).tolist()) == word)
+                 - (tuple(y.word_array(p, L).tolist()) == word))
             if v:
                 diff[p] = v
         out = []
@@ -390,9 +391,9 @@ def decimal_stable_holonomy(A, x, y, steps, span=80):
 
         def step(z, k):
             hits = sum((q ** abs(p - k) for p in range(k - span, k + span + 1)
-                        if z.word_at(p, len(b.word)) == b.word), Decimal(0))
+                        if tuple(z.word_array(p, len(b.word)).tolist()) == b.word), Decimal(0))
             g = Decimal(b.amplitude) * hits
-            return _dmul(dec(A.generator[z.word_at(k, A.window)]),
+            return _dmul(dec(A.generator[tuple(z.word_array(k, A.window).tolist())]),
                          _dexp([[g * v for v in row] for row in D]))
 
         Px = Py = dec(np.eye(2))
@@ -601,9 +602,7 @@ class TestDomination:
         A = SAME_PATH_CASES[case]()
         ref = reference_domination(A)
         res = cc.domination_check(A)
-        assert (res.dominated, res.power, res.locally_constant) == (
-            ref.dominated, ref.power, ref.locally_constant
-        )
+        assert (res.dominated, res.power) == (ref.dominated, ref.power)
         assert res.margin == pytest.approx(ref.margin, rel=1e-12, abs=0.0)
 
 
@@ -835,11 +834,7 @@ class TestFieldDifference:
     def test_reflection(self):
         x = sh.make_point("01", "110", "001", -2)
         r = cc._reflect(x)
-        assert all(r.symbol_at(i) == x.symbol_at(-i) for i in range(-30, 31))
-
-    def test_word_array_matches_symbol_at(self):
-        for x in (sh.make_point("01", "110", "001", -2), sh.periodic_point(FULL2, "011")):
-            assert x.word_array(-17, 40).tolist() == list(x.word_at(-17, 40))
+        assert r.word_array(-30, 61).tolist() == x.word_array(-30, 61).tolist()[::-1]
 
 
 def two_bump_cocycle():
@@ -1099,17 +1094,18 @@ class TestPsiTransition:
         A = lc(FULL2, D2, SHEAR)
         p = sh.periodic_point(FULL2, "0")
         z, N = sh.homoclinic_point(FULL2, "0", "11")
-        tr = cc.psi_transition(A, p, z, N)
+        psi = cc.psi_transition(A, p, z, N)
         expected = np.linalg.inv(D2 @ D2) @ (SHEAR @ SHEAR)
-        assert np.allclose(tr.psi, expected, atol=1e-13)
-        assert np.allclose(tr.unstable_part, np.eye(2))
+        assert np.allclose(psi, expected, atol=1e-13)
+        # p and z agree on every negative index: the unstable holonomy is trivial
+        assert np.allclose(cc.unstable_holonomy(A, p, z).matrix, np.eye(2))
 
     def test_exit_time_independence(self):
         A = lc(FULL2, D2, POS)
         p = sh.periodic_point(FULL2, "0")
         z, N = sh.homoclinic_point(FULL2, "0", "11")
-        psi_a = cc.psi_transition(A, p, z, N).psi
-        psi_b = cc.psi_transition(A, p, z, N + 3).psi
+        psi_a = cc.psi_transition(A, p, z, N)
+        psi_b = cc.psi_transition(A, p, z, N + 3)
         assert np.allclose(psi_a, psi_b, atol=1e-12)
 
     def test_misaligned_exit_rejected(self):
@@ -1125,29 +1121,29 @@ class TestPsiTransition:
         A = cc.CocycleSpec(GOLDEN, 2, gen)
         p = sh.periodic_point(GOLDEN, "0")
         z, N = sh.homoclinic_point(GOLDEN, "0", "10")
-        tr = cc.psi_transition(A, p, z, N)
+        psi = cc.psi_transition(A, p, z, N)
         n = 12
         phi_u = cc.evaluate(A, z.shift(-n), n) @ np.linalg.inv(
             cc.evaluate(A, p.shift(-n), n)
         )
         brute = np.linalg.solve(cc.evaluate(A, p, N), cc.evaluate(A, z, N)) @ phi_u
-        assert np.allclose(tr.psi, brute, atol=1e-11)
+        assert np.allclose(psi, brute, atol=1e-11)
 
     def test_constant_cocycle_trivial(self):
         A = lc(FULL2, POS, POS)
         p = sh.periodic_point(FULL2, "0")
         z, N = sh.homoclinic_point(FULL2, "0", "1")
-        tr = cc.psi_transition(A, p, z, N)
-        assert np.allclose(tr.psi, np.eye(2), atol=1e-12)
+        psi = cc.psi_transition(A, p, z, N)
+        assert np.allclose(psi, np.eye(2), atol=1e-12)
 
     def test_rotated_stretch_closed_form(self):
         g1 = rot(np.pi / 4) @ np.diag([3.0, 1.0 / 3.0])
         A = lc(FULL2, D2, g1)
         p = sh.periodic_point(FULL2, "0")
         z, N = sh.homoclinic_point(FULL2, "0", "1")
-        tr = cc.psi_transition(A, p, z, N)
+        psi = cc.psi_transition(A, p, z, N)
         expected = np.diag([0.5, 2.0]) @ g1
-        assert np.allclose(tr.psi, expected, atol=1e-13)
+        assert np.allclose(psi, expected, atol=1e-13)
 
 
 class TestPeriodicEigendata:
@@ -1185,7 +1181,6 @@ class TestSimplicity:
         A = lc(FULL2, D2, POS)
         rep = cc.simplicity_check(A, "0", "1")
         assert rep.pinching and rep.twisting and rep.verdict
-        assert rep.spectrum.all_real()
 
     def test_complex_return_spectrum_fails_pinching(self):
         A = lc(FULL2, 1.5 * rot(0.4), POS)
@@ -1201,7 +1196,7 @@ class TestSimplicity:
         A = lc(FULL2, D2, np.diag([3.0, 1.0 / 3.0]))
         rep = cc.simplicity_check(A, "0", "1")
         assert rep.pinching and not rep.twisting and not rep.verdict
-        assert ((1,), (1,)) in rep.failing_pairs
+        assert ((1,), (1,)) in la.twisting_check(rep.psi)[1]
 
     def test_pinching_check_helper(self):
         A = lc(FULL2, D2, POS)
@@ -1245,7 +1240,7 @@ class TestPerturbations:
         g0 = 1.2 * rot(0.9)
         A = lc(FULL2, g0, D2)
         fam = cc.rotation_perturb_family(A, "0", theta0=0.05)
-        assert fam.visits_per_period == 1
+        assert fam.support_word == (0,)
         for s in (0.5, 1.0, 2.0):
             M = cc.evaluate(fam.at(s), sh.periodic_point(FULL2, "0"), 1)
             lam = np.linalg.eigvals(M)

@@ -21,6 +21,11 @@ CONFIG_DIR = Path(ex.__file__).parent / "configs"
 SHIPPED = sorted(CONFIG_DIR.glob("e*.json"))
 
 FULL2 = sh.SftSpec.full_shift(2, theta=0.5)
+# rows and weights that sum to one with a negative entry
+NEGATIVE_MEASURES = [
+    {"kind": "markov", "P": [[1.5, -0.5], [0.5, 0.5]]},
+    {"kind": "bernoulli", "p": [1.2, -0.2]},
+]
 
 
 def load(name):
@@ -85,11 +90,17 @@ class TestConfig:
         gibbs = cf.build_measure(FULL2, {"kind": "gibbs",
                                          "phi": {"00": 0.1, "01": 0.0,
                                                  "10": 0.0, "11": -0.1}})
-        assert gibbs.potential is not None
+        assert np.array_equal(gibbs.P, sh.gibbs_locally_constant(
+            FULL2, {"00": 0.1, "01": 0.0, "10": 0.0, "11": -0.1}).P)
 
     def test_bad_bernoulli_vector(self):
         with pytest.raises(cf.ConfigError, match="probability vector"):
             cf.build_measure(FULL2, {"kind": "bernoulli", "p": [0.3, 0.3]})
+
+    @pytest.mark.parametrize("measure", NEGATIVE_MEASURES)
+    def test_negative_probabilities_rejected(self, measure):
+        with pytest.raises(ValueError, match="nonnegative"):
+            cf.build_measure(FULL2, measure)
 
 
 class TestReport:
@@ -188,21 +199,79 @@ def referenced_names(tree, skip=frozenset()):
     return out
 
 
+def read_attributes(tree, skip=frozenset()):
+    """Attribute names loaded anywhere in tree, outside the nodes in skip."""
+    return {node.attr for node in ast.walk(tree)
+            if node not in skip and isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def public_members(cls):
+    """(name, node) of the public methods, properties and annotated
+    (dataclass) fields in a class body."""
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            name = node.name
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            name = node.target.id
+        else:
+            continue
+        if not name.startswith("_"):
+            yield name, node
+
+
+def defaulted_parameters(fn, method):
+    """(name, position) of the parameters of fn that have a default;
+    position counts the arguments a call passes (None for keyword-only)."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    bound = method and not any(
+        isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+    for arg in positional[len(positional) - len(args.defaults):]:
+        yield arg.arg, positional.index(arg) - bound
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+# members that only the benchmark's per-layer counters are meant to read
+UNREAD_MEMBERS = {
+    f"{cls}.{name}": "ROADMAP item 6: deterministic work counter"
+    for cls, name in [("LyapunovEstimate", "block_size"), ("LyapunovEstimate", "segments"),
+                      ("LyapunovEstimate", "reduced_blocks"), ("LyapunovEstimate", "seam_blocks"),
+                      ("RhoMeasureEstimate", "nodes")]
+}
+
+
 class TestShippedCallers:
+    """Guards against regrowth by name: a name read or passed elsewhere for
+    another object (``.nu``, ``.period``) hides an unread one."""
+
+    PKG = Path(ex.__file__).parents[1]
+    ROOT = Path(__file__).parents[1]
+
+    def library(self):
+        return {path: ast.parse(path.read_text()) for path in sorted(self.PKG.rglob("*.py"))
+                if path != self.PKG / "__init__.py"}
+
+    def parsed(self, paths):
+        return [ast.parse(path.read_text()) for path in paths]
+
+    def shipped_readers(self):
+        """Trees of the benchmark and the acceptance gate."""
+        return self.parsed([*sorted((self.ROOT / "bench").glob("*.py")),
+                            self.ROOT / "tests" / "test_acceptance.py"])
+
     def test_every_public_definition_has_a_library_bench_or_gate_reference(self):
         # a public top-level function or class of the library is referenced
         # outside its own definition, in a library module (its own
         # included), in the benchmark or in the acceptance gate; the
         # package's re-exports and the unit tests do not count.  This only
         # guards against regrowth: a referenced name may still never run.
-        pkg = Path(ex.__file__).parents[1]
-        root = Path(__file__).parents[1]
-        trees = {path: ast.parse(path.read_text()) for path in sorted(pkg.rglob("*.py"))
-                 if path != pkg / "__init__.py"}
+        pkg = self.PKG
+        trees = self.library()
         names = {path: referenced_names(tree) for path, tree in trees.items()}
-        outside = set()
-        for path in [*sorted((root / "bench").glob("*.py")), root / "tests" / "test_acceptance.py"]:
-            outside |= referenced_names(ast.parse(path.read_text()))
+        outside = set().union(*map(referenced_names, self.shipped_readers()))
         unreferenced = []
         for path, tree in trees.items():
             others = outside.union(*(n for p, n in names.items() if p != path))
@@ -213,6 +282,62 @@ class TestShippedCallers:
                         and node.name not in referenced_names(tree, frozenset(ast.walk(node)))):
                     unreferenced.append(f"{path.relative_to(pkg)}:{node.name}")
         assert unreferenced == []
+
+    def test_every_public_member_is_read_by_the_library_bench_or_gate(self):
+        # a public method, property or dataclass field of a public library
+        # class is read as an attribute in a library module outside its own
+        # definition, in the benchmark or in the acceptance gate
+        trees = self.library()
+        reads = {path: read_attributes(tree) for path, tree in trees.items()}
+        outside = set().union(*map(read_attributes, self.shipped_readers()))
+        unread = []
+        for path, tree in trees.items():
+            others = outside.union(*(r for p, r in reads.items() if p != path))
+            for cls in tree.body:
+                if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                    continue
+                for name, node in public_members(cls):
+                    if (name not in others
+                            and name not in read_attributes(tree, frozenset(ast.walk(node)))):
+                        unread.append(f"{cls.name}.{name}")
+        assert sorted(set(unread) - set(UNREAD_MEMBERS)) == []
+        assert sorted(set(UNREAD_MEMBERS) - set(unread)) == []
+
+    def test_every_defaulted_parameter_is_passed_somewhere(self):
+        # a parameter with a default, of a library function or of a method
+        # of a public library class, is passed by keyword or by position at
+        # some call in the library, the benchmark or the tests to a callee
+        # of the same name (the class name for __init__); a starred
+        # argument passes nothing
+        calls = {}
+        trees = [*self.library().values(), *self.shipped_readers(),
+                 *self.parsed(sorted((self.ROOT / "tests").glob("test_*.py")))]
+        for tree in trees:
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    calls.setdefault(callee, []).append(node)
+
+        def passed(callee, name, position):
+            return any(
+                any(k.arg in (name, None) for k in call.keywords)
+                or (position is not None and len(call.args) > position
+                    and not any(isinstance(a, ast.Starred) for a in call.args[: position + 1]))
+                for call in calls.get(callee, []))
+
+        unset = []
+        for path, tree in self.library().items():
+            functions = [(node.name, node, False) for node in tree.body
+                         if isinstance(node, ast.FunctionDef)]
+            for cls in tree.body:
+                if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+                    functions += [(cls.name if node.name == "__init__" else node.name, node, True)
+                                  for node in cls.body if isinstance(node, ast.FunctionDef)]
+            for callee, fn, method in functions:
+                for name, position in defaulted_parameters(fn, method):
+                    if not passed(callee, name, position):
+                        unset.append(f"{path.relative_to(self.PKG)}:{fn.name}({name})")
+        assert unset == []
 
 
 class TestRunners:
@@ -457,6 +582,18 @@ class TestCli:
         code = cli.main(["--config", str(doctored), "--out", str(tmp_path)])
         assert code == 2
         assert "FAIL  integral-unit" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("measure", NEGATIVE_MEASURES)
+    def test_negative_probability_exits_one(self, tmp_path, capsys, measure):
+        cfg = load("e1.json")
+        cfg["n_steps"] = 20000
+        cfg["suite"] = [dict(cfg["suite"][0], measures=[measure])]
+        doctored = tmp_path / "e1_negative.json"
+        doctored.write_text(json.dumps(cfg))
+        assert cli.main(["--config", str(doctored), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: ValueError: P and pi must have nonnegative entries\n"
+        assert not (tmp_path / "e1.json").exists()
 
     def test_runtime_error_ends_with_one_line(self, tmp_path, monkeypatch, capsys):
         def failing(cfg, seed):

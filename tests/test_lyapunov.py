@@ -272,7 +272,7 @@ def sampled_path(A, mu, n_steps, seed):
     """Step matrices, log|det| and the lyapunov_qr block size of one path."""
     symbols = np.asarray(mu.sample_orbit(n_steps + A.window - 1, seed))
     mats, logdet = A.path_matrices(symbols)
-    return mats, logdet, ly._adaptive_block(A, n_steps, ly.DEFAULT_BATCHES)
+    return mats, logdet, ly._adaptive_block(A, n_steps)
 
 
 def assert_same_estimate(new, ref):
@@ -756,7 +756,7 @@ class TestStreamedBlocks:
         spec = cf.build_base(E1_CONFIG["base"])
         A = cf.build_cocycle(spec, member["cocycle"])
         mu = cf.build_measure(spec, measure)
-        B = ly._adaptive_block(A, E1_CONFIG["n_steps"], ly.DEFAULT_BATCHES)
+        B = ly._adaptive_block(A, E1_CONFIG["n_steps"])
         # two full chunks, a partial one, and a few steps past the last block
         n_steps = (2 * ly._CHUNK_BLOCKS + 37) * B + 5
         symbols = mu.sample_orbit(n_steps + A.window - 1, E1_CONFIG["seed"])

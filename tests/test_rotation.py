@@ -808,22 +808,21 @@ class TestLiftThetaFamily:
     def test_conformal_family_is_exactly_linear(self):
         A = const_cocycle(1.2 * rot(0.9), 1.2 * rot(0.9))
         fam = cc.rotation_perturb_family(A, "0", theta0=0.05)
-        lift = ro.lift_theta_family(fam.at, unit_flow(), "0", np.linspace(0.0, 2.0, 9))
+        lift = ro.lift_theta_family(fam.at, unit_flow(), *orbit("0"), np.linspace(0.0, 2.0, 9))
         assert lift.theta_values[0] == pytest.approx(0.9, abs=1e-10)
         assert lift.theta_values == pytest.approx(0.9 + 0.05 * lift.s_values, abs=1e-9)
         assert lift.total_change == pytest.approx(0.1, abs=1e-9)
-        assert lift.crossings == ()
 
     def test_constant_family_is_flat(self):
         A = const_cocycle(1.2 * rot(0.9), 1.2 * rot(0.9))
-        lift = ro.lift_theta_family(lambda s: A, unit_flow(), "0", [0.0, 0.5, 1.0])
+        lift = ro.lift_theta_family(lambda s: A, unit_flow(), *orbit("0"), [0.0, 0.5, 1.0])
         assert lift.total_change == pytest.approx(0.0, abs=1e-12)
 
     def test_negative_direction_anchor(self):
         def fam(s):
             return const_cocycle(1.2 * rot(-0.6 - 0.05 * s), 1.2 * rot(-0.6 - 0.05 * s))
 
-        lift = ro.lift_theta_family(fam, unit_flow(), "0", np.linspace(0.0, 2.0, 9))
+        lift = ro.lift_theta_family(fam, unit_flow(), *orbit("0"), np.linspace(0.0, 2.0, 9))
         assert lift.theta_values[0] == pytest.approx(-0.6, abs=1e-10)
         assert lift.total_change == pytest.approx(-0.1, abs=1e-9)
 
@@ -832,10 +831,9 @@ class TestLiftThetaFamily:
             M = rot(0.5 * (1.0 - s)) @ np.diag([1.0 + s, 1.0 / (1.0 + s)])
             return const_cocycle(M, M)
 
-        lift = ro.lift_theta_family(fam, unit_flow(), "0", np.linspace(0.0, 1.0, 11))
-        assert lift.crossings
-        assert min(lift.crossings) > 0.0
-        # once real, the tracked argument sits on a multiple of pi
+        lift = ro.lift_theta_family(fam, unit_flow(), *orbit("0"), np.linspace(0.0, 1.0, 11))
+        # the pair starts complex; once real, the tracked argument sits on a
+        # multiple of pi
         final = lift.theta_values[-1]
         assert circ_dist(2 * final, 0.0) < 1e-9 or circ_dist(2 * final, TWO_PI) < 1e-9
 
@@ -844,18 +842,18 @@ class TestLiftThetaFamily:
         def fam(s):
             return const_cocycle(1.2 * rot(0.9 + s), 1.2 * rot(0.9 + s))
 
-        lift = ro.lift_theta_family(fam, unit_flow(), "0", np.linspace(0.0, 3.0, 13))
+        lift = ro.lift_theta_family(fam, unit_flow(), *orbit("0"), np.linspace(0.0, 3.0, 13))
         assert lift.theta_values[-1] == pytest.approx(3.9, abs=1e-9)
 
     def test_short_grid_rejected(self):
         A = const_cocycle(1.2 * rot(0.9), 1.2 * rot(0.9))
         with pytest.raises(ValueError, match="two parameter"):
-            ro.lift_theta_family(lambda s: A, unit_flow(), "0", [0.0])
+            ro.lift_theta_family(lambda s: A, unit_flow(), *orbit("0"), [0.0])
 
     def test_real_start_rejected(self):
         A = const_cocycle(np.diag([2.0, 0.5]), np.diag([2.0, 0.5]))
         with pytest.raises(ValueError, match="complex pair"):
-            ro.lift_theta_family(lambda s: A, unit_flow(), "0", [0.0, 1.0])
+            ro.lift_theta_family(lambda s: A, unit_flow(), *orbit("0"), [0.0, 1.0])
 
 
 class TestRhoMeasure:
@@ -888,8 +886,6 @@ class TestRhoMeasure:
             FULL2,
             np.array([[0.0, 1.0], [1.0, 0.0]]),
             np.array([0.5, 0.5]),
-            entropy=0.0,
-            pressure=0.0,
         )
         per = ro.rho_periodic(ro.circle_cocycle(A, unit_flow(), *orbit("01")))
         est = ro.rho_measure(A, unit_flow(), mu, t=8.0)

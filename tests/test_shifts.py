@@ -97,8 +97,8 @@ class TestWindowTable:
 class TestSymbolicPoint:
     def test_periodic_point_symbols(self):
         x = sh.periodic_point(GOLDEN, "01")
-        assert x.word_at(0, 6) == (0, 1, 0, 1, 0, 1)
-        assert x.word_at(-3, 3) == (1, 0, 1)
+        assert x.word_array(0, 6).tolist() == [0, 1, 0, 1, 0, 1]
+        assert x.word_array(-3, 3).tolist() == [1, 0, 1]
         assert x.is_periodic and x.period == 2
 
     def test_periodic_point_primitive_reduction(self):
@@ -107,7 +107,7 @@ class TestSymbolicPoint:
     def test_shift_moves_origin(self):
         x = sh.periodic_point(GOLDEN, "01")
         y = x.shift(1)
-        assert y.word_at(0, 4) == (1, 0, 1, 0)
+        assert y.word_array(0, 4).tolist() == [1, 0, 1, 0]
         assert x.shift(2) == x
         assert x.shift(-2) == x
         assert x.shift(1) != x
@@ -121,13 +121,13 @@ class TestSymbolicPoint:
     def test_homoclinic_point_layout(self):
         z, N = sh.homoclinic_point(FULL2, "01", "0011")
         assert N == 4
-        assert z.word_at(0, 4) == (0, 0, 1, 1)
-        assert z.word_at(-4, 4) == (0, 1, 0, 1)
-        assert z.word_at(4, 4) == (0, 1, 0, 1)
+        assert z.word_array(0, 4).tolist() == [0, 0, 1, 1]
+        assert z.word_array(-4, 4).tolist() == [0, 1, 0, 1]
+        assert z.word_array(4, 4).tolist() == [0, 1, 0, 1]
         # past the exit the shifted point agrees with the periodic orbit
         p = sh.periodic_point(FULL2, "01")
         zN = z.shift(N)
-        assert all(zN.symbol_at(i) == p.symbol_at(i) for i in range(40))
+        assert np.array_equal(zN.word_array(0, 40), p.word_array(0, 40))
 
     def test_homoclinic_exit_rounds_up(self):
         _, N = sh.homoclinic_point(GOLDEN, "0", "101")
@@ -191,8 +191,9 @@ class TestParry:
     def test_golden_mean_entropy(self):
         mu = sh.parry_measure(GOLDEN)
         golden = (1 + math.sqrt(5)) / 2
-        assert mu.entropy == pytest.approx(math.log(golden), abs=1e-12)
-        assert mu.pressure == mu.entropy
+        P = mu.P
+        entropy = -np.sum(mu.pi[:, None] * P * np.log(P, where=P > 0, out=np.zeros_like(P)))
+        assert entropy == pytest.approx(math.log(golden), abs=1e-12)
 
     def test_full_shift_uniform(self):
         mu = sh.parry_measure(FULL2)
@@ -217,7 +218,16 @@ class TestParry:
         mu = sh.parry_measure(spec)
         assert np.array_equal(mu.P, P)
         assert np.array_equal(mu.pi, pi)
-        assert mu.entropy == mu.pressure == float(np.log(lam))
+
+
+class TestMarkovMeasure:
+    def test_negative_probabilities_rejected(self):
+        # row-stochastic with pi @ P == pi and sum(pi) == 1, yet no measure
+        P = np.array([[1.2, -0.2], [0.6, 0.4]])
+        pi = np.array([1.5, -0.5])
+        assert np.allclose(pi @ P, pi) and P.sum(axis=1) == pytest.approx(1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            sh.MarkovMeasure(FULL2, P, pi)
 
 
 class TestGibbs:
@@ -226,7 +236,6 @@ class TestGibbs:
         w = np.array([1.0 / 3.0, 2.0 / 3.0])
         phi = np.log(w)[None, :].repeat(2, axis=0)
         mu = sh.gibbs_locally_constant(FULL2, phi)
-        assert mu.pressure == pytest.approx(0.0, abs=1e-12)
         assert np.allclose(mu.pi, w, atol=1e-12)
         assert np.allclose(mu.P, w[None, :].repeat(2, axis=0), atol=1e-12)
 
@@ -234,12 +243,11 @@ class TestGibbs:
         mu0 = sh.gibbs_locally_constant(GOLDEN, np.zeros((2, 2)))
         mu1 = sh.parry_measure(GOLDEN)
         assert np.allclose(mu0.P, mu1.P, atol=1e-12)
-        assert mu0.pressure == pytest.approx(mu1.pressure, abs=1e-12)
 
     def test_dict_potential(self):
         mu = sh.gibbs_locally_constant(FULL2, {"00": 0.3, (0, 1): -0.2})
-        assert mu.potential[0, 0] == 0.3
-        assert mu.potential[0, 1] == -0.2
+        ref = sh.gibbs_locally_constant(FULL2, [[0.3, -0.2], [0.0, 0.0]])
+        assert np.array_equal(mu.P, ref.P) and np.array_equal(mu.pi, ref.pi)
 
 
 class TestCylinders:
@@ -341,7 +349,7 @@ def shipped_measures():
 
 
 NEAR_PERMUTATION = sh.MarkovMeasure(
-    FULL2, np.array([[0.001, 0.999], [0.999, 0.001]]), np.array([0.5, 0.5]), 0.0, 0.0)
+    FULL2, np.array([[0.001, 0.999], [0.999, 0.001]]), np.array([0.5, 0.5]))
 SAMPLER_CASES = {
     **shipped_measures(),
     "golden-parry": sh.parry_measure(GOLDEN),
@@ -542,10 +550,8 @@ class TestOneSymbolReader:
 
         spec, x, y = case
         for z in (x, y):
-            assert [z.symbol_at(i) for i in range(-25, 26)] == [
+            assert z.word_array(-25, 51).tolist() == [
                 scalar_symbol_at(z, i) for i in range(-25, 26)]
-            assert all(type(z.symbol_at(i)) is int for i in (-9, 0, 9))
-            assert z.word_at(-17, 40) == scalar_word_at(z, -17, 40)
             assert z.word_array(-17, 40).tolist() == list(scalar_word_at(z, -17, 40))
             assert outcome(lambda: sh.check_point(spec, z) is z) == outcome(
                 lambda: scalar_check_point(spec, z) is z)
@@ -603,13 +609,3 @@ class TestOneReaderGuard:
             reads = [node.attr for node in ast.walk(ast.parse(path.read_text()))
                      if isinstance(node, ast.Attribute) and node.attr in ("symbol_at", "word_at")]
             assert not reads, f"{path.relative_to(self.SRC)} calls {reads}"
-
-    def test_symbol_at_and_word_at_are_views_of_word_array(self):
-        tree = ast.parse((self.SRC / "shifts.py").read_text())
-        point = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "SymbolicPoint")
-        for name in ("symbol_at", "word_at"):
-            fn = next(n for n in point.body if isinstance(n, ast.FunctionDef) and n.name == name)
-            nodes = list(ast.walk(fn))
-            assert len(fn.body) == 1
-            assert not [n for n in nodes if isinstance(n, (ast.BinOp, ast.UnaryOp, ast.AugAssign))]
-            assert any(isinstance(n, ast.Attribute) and n.attr == "word_array" for n in nodes)
