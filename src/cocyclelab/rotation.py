@@ -31,6 +31,7 @@ _MAX_RENORM_DEPTH = 60
 # s-step halvings lift_theta_family may make to resolve one branch
 _MAX_LIFT_DEPTH = 40
 _REAL_DISC_TOL = 1e-12
+_EPS = float(np.finfo(float).eps)
 _BLOCK_GAP_TOL = 1e-6
 # orbits the sampled fallback walks at once, which bounds its memory
 _SAMPLE_CHUNK = 256
@@ -141,7 +142,9 @@ def doubled_rotation_number(M, tol: float = RHO_TOL) -> float:
     accumulated power gives a rigorous displacement bracket, and after a
     bounded scan the computation renormalizes onto the closest return seen,
     dividing the remaining error by the iterate count.  Matrices with real
-    spectrum have circle fixed points and return 0 exactly.  The requested
+    spectrum have circle fixed points and return 0 exactly, as do those
+    whose discriminant lies inside the rounding floor of the normalized
+    determinant, about 4 eps times the squared Frobenius norm.  The requested
     tolerance is honoured down to the conditioning floor of double
     precision, roughly eps times the squared condition number of the
     conjugacy that makes M a rotation.
@@ -161,7 +164,13 @@ def doubled_rotation_number(M, tol: float = RHO_TOL) -> float:
 
 def _doubled_rho(M: np.ndarray, tol: float, depth: int) -> float:
     tr = M[0, 0] + M[1, 1]
-    if tr * tr >= 4.0 - _REAL_DISC_TOL:
+    # rounding the determinant of a det-normalized matrix moves 4 - tr^2 by
+    # up to about 2 eps times its squared Frobenius norm; a discriminant
+    # inside that floor cannot tell a complex pair from a real one, and the
+    # powers of such a near-parabolic matrix grow until their determinant
+    # rounds to zero
+    disc_floor = max(_REAL_DISC_TOL, 4.0 * _EPS * float(np.sum(M * M)))
+    if tr * tr >= 4.0 - disc_floor:
         return 0.0
     f = projectivize_block(M)
     w = 0.0

@@ -246,6 +246,13 @@ class TestDoubledRotationNumber:
         assert ro.doubled_rotation_number(np.diag([2.0, 0.5])) == 0.0
         assert ro.doubled_rotation_number(np.array([[1.0, 1.0], [0.0, 1.0]])) == 0.0
 
+    def test_ill_conditioned_parabolic_returns_zero(self):
+        # the conjugated shear's trace rounds to 3e-10 under 4 after
+        # normalizing; its powers used to lose their determinant sign
+        W = rot(0.5) @ np.diag([math.sqrt(704.75), 1.0 / math.sqrt(704.75)])
+        M = 2.5 * (W @ np.array([[1.0, 2.53125], [0.0, 1.0]]) @ np.linalg.inv(W))
+        assert ro.doubled_rotation_number(M) == 0.0
+
     def test_scale_invariance(self):
         M = np.array([[1.1, -0.8], [0.9, 0.7]])
         assert ro.doubled_rotation_number(3.7 * M) == pytest.approx(
@@ -324,7 +331,8 @@ def reference_normalize_det(M):
 
 def reference_doubled_rho(M, tol, max_iter, depth):
     tr = M[0, 0] + M[1, 1]
-    if tr * tr >= 4.0 - ro._REAL_DISC_TOL:
+    disc_floor = max(ro._REAL_DISC_TOL, 4.0 * np.finfo(float).eps * float(np.sum(M * M)))
+    if tr * tr >= 4.0 - disc_floor:
         return 0.0
     f_beta, f_spd = reference_polar2(M)
     w = 0.0
