@@ -194,8 +194,7 @@ class CocycleSpec:
         n_steps = len(symbols) - w + 1
         if n_steps <= 0:
             raise ValueError("path shorter than the window")
-        if stop is None:
-            stop = n_steps
+        stop = n_steps if stop is None else stop
         if not 0 <= start < stop <= n_steps:
             raise ValueError(f"steps [{start}, {stop}) do not lie in the path's {n_steps} steps")
         halo = self._kernel[1]
@@ -203,8 +202,8 @@ class CocycleSpec:
         symbols = symbols[lo : stop + w - 1 + halo]
         first, steps = start - lo, stop - start
         if symbols.min() < 0 or symbols.max() >= m:
-            bad = symbols[(symbols < 0) | (symbols >= m)][0]
-            raise ValueError(f"path symbol {bad} outside [0, {m})")
+            raise ValueError(f"path symbol {symbols[(symbols < 0) | (symbols >= m)][0]} "
+                             f"outside [0, {m})")
         idx = self.base.window_index(symbols[first : first + steps + w - 1], w)
         stack, logdets = self._generator_table
         out, logdet = stack[idx], logdets[idx]
@@ -375,8 +374,7 @@ def _agreement_index(x: SymbolicPoint, y: SymbolicPoint, sign: int) -> int:
     B, same = x.agreement(y)
     same = same[0 if sign > 0 else 1]
     if not same[B:].all():
-        side = "forward" if sign > 0 else "backward"
-        raise ValueError(f"points are not {side} asymptotic")
+        raise ValueError(f"points are not {'forward' if sign > 0 else 'backward'} asymptotic")
     differ = np.flatnonzero(~same[:B])
     return int(differ[-1]) + 1 if differ.size else 0
 
@@ -502,8 +500,7 @@ def _series_holonomy(A: CocycleSpec, x: SymbolicPoint, y: SymbolicPoint, side: i
     Py_inv = np.eye(d)
     scale = 0.0
     last_norms = []
-    k0 = 0
-    while k0 < HOLONOMY_DEPTH_CAP:
+    for k0 in range(0, HOLONOMY_DEPTH_CAP, chunk):
         n = min(chunk, HOLONOMY_DEPTH_CAP - k0)
         # symbols around the steps shift^j, j in [first, first + n); side -1
         # takes them in reverse, as k = -j - 1
@@ -564,7 +561,6 @@ def _series_holonomy(A: CocycleSpec, x: SymbolicPoint, y: SymbolicPoint, side: i
                 tail = tn * rho / (1.0 - rho)
                 if tn + tail < tol:
                     return HolonomyResult(H, k0 + t + 1, tail)
-        k0 += n
     raise ArithmeticError("holonomy series did not converge within the depth cap")
 
 
@@ -806,7 +802,7 @@ def rotation_perturb_family(
         )
     lam = rec.eigenvalues[candidates[pair_index]]
     support = tuple(p.word_array(0, A.window).tolist())
-    symplectic = all(la.is_symplectic(G) for G in A.generator.values()) and A.dim % 2 == 0
+    symplectic = A.dim % 2 == 0 and all(la.is_symplectic(G) for G in A.generator.values())
 
     if symplectic:
         form = la.symplectic_diagonalize(M)

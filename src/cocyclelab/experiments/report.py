@@ -39,10 +39,6 @@ def _plain(obj):
         if not np.isfinite(v):
             return repr(v)
         return v
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
     return obj
 
 

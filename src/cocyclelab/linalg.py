@@ -60,8 +60,6 @@ class SpectrumRecord:
 
     def min_relative_gap(self) -> float:
         """Smallest consecutive modulus gap relative to the larger modulus."""
-        if len(self.moduli) < 2:
-            return np.inf
         scale = np.maximum(self.moduli[:-1], 1e-300)
         return float(np.min(self.moduli_gaps / scale))
 
@@ -113,11 +111,10 @@ def standard_symplectic_form(n: int) -> np.ndarray:
 
 
 def is_symplectic(M, tol: float = SYMPLECTIC_TOL) -> bool:
-    """Whether M preserves the standard symplectic form, up to tol."""
+    """Whether M, of even dimension, preserves the standard symplectic form,
+    up to tol."""
     M = _as_matrix(M)
     n = M.shape[0] // 2
-    if M.shape[0] != 2 * n:
-        return False
     omega = standard_symplectic_form(n)
     resid = M.T @ omega @ M - omega
     return float(np.max(np.abs(resid))) <= tol * max(1.0, float(np.max(np.abs(M))) ** 2)
@@ -413,15 +410,14 @@ def twisting_witness(n: int) -> np.ndarray:
     """A symplectic 2n x 2n matrix preserving span{e_i} whose restriction
     to span{e_i} passes twisting_check in dimension n.
 
-    Built by composing paired rotations against the currently failing wedge
-    pair, shrinking the angle whenever a composition makes things worse.
+    Built by composing paired rotations by 0.3 against the currently
+    failing wedge pair; each composition must leave fewer failing pairs.
     For n = 1 the restriction is a scalar and the identity already passes.
     """
     if n < 1:
         raise ValueError("n must be positive")
     cap = 2 * 4**n
     A = np.eye(2 * n)
-    theta = 0.3
     ok, failing = twisting_check(A[:n, :n], n)
     count = 0
     while not ok:
@@ -429,19 +425,11 @@ def twisting_witness(n: int) -> np.ndarray:
             raise ArithmeticError(f"twisting witness not reached within {cap} compositions")
         I0 = tuple(i - 1 for i in failing[0][0])
         Ip0 = tuple(i - 1 for i in failing[0][1])
-        placed = False
-        t = theta
-        for _ in range(12):
-            R = _rotation_for_failing_pair(A[:n, :n], I0, Ip0, n, t)
-            cand = R @ A
-            cand_ok, cand_failing = twisting_check(cand[:n, :n], n)
-            if cand_ok or len(cand_failing) < len(failing):
-                A, ok, failing = cand, cand_ok, cand_failing
-                placed = True
-                break
-            t /= 2.0
-        if not placed:
+        cand = _rotation_for_failing_pair(A[:n, :n], I0, Ip0, n, 0.3) @ A
+        cand_ok, cand_failing = twisting_check(cand[:n, :n], n)
+        if not cand_ok and len(cand_failing) >= len(failing):
             raise ArithmeticError("rotation compositions stopped making progress")
+        A, ok, failing = cand, cand_ok, cand_failing
         count += 1
     if not is_symplectic(A):
         raise ArithmeticError("witness lost symplecticity")
@@ -509,16 +497,12 @@ def _real_jordan_basis(M):
 
 def _gaps_ok_outside_pairs(rec: SpectrumRecord) -> bool:
     """Accept zero modulus gaps only inside complex-conjugate pairs."""
-    eig = rec.eigenvalues
-    for i in range(len(eig) - 1):
-        gap = rec.moduli[i] - rec.moduli[i + 1]
-        if gap > REAL_TOL * max(rec.moduli[i], 1e-300):
-            continue
-        if rec.is_real[i] or rec.is_real[i + 1]:
-            return False
-        if abs(eig[i] - np.conj(eig[i + 1])) > 1e-6 * max(1.0, abs(eig[i])):
-            return False
-    return True
+    eig, mod = rec.eigenvalues, rec.moduli
+    return all(
+        mod[i] - mod[i + 1] > REAL_TOL * max(mod[i], 1e-300)
+        or (not rec.is_real[i] and not rec.is_real[i + 1]
+            and abs(eig[i] - np.conj(eig[i + 1])) <= 1e-6 * max(1.0, abs(eig[i])))
+        for i in range(len(eig) - 1))
 
 
 def _is_near_real_pair(lam: complex, realify_tol: float) -> bool:

@@ -53,17 +53,12 @@ class LyapunovEstimate:
     block_size: int
     volume_residual: float       # |sum of exponents - mean log|det||
     multiplicities: tuple | None = None
-    seed: int | None = None
     # deterministic work counters of qr_spectrum: lockstep segments, the
     # sub-blocks (or whole blocks) the block stage reduced from steps, and
     # the blocks phase 2 re-ran before a seam's frames met
     segments: int | None = None
     reduced_blocks: int | None = None
     seam_blocks: int | None = None
-
-    @property
-    def dim(self) -> int:
-        return len(self.exponents)
 
 
 def _adaptive_block(A: CocycleSpec, n_steps: int) -> int:
@@ -259,19 +254,20 @@ def _lockstep_qr(prods: np.ndarray, nb: int, L: int):
     return diag[:nb], rerun
 
 
-def qr_spectrum(mats: np.ndarray | _PathSteps, logdet: np.ndarray | None, block_size: int, n_batches: int = DEFAULT_BATCHES) -> LyapunovEstimate:
+def qr_spectrum(mats: _PathSteps, block_size: int, n_batches: int = DEFAULT_BATCHES) -> LyapunovEstimate:
     """Blocked QR estimate from the step matrices along one path.
 
-    mats is the (T, d, d) array of step matrices and logdet their T
-    log|det|, or a _PathSteps (logdet None) that builds both a chunk at a
-    time.  block_size must be a positive power of two.  Either way the
-    block stage (_block_products) reduces the first nb = T // block_size
-    blocks, and the recurrence below runs over the (nb, d, d) products and
-    their log scales.  A _PathSteps of a locally constant cocycle reduces
-    each distinct h-step sub-block of a chunk once (reduced_blocks counts
-    them; otherwise it counts the nb blocks); a bump cocycle or an array
-    reduces every block from its own steps.  The products and scales are
-    those of the whole-path tree reduction either way, bit for bit.
+    mats is a _PathSteps, which builds the step matrices and their log|det|
+    a chunk at a time.  block_size must be a positive power of two, and the
+    path must hold at least two blocks of it; stderr comes from at most
+    n_batches >= 2 batches of blocks.  The block stage (_block_products)
+    reduces the first nb = T // block_size blocks, and the recurrence below
+    runs over the (nb, d, d) products and their log scales.  A locally
+    constant cocycle reduces each distinct h-step sub-block of a chunk once
+    (reduced_blocks counts them; otherwise it counts the nb blocks); a bump
+    cocycle reduces every block from its own steps.  The products and
+    scales are those of the whole-path tree reduction either way, bit for
+    bit.
 
     The nb block products are cut into S contiguous segments of L blocks
     (the last may be shorter), with S at most _MAX_SEGMENTS_PER_BATCH *
@@ -321,29 +317,19 @@ def qr_spectrum(mats: np.ndarray | _PathSteps, logdet: np.ndarray | None, block_
     at most (2d - 3) log cond_2(P) / n_steps (d >= 2).  For a conformal
     cocycle conjugated by W, cond_2(P) <= cond_2(W)^2 on every segment.
     """
-    T, d, _ = mats.shape
+    T = mats.shape[0]
     B = operator.index(block_size)
     if B < 1 or B & (B - 1):
         raise ValueError(f"block size must be a positive power of two, got {B}")
     nb = T // B
-    if nb < 1:
-        raise ValueError(f"path of {T} steps is shorter than one block of {B}")
-    if n_batches < 1:
-        raise ValueError(f"need at least one stderr batch, got {n_batches}")
-    if nb < n_batches:
-        n_batches = nb
-    if isinstance(mats, _PathSteps):
-        chunk = mats.chunk
-    else:
-        if logdet is None or np.shape(logdet) != (T,):
-            raise ValueError(f"logdet must hold one log|det| per step, {T} in all, "
-                             f"got {'None' if logdet is None else np.shape(logdet)}")
-
-        def chunk(a, b, B):
-            return mats[a:b].reshape(-1, B, d, d), logdet[a:b], None
+    if nb < 2:
+        raise ValueError(f"path of {T} steps holds fewer than two blocks of {B}")
+    if n_batches < 2:
+        raise ValueError(f"need at least two stderr batches, got {n_batches}")
+    n_batches = min(n_batches, nb)
     S = min(_MAX_SEGMENTS_PER_BATCH * n_batches, nb // -(-_MIN_SEGMENT_STEPS // B))
     L = nb if S < 2 else -(-nb // S)
-    prods, logs, logdet, reduced = _block_products(chunk, nb, B, L)
+    prods, logs, logdet, reduced = _block_products(mats.chunk, nb, B, L)
     used = nb * B
     diag, seam_blocks = _lockstep_qr(prods, nb, L)
     terms = np.log(diag) + logs[:, None]
@@ -355,10 +341,7 @@ def qr_spectrum(mats: np.ndarray | _PathSteps, logdet: np.ndarray | None, block_
     total = batch_sums.sum(axis=0)
     exponents = total / used
     means = batch_sums / (B * np.diff(bounds))[:, None]
-    if n_batches > 1:
-        stderr = means.std(axis=0, ddof=1) / np.sqrt(n_batches)
-    else:
-        stderr = np.full(d, np.inf)
+    stderr = means.std(axis=0, ddof=1) / np.sqrt(n_batches)
     # equal exponents leave the trailing QR diagonals ordered only up to
     # sampling noise; report the descending order statistics
     order = np.argsort(-exponents, kind="stable")
@@ -383,9 +366,9 @@ def lyapunov_qr(A: CocycleSpec, mu: MarkovMeasure, n_steps: int, seed: int) -> L
     if n_steps < MIN_STEPS:
         raise ValueError(f"need at least {MIN_STEPS} steps for a stable estimate")
     path = _PathSteps(A, mu.sample_orbit(n_steps + A.window - 1, seed))
-    est = qr_spectrum(path, None, _adaptive_block(A, n_steps))
+    est = qr_spectrum(path, _adaptive_block(A, n_steps))
     mult = tuple(multiplicity_cluster(est.exponents, n_steps=est.n_steps))
-    return replace(est, multiplicities=mult, seed=seed)
+    return replace(est, multiplicities=mult)
 
 
 # ---------------------------------------------------------------------------
@@ -409,31 +392,25 @@ def _conformal_blocks(M: np.ndarray, tol_factor: float = _STRUCT_TOL):
     logs = []
     i = 0
     while i < d:
-        off_row = np.abs(M[i, :]).sum() - np.abs(M[i, i : min(i + 2, d)]).sum()
         scalar_ok = (
             np.abs(np.delete(M[i, :], i)).max(initial=0.0) <= tol
             and np.abs(np.delete(M[:, i], i)).max(initial=0.0) <= tol
         )
         if scalar_ok:
-            if abs(M[i, i]) <= tol:
-                return None
             logs.append(np.log(abs(M[i, i])))
             i += 1
             continue
-        if i + 1 >= d:
-            return None
         blk = M[i : i + 2, i : i + 2]
         outside = np.abs(M[i : i + 2, :]).sum() + np.abs(M[:, i : i + 2]).sum() - 2 * np.abs(blk).sum()
         conformal = (
-            outside <= 4 * tol
+            blk.shape == (2, 2)
+            and outside <= 4 * tol
             and abs(blk[0, 0] - blk[1, 1]) <= tol
             and abs(blk[0, 1] + blk[1, 0]) <= tol
         )
         if not conformal:
             return None
         r = np.hypot(blk[0, 0], blk[0, 1])
-        if r <= tol:
-            return None
         logs.extend([np.log(r), np.log(r)])
         i += 2
     return np.asarray(logs)
@@ -441,30 +418,30 @@ def _conformal_blocks(M: np.ndarray, tol_factor: float = _STRUCT_TOL):
 
 def _commuting_block_logs(generators: dict):
     """Per-word log moduli after a shared real block-diagonalizing change of
-    basis, for pairwise commuting generator families; None if unavailable."""
+    basis, for pairwise commuting generator families; None if unavailable.
+
+    The basis is the real Jordan basis of one random combination of the
+    generators, which fails only for a defective family.  Commuting
+    generators are polynomials in a combination with distinct eigenvalues,
+    so they are block-conformal in that basis."""
     mats = list(generators.values())
     scale = max(1.0, max(float(np.abs(M).max()) for M in mats))
     for M, N in itertools.combinations(mats, 2):
         if np.abs(M @ N - N @ M).max() > 1e-9 * scale**2:
             return None
     rng = np.random.default_rng(0)
-    for _ in range(4):
-        combo = sum(float(c) * M for c, M in zip(rng.normal(size=len(mats)), mats))
-        try:
-            W, _ = la._real_jordan_basis(combo)
-        except (ValueError, np.linalg.LinAlgError):
-            continue
-        Winv = np.linalg.inv(W)
-        cond = float(np.linalg.cond(W))
-        logs = {}
-        for word, G in generators.items():
-            blocks = _conformal_blocks(Winv @ G @ W, tol_factor=1e-10 * cond)
-            if blocks is None:
-                break
-            logs[word] = blocks
-        else:
-            return logs
-    return None
+    combo = sum(float(c) * M for c, M in zip(rng.normal(size=len(mats)), mats))
+    try:
+        W, _ = la._real_jordan_basis(combo)
+    except (ValueError, np.linalg.LinAlgError):
+        return None
+    Winv = np.linalg.inv(W)
+    cond = float(np.linalg.cond(W))
+    logs = {w: _conformal_blocks(Winv @ G @ W, tol_factor=1e-10 * cond)
+            for w, G in generators.items()}
+    if any(b is None for b in logs.values()):
+        raise ArithmeticError("commuting generators are not block-conformal in a shared basis")
+    return logs
 
 
 def closed_form_oracle(A: CocycleSpec, mu: MarkovMeasure):

@@ -70,7 +70,6 @@ def _spread(a: float, b: float, c: float, d: float) -> float:
 class CircleMap:
     """Orientation-preserving Moebius circle map in the doubled-angle chart."""
 
-    matrix: np.ndarray
     beta: float            # rotation half of the polar form
     spd: np.ndarray        # positive definite half
 
@@ -97,9 +96,6 @@ class CircleMap:
         )
         return np.asarray(phi, dtype=float) + 2.0 * self.beta + 2.0 * delta
 
-    def __call__(self, phi):
-        return np.mod(self.lift(phi), TWO_PI)
-
 
 def projectivize_block(M) -> CircleMap:
     """Projective action of a 2x2 matrix on the doubled line-angle circle."""
@@ -109,14 +105,12 @@ def projectivize_block(M) -> CircleMap:
     if np.linalg.det(M) <= 0.0:
         raise ValueError("orientation-reversing block: determinant must be positive")
     beta, P = _polar2(M)
-    return CircleMap(matrix=M, beta=beta, spd=P)
+    return CircleMap(beta=beta, spd=P)
 
 
 def _fractional_map(M: np.ndarray, u: float) -> np.ndarray:
     """Continuous interpolation M^u through the polar form: rotation angle
-    scales linearly, the SPD factor is raised to the power u."""
-    if u == 0.0:
-        return np.eye(2)
+    scales linearly, the SPD factor is raised to the power u, 0 < u <= 1."""
     if u == 1.0:
         return np.asarray(M, dtype=float)
     beta, P = _polar2(M)
@@ -206,7 +200,7 @@ def _doubled_rho(M: np.ndarray, tol: float, depth: int) -> float:
             child = _doubled_rho(M_r, child_tol, depth + 1)
             child += TWO_PI * round((2.0 * beta_r - child) / TWO_PI)
             return (TWO_PI * j_r + child) / k_r
-    return best_center
+    raise ArithmeticError("rotation number not resolved within the renormalization depth")
 
 
 @dataclass(frozen=True)
@@ -214,13 +208,12 @@ class CircleCocycle:
     """Projectivized 2x2 block along a periodic orbit of a suspension flow:
     one circle map and one return time per step of the word."""
 
-    word: tuple
     roofs: tuple
     maps: tuple              # 2x2 matrices, one per step, det > 0
 
     def __post_init__(self):
-        if not (len(self.word) == len(self.roofs) == len(self.maps)):
-            raise ValueError("word, roofs and maps must have equal length")
+        if len(self.roofs) != len(self.maps):
+            raise ValueError("roofs and maps must have equal length")
         mats = tuple(np.asarray(M, dtype=float) for M in self.maps)
         for M in mats:
             if M.shape != (2, 2) or np.linalg.det(M) <= 0.0:
@@ -261,10 +254,9 @@ def circle_cocycle(A: CocycleSpec, sys: SuspensionSystem, p: SymbolicPoint, ell:
     steps = A.point_steps(p, 0, ell)
     rw = sys.roof.window
     symbols = p.word_array(0, ell + rw - 1).tolist()
-    w = tuple(symbols[:ell])
     roofs = tuple(sys.roof.values[tuple(symbols[k : k + rw])] for k in range(ell))
     if A.dim == 2:
-        return CircleCocycle(w, roofs, tuple(steps))
+        return CircleCocycle(roofs, tuple(steps))
     M = np.eye(A.dim)
     for S in steps:
         M = S @ M
@@ -294,7 +286,7 @@ def circle_cocycle(A: CocycleSpec, sys: SuspensionSystem, p: SymbolicPoint, ell:
     if np.linalg.det(O) <= 0.0:
         raise ArithmeticError("tracked block returned with reversed orientation")
     factors[-1] = O @ factors[-1]
-    return CircleCocycle(w, roofs, tuple(factors))
+    return CircleCocycle(roofs, tuple(factors))
 
 
 class _Level(NamedTuple):
@@ -340,16 +332,14 @@ def _stopping_levels(words, children, roofs, t: float, limit: float = math.inf):
 
 def _advance(W, C, mats, word, u):
     """Move every path one step, in place: path i by the map of
-    mats[word[i]]^u[i] (u = 1 the whole step, 0 < u < 1 the fractional map,
-    u = 0 no step).  W holds the lifted images of angle 0, C the
-    det-normalised composites; each distinct (matrix, u) is projectivized
-    once for all of its paths."""
+    mats[word[i]]^u[i] (u = 1 the whole step, 0 < u < 1 the fractional map;
+    a stopping time t > 0 gives no u = 0).  W holds the lifted images of
+    angle 0, C the det-normalised composites; each distinct (matrix, u) is
+    projectivized once for all of its paths."""
     us, u_code = np.unique(u, return_inverse=True)
     codes, group = np.unique(u_code * len(mats) + word, return_inverse=True)
     for g, code in enumerate(codes.tolist()):
         ug = float(us[code // len(mats)])
-        if ug == 0.0:
-            continue
         M = _fractional_map(mats[code % len(mats)], ug)
         idx = np.flatnonzero(group == g)
         W[idx] = projectivize_block(M).lift(W[idx])
@@ -433,8 +423,6 @@ def _circ(a: float) -> float:
 @dataclass(frozen=True)
 class ThetaEllRhoReport:
     residual: float
-    theta: float | None
-    period: float
     skipped: bool
 
 
@@ -452,10 +440,10 @@ def theta_ell_rho_check(A: CocycleSpec, sys: SuspensionSystem, p: SymbolicPoint,
     try:
         theta = eigen_argument(M)
     except ValueError:
-        return ThetaEllRhoReport(math.nan, None, C.period, True)
+        return ThetaEllRhoReport(math.nan, True)
     doubled = 2.0 * C.period * rho
     residual = min(_circ(doubled - 2.0 * theta), _circ(doubled + 2.0 * theta)) / 2.0
-    return ThetaEllRhoReport(float(residual), theta, C.period, False)
+    return ThetaEllRhoReport(float(residual), False)
 
 
 # ---------------------------------------------------------------------------

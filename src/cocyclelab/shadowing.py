@@ -279,10 +279,6 @@ class PseudoOrbit:
             raise ValueError("epsilon must be positive")
         object.__setattr__(self, "points", np.mod(P, 1.0))
 
-    @property
-    def period(self) -> int:
-        return self.points.shape[0]
-
     def step_defects(self, T: ToralAutomorphism) -> np.ndarray:
         """Nearest-representative gaps between each mapped point and the
         next sample, the last one wrapping around."""

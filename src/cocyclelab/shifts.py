@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 _SYMS = "0123456789abcdefghijklmnopqrstuvwxyz"
 # vectorized passes of sample_orbit before its sequential walk, and the
@@ -37,7 +38,7 @@ def spell_word(word) -> str:
 def _primitive(word: tuple) -> tuple:
     """Smallest cyclic root of a word."""
     n = len(word)
-    for p in range(1, n + 1):
+    for p in range(1, n):
         if n % p == 0 and word == word[:p] * (n // p):
             return word[:p]
     return word
@@ -52,16 +53,11 @@ class SftSpec:
     theta: float
 
     def __eq__(self, other):
-        if not isinstance(other, SftSpec):
-            return NotImplemented
         return (
             self.alphabet_size == other.alphabet_size
             and self.theta == other.theta
             and np.array_equal(self.transitions, other.transitions)
         )
-
-    def __hash__(self):
-        return hash((self.alphabet_size, self.theta, self.transitions.tobytes()))
 
     def __post_init__(self):
         m = self.alphabet_size
@@ -107,8 +103,6 @@ class SftSpec:
 
     def admissible_words(self, length: int) -> list:
         """All admissible words of the given length, lexicographic order."""
-        if length == 0:
-            return [()]
         words = [(s,) for s in range(self.alphabet_size)]
         for _ in range(length - 1):
             words = [
@@ -148,9 +142,8 @@ class SftSpec:
         codes = window_code([symbols[..., j : j + n] for j in range(length)], self.alphabet_size)
         idx = self.window_table(length)[1][codes]
         if (idx < 0).any():
-            *row, t = np.argwhere(idx < 0)[0]
-            word = tuple(symbols[(*row, slice(t, t + length))].tolist())
-            raise ValueError(f"point visits inadmissible window {word}")
+            raise ValueError("point visits inadmissible window " + str(tuple(
+                sliding_window_view(symbols, length, axis=-1)[idx < 0][0].tolist())))
         return idx
 
 
@@ -215,19 +208,10 @@ class SymbolicPoint:
         return B, np.stack([same[2 * B :], same[2 * B :: -1]])
 
     def __eq__(self, other):
-        if not isinstance(other, SymbolicPoint):
-            return NotImplemented
         B, same = self.agreement(other)
         return bool(same[:, : B + 1].all())
 
     __hash__ = None
-
-    def __repr__(self):
-        return (
-            f"SymbolicPoint({spell_word(self.left)}^inf."
-            f"{spell_word(self.core)}.{spell_word(self.right)}^inf"
-            f"@{self.core_start})"
-        )
 
 
 def make_point(left, core, right, core_start: int = 0) -> SymbolicPoint:
@@ -263,8 +247,7 @@ def check_point(spec: SftSpec, x: SymbolicPoint) -> SymbolicPoint:
     s = x.word_array(lo, len(x.left) + len(x.core) + len(x.right) + 3)
     bad = np.flatnonzero(spec.transitions[s[:-1], s[1:]] == 0)
     if bad.size:
-        i = int(bad[0])
-        raise ValueError(f"inadmissible transition {s[i]}->{s[i + 1]} at {lo + i}")
+        raise ValueError(f"inadmissible transition {s[bad[0]]}->{s[bad[0] + 1]} at {lo + bad[0]}")
     return x
 
 
@@ -362,8 +345,6 @@ class MarkovMeasure:
     def cylinder(self, word) -> float:
         """Measure of the cylinder fixing word at coordinates [0, len(word))."""
         w = parse_word(word)
-        if not w:
-            return 1.0
         out = self.pi[w[0]]
         for a, b in zip(w, w[1:]):
             out *= self.P[a, b]

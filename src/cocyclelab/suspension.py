@@ -17,7 +17,6 @@ from .shifts import MarkovMeasure, SftSpec, SymbolicPoint, parse_word
 
 MIN_ROOF = 1e-3
 MAX_POLY_DEGREE = 3
-_REAL_POWER_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -63,7 +62,6 @@ class HeightPolynomial:
     """Function on the mapping torus, locally constant in the base point and
     polynomial of degree <= 3 in the height coordinate."""
 
-    base: SftSpec
     window: int
     coeffs: dict          # word -> coefficient tuple (c0, c1, ...), low degree first
 
@@ -76,9 +74,6 @@ class HeightPolynomial:
             if len(c) > MAX_POLY_DEGREE + 1:
                 raise ValueError(f"height polynomials have degree at most {MAX_POLY_DEGREE}")
             parsed[parse_word(w)] = c
-        need = set(self.base.admissible_words(self.window))
-        if set(parsed) != need:
-            raise ValueError("coefficients required for every admissible window-word")
         object.__setattr__(self, "coeffs", parsed)
 
     def integral(self, word, height: float) -> float:
@@ -101,6 +96,8 @@ def roof_integral(mu: MarkovMeasure, roof: RoofFunction) -> float:
 def lift_measure_integral(sys: SuspensionSystem, mu: MarkovMeasure, F: HeightPolynomial) -> float:
     """Integral of F against the lifted flow measure: cylinder-exact ratio of
     the fiberwise integral of F to the mean roof."""
+    if set(F.coeffs) != set(sys.base.admissible_words(F.window)):
+        raise ValueError("coefficients required for every admissible window-word")
     _, words = _refined(sys, F.window)
     rw, fw = sys.roof.window, F.window
     num = math.fsum(
@@ -144,26 +141,16 @@ class FlowCocycle:
         object.__setattr__(self, "per_unit", parsed)
 
 
-def _real_power(M: np.ndarray, t: float) -> np.ndarray:
-    k = round(t)
-    if abs(t - k) < 1e-12 and k >= 0:
-        return np.linalg.matrix_power(M, int(k))
-    from scipy.linalg import fractional_matrix_power
-
-    G = fractional_matrix_power(M, t)
-    scale = max(1.0, np.max(np.abs(G)))
-    if np.max(np.abs(G.imag)) > _REAL_POWER_TOL * scale:
-        raise ValueError("generator admits no real fractional power")
-    return np.ascontiguousarray(G.real)
-
-
-def return_cocycle(sys: SuspensionSystem, flow_cocycle: FlowCocycle) -> CocycleSpec:
+def return_cocycle(flow_cocycle: FlowCocycle) -> CocycleSpec:
     """First-return discrete cocycle: each refined window-word maps to the
-    per-unit generator raised to its roof value."""
+    per-unit generator raised to its roof value, which must be an integer."""
+    sys = flow_cocycle.system
     win, words = _refined(sys, flow_cocycle.window)
     rw, fw = sys.roof.window, flow_cocycle.window
     gen = {}
     for w in words:
-        M = flow_cocycle.per_unit[w[:fw]]
-        gen[w] = _real_power(M, sys.roof.values[w[:rw]])
+        r = sys.roof.values[w[:rw]]
+        if r != int(r):
+            raise ValueError(f"return cocycles need integer roof values, got {r!r}")
+        gen[w] = np.linalg.matrix_power(flow_cocycle.per_unit[w[:fw]], int(r))
     return CocycleSpec(sys.base, win, gen)

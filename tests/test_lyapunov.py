@@ -62,7 +62,7 @@ class TestQrPipeline:
         mu = sh.parry_measure(FULL2)
         symbols = np.asarray(mu.sample_orbit(400, seed=5))
         mats, logdet = A.path_matrices(symbols)
-        blocked = ly.qr_spectrum(mats, logdet, block_size=8)
+        blocked = ly.qr_spectrum(StepArrays(mats, logdet), block_size=8)
         ref = brute_qr(mats[: blocked.n_steps])
         assert np.allclose(blocked.exponents, ref, atol=1e-8)
 
@@ -71,7 +71,7 @@ class TestQrPipeline:
         mu = sh.parry_measure(FULL2)
         symbols = np.asarray(mu.sample_orbit(512, seed=9))
         mats, logdet = A.path_matrices(symbols)
-        runs = [ly.qr_spectrum(mats, logdet, block_size=b) for b in (1, 4, 16)]
+        runs = [ly.qr_spectrum(StepArrays(mats, logdet), block_size=b) for b in (1, 4, 16)]
         for r in runs[1:]:
             assert np.allclose(r.exponents, runs[0].exponents, atol=1e-8)
 
@@ -104,11 +104,10 @@ class TestQrPipeline:
         est = ly.lyapunov_qr(A, mu, n_steps=100_000, seed=2)
         assert np.allclose(est.exponents, [np.log(2.0), np.log(0.5)], atol=1e-3)
 
-    def test_report_carries_seed_and_multiplicities(self):
+    def test_report_carries_multiplicities(self):
         A = lc(FULL2, np.diag([2.0, 0.5]), np.diag([3.0, 1.0 / 3.0]))
         mu = sh.parry_measure(FULL2)
         est = ly.lyapunov_qr(A, mu, n_steps=5_000, seed=11)
-        assert est.seed == 11
         assert est.multiplicities == (1, 1)
         assert est.n_steps == 5_000
 
@@ -268,6 +267,18 @@ def sequential_qr_spectrum(mats, logdet, block_size, n_batches=ly.DEFAULT_BATCHE
     return ly.LyapunovEstimate(exponents, stderr, used, B, vol)
 
 
+class StepArrays:
+    """qr_spectrum's step source over given step matrices and their
+    log|det|: whole blocks in order, nothing shared."""
+
+    def __init__(self, mats, logdet):
+        self.mats, self.logdet = mats, logdet
+        self.shape = mats.shape
+
+    def chunk(self, a, b, B):
+        return self.mats[a:b].reshape(-1, B, *self.shape[1:]), self.logdet[a:b], None
+
+
 def sampled_path(A, mu, n_steps, seed):
     """Step matrices, log|det| and the lyapunov_qr block size of one path."""
     symbols = np.asarray(mu.sample_orbit(n_steps + A.window - 1, seed))
@@ -329,7 +340,7 @@ class TestLockstepSamePath:
         A = cf.build_cocycle(spec, member["cocycle"])
         mu = cf.build_measure(spec, measure)
         mats, logdet, B = sampled_path(A, mu, n_steps, seed=E1_CONFIG["seed"])
-        assert_same_estimate(ly.qr_spectrum(mats, logdet, B),
+        assert_same_estimate(ly.qr_spectrum(StepArrays(mats, logdet), B),
                              sequential_qr_spectrum(mats, logdet, B))
 
     @pytest.mark.parametrize("block_size", [1, 8, 64])
@@ -339,7 +350,7 @@ class TestLockstepSamePath:
         # its start, reproduces the sequential run
         A = conformal_conjugated(np.array([[3.0, 1.0], [0.0, 0.5]]))
         mats, logdet, _ = sampled_path(A, sh.parry_measure(FULL2), 5_000, seed=3)
-        assert_same_estimate(ly.qr_spectrum(mats, logdet, block_size),
+        assert_same_estimate(ly.qr_spectrum(StepArrays(mats, logdet), block_size),
                              sequential_qr_spectrum(mats, logdet, block_size))
 
     @pytest.mark.parametrize("name", sorted(NON_DEGENERATE))
@@ -350,7 +361,7 @@ class TestLockstepSamePath:
         if A.dim > 2:
             paths.append((la.exterior_power(mats, 2), logdet * (A.dim - 1), max(1, B // 2)))
         for m, ld, b in paths:
-            new = ly.qr_spectrum(m, ld, b)
+            new = ly.qr_spectrum(StepArrays(m, ld), b)
             ref = sequential_qr_spectrum(m, ld, b)
             assert np.max(np.abs(new.exponents - ref.exponents)) <= 1e-9
             assert np.all(np.abs(new.stderr - ref.stderr) <= 1e-5 * ref.stderr)
@@ -363,7 +374,7 @@ class TestLockstepSamePath:
         W = np.array([[3.0, 1.0], [0.0, 0.5]])
         A = conformal_conjugated(W)
         mats, logdet, B = sampled_path(A, sh.parry_measure(FULL2), 60_000, seed=3)
-        new = ly.qr_spectrum(mats, logdet, B)
+        new = ly.qr_spectrum(StepArrays(mats, logdet), B)
         ref = sequential_qr_spectrum(mats, logdet, B)
         seams = ly._MAX_SEGMENTS_PER_BATCH * ly.DEFAULT_BATCHES - 2
         bound = seams * 2.0 * np.log(np.linalg.cond(W)) / new.n_steps
@@ -381,7 +392,7 @@ class TestLockstepSamePath:
         monkeypatch.setattr(ly, "_qr_step", counting_qr)
         A = lc(FULL2, np.diag([2.0, 0.5]), np.array([[1.0, 1.0], [0.5, 2.0]]))
         mats, logdet, _ = sampled_path(A, sh.parry_measure(FULL2), 200_000, seed=1)
-        ly.qr_spectrum(mats, logdet, block_size=8)
+        ly.qr_spectrum(StepArrays(mats, logdet), block_size=8)
         nb = 200_000 // 8
         # the sizing rule: at most 10 segments per stderr batch, each at
         # least 4096 steps long
@@ -398,31 +409,23 @@ class TestLockstepSamePath:
 
     def test_path_shorter_than_a_block_rejected(self):
         mats = np.tile(np.eye(2), (3, 1, 1))
-        with pytest.raises(ValueError, match="shorter than one block"):
-            ly.qr_spectrum(mats, np.zeros(3), block_size=4)
+        with pytest.raises(ValueError, match="fewer than two blocks"):
+            ly.qr_spectrum(StepArrays(mats, np.zeros(3)), block_size=4)
 
     @pytest.mark.parametrize("n_batches", [0, -3])
     def test_batch_count_must_be_positive(self, n_batches):
         mats = np.tile(np.eye(2), (64, 1, 1))
-        with pytest.raises(ValueError, match="at least one stderr batch"):
-            ly.qr_spectrum(mats, np.zeros(64), block_size=4, n_batches=n_batches)
+        with pytest.raises(ValueError, match="at least two stderr batches"):
+            ly.qr_spectrum(StepArrays(mats, np.zeros(64)), block_size=4, n_batches=n_batches)
 
     @pytest.mark.parametrize("block_size", [0, -4, 3, 5, 6])
     def test_block_size_must_be_a_power_of_two(self, block_size):
         # the pairwise tree halves every block until one product is left
         mats = np.tile(np.diag([2.0, 0.5]), (96, 1, 1))
         with pytest.raises(ValueError, match="positive power of two"):
-            ly.qr_spectrum(mats, np.zeros(96), block_size=block_size)
+            ly.qr_spectrum(StepArrays(mats, np.zeros(96)), block_size=block_size)
 
-    def test_logdet_required_with_an_array(self):
-        mats = np.tile(np.diag([2.0, 0.5]), (64, 1, 1))
-        with pytest.raises(ValueError, match="logdet"):
-            ly.qr_spectrum(mats, None, block_size=4)
 
-    def test_logdet_shorter_than_the_path_rejected(self):
-        mats = np.tile(np.diag([2.0, 0.5]), (64, 1, 1))
-        with pytest.raises(ValueError, match="logdet"):
-            ly.qr_spectrum(mats, np.zeros(60), block_size=4)
 
 
 # ---------------------------------------------------------------------------
@@ -450,10 +453,10 @@ def warmup_lockstep_qr(prods, nb, L):
 def assert_same_as_warmup(mats, logdet, B, n_batches=ly.DEFAULT_BATCHES):
     """qr_spectrum against itself with warmup_lockstep_qr as its
     recurrence; returns the two-phase estimate."""
-    new = ly.qr_spectrum(mats, logdet, B, n_batches)
+    new = ly.qr_spectrum(StepArrays(mats, logdet), B, n_batches)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ly, "_lockstep_qr", warmup_lockstep_qr)
-        ref = ly.qr_spectrum(mats, logdet, B, n_batches)
+        ref = ly.qr_spectrum(StepArrays(mats, logdet), B, n_batches)
     assert_same_estimate(new, ref)
     assert (new.segments, new.reduced_blocks) == (ref.segments, ref.reduced_blocks)
     return new
@@ -521,11 +524,12 @@ class TestTwoPhaseSamePath:
         assert (est.segments, est.seam_blocks) == (1, 0)
 
     def test_one_stderr_batch(self):
+        # the batch spread needs two batches
         A = e1_cocycle("positive-d2")
         mats, logdet, B = sampled_path(A, sh.parry_measure(A.base), 60_000, seed=8)
-        est = assert_same_as_warmup(mats, logdet, B, n_batches=1)
-        assert 2 < est.segments <= ly._MAX_SEGMENTS_PER_BATCH
-        assert np.all(np.isinf(est.stderr))
+        with pytest.raises(ValueError, match="at least two stderr batches"):
+            ly.qr_spectrum(StepArrays(mats, logdet), B, n_batches=1)
+
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +583,7 @@ def assert_same_as_gathered(mats, logdet, B):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ly, "_lockstep_qr", recording)
-        est = ly.qr_spectrum(mats, logdet, B)
+        est = ly.qr_spectrum(StepArrays(mats, logdet), B)
     [(prods, nb, L, diag, rerun)] = seen
     # padded to whole segments with identities, no block past nb read
     d = prods.shape[-1]
@@ -623,7 +627,7 @@ class TestQrStep:
         monkeypatch.setattr(np.linalg, "qr", refuse)
         A = lc(FULL2, *NON_DEGENERATE["conj-d2-a"])
         mats, logdet, B = sampled_path(A, sh.parry_measure(FULL2), 60_000, seed=1)
-        assert ly.qr_spectrum(mats, logdet, B).segments > 2
+        assert ly.qr_spectrum(StepArrays(mats, logdet), B).segments > 2
 
 
 class TestSegmentMajorSamePath:
@@ -770,8 +774,8 @@ class TestStreamedBlocks:
         mats, logdet = A.path_matrices(symbols)
         assert 8 * ly._CHUNK_BLOCKS < len(mats)
         assert_same_blocks(ly._PathSteps(A, symbols), mats, logdet, 8)
-        assert_same_estimate(ly.qr_spectrum(ly._PathSteps(A, symbols), None, 8),
-                             ly.qr_spectrum(mats, logdet, 8))
+        assert_same_estimate(ly.qr_spectrum(ly._PathSteps(A, symbols), 8),
+                             ly.qr_spectrum(StepArrays(mats, logdet), 8))
 
     @pytest.mark.parametrize("B", [1, 2, 4, 8, 16, 32, 64])
     @pytest.mark.parametrize("name", sorted(SHARED_PATHS))
@@ -871,7 +875,7 @@ class TestWorkCounters:
         # ceil(4225 / 66) = 65 blocks a segment leave 65 segments
         rows = self.segment_stacks(monkeypatch)
         mats = np.tile(np.diag([2.0, 0.5]), (4225 * 64, 1, 1))
-        est = ly.qr_spectrum(mats, np.zeros(len(mats)), block_size=64, n_batches=7)
+        est = ly.qr_spectrum(StepArrays(mats, np.zeros(len(mats))), block_size=64, n_batches=7)
         assert est.segments == rows[0] == 65
         # an array shares nothing
         assert est.reduced_blocks == 4225

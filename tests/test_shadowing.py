@@ -215,7 +215,6 @@ class TestPseudoOrbit:
     def test_points_are_wrapped(self):
         po = sd.PseudoOrbit(np.array([[1.25, -0.5]]), epsilon=0.01)
         assert po.points[0] == pytest.approx([0.25, 0.5])
-        assert po.period == 1
 
     def test_bad_epsilon_rejected(self):
         with pytest.raises(ValueError, match="positive"):
