@@ -175,11 +175,11 @@ class CocycleSpec:
 
     # -- fast path for orbit samples ----------------------------------------
 
-    def path_matrices(self, symbols: np.ndarray, start: int = 0, stop: int | None = None):
+    def path_matrices(self, symbols: np.ndarray, start: int, stop: int):
         """(steps, d, d) step matrices and per-step log|det| along a sample path.
 
         Step t reads the window symbols[t : t + window]; start and stop
-        select the steps [start, stop) (default: every step).  Bump fields
+        select the steps [start, stop).  Bump fields
         are evaluated by convolution with the theta^(nu|k|) kernel, |k| <= K,
         truncated at double precision; path ends contribute nothing outside
         the sampled stretch.  A range of steps reads only a halo of 2K
@@ -194,7 +194,6 @@ class CocycleSpec:
         n_steps = len(symbols) - w + 1
         if n_steps <= 0:
             raise ValueError("path shorter than the window")
-        stop = n_steps if stop is None else stop
         if not 0 <= start < stop <= n_steps:
             raise ValueError(f"steps [{start}, {stop}) do not lie in the path's {n_steps} steps")
         halo = self._kernel[1]
@@ -500,7 +499,8 @@ def _series_holonomy(A: CocycleSpec, x: SymbolicPoint, y: SymbolicPoint, side: i
     Py_inv = np.eye(d)
     scale = 0.0
     last_norms = []
-    for k0 in range(0, HOLONOMY_DEPTH_CAP, chunk):
+    k0 = 0
+    while k0 < HOLONOMY_DEPTH_CAP:
         n = min(chunk, HOLONOMY_DEPTH_CAP - k0)
         # symbols around the steps shift^j, j in [first, first + n); side -1
         # takes them in reverse, as k = -j - 1
@@ -561,6 +561,7 @@ def _series_holonomy(A: CocycleSpec, x: SymbolicPoint, y: SymbolicPoint, side: i
                 tail = tn * rho / (1.0 - rho)
                 if tn + tail < tol:
                     return HolonomyResult(H, k0 + t + 1, tail)
+        k0 += n
     raise ArithmeticError("holonomy series did not converge within the depth cap")
 
 
@@ -802,7 +803,7 @@ def rotation_perturb_family(
         )
     lam = rec.eigenvalues[candidates[pair_index]]
     support = tuple(p.word_array(0, A.window).tolist())
-    symplectic = A.dim % 2 == 0 and all(la.is_symplectic(G) for G in A.generator.values())
+    symplectic = all(la.is_symplectic(G) for G in A.generator.values()) and A.dim % 2 == 0
 
     if symplectic:
         form = la.symplectic_diagonalize(M)

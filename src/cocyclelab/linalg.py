@@ -111,10 +111,11 @@ def standard_symplectic_form(n: int) -> np.ndarray:
 
 
 def is_symplectic(M, tol: float = SYMPLECTIC_TOL) -> bool:
-    """Whether M, of even dimension, preserves the standard symplectic form,
-    up to tol."""
+    """Whether M preserves the standard symplectic form, up to tol."""
     M = _as_matrix(M)
     n = M.shape[0] // 2
+    if M.shape[0] != 2 * n:
+        return False
     omega = standard_symplectic_form(n)
     resid = M.T @ omega @ M - omega
     return float(np.max(np.abs(resid))) <= tol * max(1.0, float(np.max(np.abs(M))) ** 2)
@@ -497,12 +498,16 @@ def _real_jordan_basis(M):
 
 def _gaps_ok_outside_pairs(rec: SpectrumRecord) -> bool:
     """Accept zero modulus gaps only inside complex-conjugate pairs."""
-    eig, mod = rec.eigenvalues, rec.moduli
-    return all(
-        mod[i] - mod[i + 1] > REAL_TOL * max(mod[i], 1e-300)
-        or (not rec.is_real[i] and not rec.is_real[i + 1]
-            and abs(eig[i] - np.conj(eig[i + 1])) <= 1e-6 * max(1.0, abs(eig[i])))
-        for i in range(len(eig) - 1))
+    eig = rec.eigenvalues
+    for i in range(len(eig) - 1):
+        gap = rec.moduli[i] - rec.moduli[i + 1]
+        if gap > REAL_TOL * max(rec.moduli[i], 1e-300):
+            continue
+        if rec.is_real[i] or rec.is_real[i + 1]:
+            return False
+        if abs(eig[i] - np.conj(eig[i + 1])) > 1e-6 * max(1.0, abs(eig[i])):
+            return False
+    return True
 
 
 def _is_near_real_pair(lam: complex, realify_tol: float) -> bool:

@@ -259,8 +259,8 @@ def qr_spectrum(mats: _PathSteps, block_size: int, n_batches: int = DEFAULT_BATC
 
     mats is a _PathSteps, which builds the step matrices and their log|det|
     a chunk at a time.  block_size must be a positive power of two, and the
-    path must hold at least two blocks of it; stderr comes from at most
-    n_batches >= 2 batches of blocks.  The block stage (_block_products)
+    path must hold at least n_batches >= 2 blocks of it, one stderr batch
+    of blocks each.  The block stage (_block_products)
     reduces the first nb = T // block_size blocks, and the recurrence below
     runs over the (nb, d, d) products and their log scales.  A locally
     constant cocycle reduces each distinct h-step sub-block of a chunk once
@@ -321,12 +321,11 @@ def qr_spectrum(mats: _PathSteps, block_size: int, n_batches: int = DEFAULT_BATC
     B = operator.index(block_size)
     if B < 1 or B & (B - 1):
         raise ValueError(f"block size must be a positive power of two, got {B}")
-    nb = T // B
-    if nb < 2:
-        raise ValueError(f"path of {T} steps holds fewer than two blocks of {B}")
     if n_batches < 2:
         raise ValueError(f"need at least two stderr batches, got {n_batches}")
-    n_batches = min(n_batches, nb)
+    nb = T // B
+    if nb < n_batches:
+        raise ValueError(f"path of {T} steps holds fewer than {n_batches} blocks of {B}")
     S = min(_MAX_SEGMENTS_PER_BATCH * n_batches, nb // -(-_MIN_SEGMENT_STEPS // B))
     L = nb if S < 2 else -(-nb // S)
     prods, logs, logdet, reduced = _block_products(mats.chunk, nb, B, L)
@@ -397,14 +396,17 @@ def _conformal_blocks(M: np.ndarray, tol_factor: float = _STRUCT_TOL):
             and np.abs(np.delete(M[:, i], i)).max(initial=0.0) <= tol
         )
         if scalar_ok:
+            if abs(M[i, i]) <= tol:
+                return None
             logs.append(np.log(abs(M[i, i])))
             i += 1
             continue
+        if i + 1 >= d:
+            return None
         blk = M[i : i + 2, i : i + 2]
         outside = np.abs(M[i : i + 2, :]).sum() + np.abs(M[:, i : i + 2]).sum() - 2 * np.abs(blk).sum()
         conformal = (
-            blk.shape == (2, 2)
-            and outside <= 4 * tol
+            outside <= 4 * tol
             and abs(blk[0, 0] - blk[1, 1]) <= tol
             and abs(blk[0, 1] + blk[1, 0]) <= tol
         )
@@ -423,7 +425,8 @@ def _commuting_block_logs(generators: dict):
     The basis is the real Jordan basis of one random combination of the
     generators, which fails only for a defective family.  Commuting
     generators are polynomials in a combination with distinct eigenvalues,
-    so they are block-conformal in that basis."""
+    so they are block-conformal in that basis, but a block at the
+    tolerance of an ill-conditioned basis cannot be read."""
     mats = list(generators.values())
     scale = max(1.0, max(float(np.abs(M).max()) for M in mats))
     for M, N in itertools.combinations(mats, 2):
@@ -437,10 +440,12 @@ def _commuting_block_logs(generators: dict):
         return None
     Winv = np.linalg.inv(W)
     cond = float(np.linalg.cond(W))
-    logs = {w: _conformal_blocks(Winv @ G @ W, tol_factor=1e-10 * cond)
-            for w, G in generators.items()}
-    if any(b is None for b in logs.values()):
-        raise ArithmeticError("commuting generators are not block-conformal in a shared basis")
+    logs = {}
+    for word, G in generators.items():
+        blocks = _conformal_blocks(Winv @ G @ W, tol_factor=1e-10 * cond)
+        if blocks is None:
+            return None
+        logs[word] = blocks
     return logs
 
 

@@ -143,14 +143,16 @@ class FlowCocycle:
 
 def return_cocycle(flow_cocycle: FlowCocycle) -> CocycleSpec:
     """First-return discrete cocycle: each refined window-word maps to the
-    per-unit generator raised to its roof value, which must be an integer."""
+    per-unit generator raised to its roof value, which must be an integer
+    up to rounding (1e-12)."""
     sys = flow_cocycle.system
     win, words = _refined(sys, flow_cocycle.window)
     rw, fw = sys.roof.window, flow_cocycle.window
     gen = {}
     for w in words:
         r = sys.roof.values[w[:rw]]
-        if r != int(r):
+        k = round(r)
+        if abs(r - k) >= 1e-12:
             raise ValueError(f"return cocycles need integer roof values, got {r!r}")
-        gen[w] = np.linalg.matrix_power(flow_cocycle.per_unit[w[:fw]], int(r))
+        gen[w] = np.linalg.matrix_power(flow_cocycle.per_unit[w[:fw]], k)
     return CocycleSpec(sys.base, win, gen)

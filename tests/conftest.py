@@ -110,7 +110,9 @@ class ShippedTrace:
         self.executed = {f: set() for f in self.files}
         self.local = {}         # code -> its local trace function, or None
         self.unread = {}        # class -> members not yet read
-        self.passed = set()     # (file, class, test name) of shipped tests that passed
+        self.ran = set()        # (file, class, test name) of shipped tests that ran
+        self.failed = set()     # and of those with a case that failed or skipped
+        self.lock = threading.Lock()   # pool threads read watched classes at once
 
     def _tracer(self, code):
         """The local trace function of code, which records its lines until
@@ -159,14 +161,16 @@ class ShippedTrace:
         skip = {getattr(getattr(cls, "__post_init__", None), "__code__", None)}
         machinery = (dataclasses.__file__, "<string>")
         getter = cls.__getattribute__
+        lock = self.lock
 
         def __getattribute__(obj, name):
             if name in unread:
                 caller = sys._getframe(1).f_code
                 if caller not in skip and caller.co_filename not in machinery:
-                    unread.discard(name)
-                    if not unread:
-                        del cls.__getattribute__
+                    with lock:
+                        unread.discard(name)
+                        if not unread and vars(cls).get("__getattribute__") is __getattribute__:
+                            del cls.__getattribute__
             return getter(obj, name)
         cls.__getattribute__ = __getattribute__
 
@@ -180,9 +184,10 @@ class ShippedTrace:
     def stop(self):
         sys.settrace(None)
         threading.settrace(None)
-        for cls in self.unread:
-            if "__getattribute__" in vars(cls):
-                del cls.__getattribute__
+        with self.lock:
+            for cls in self.unread:
+                if "__getattribute__" in vars(cls):
+                    del cls.__getattribute__
 
     def unexecuted(self):
         """file -> function-body lines, not exempt, that no traced run executed."""
@@ -222,6 +227,9 @@ def pytest_runtest_protocol(item, nextitem):
 def pytest_runtest_makereport(item, call):
     outcome = yield
     report = outcome.get_result()
-    if is_shipped(item) and report.when == "call" and report.passed:
-        TRACE.passed.add((Path(str(item.fspath)).name, getattr(item.cls, "__name__", None),
-                          item.originalname))
+    if not is_shipped(item) or not (report.when == "call" or report.failed or report.skipped):
+        return
+    test = (Path(str(item.fspath)).name, getattr(item.cls, "__name__", None), item.originalname)
+    TRACE.ran.add(test)
+    if report.failed or report.skipped:
+        TRACE.failed.add(test)

@@ -31,6 +31,11 @@ def lc(base, g0, g1):
     return cc.CocycleSpec(base, 1, {"0": g0, "1": g1})
 
 
+def whole_path(A, symbols):
+    """Step matrices and log|det| of every step of a sample path."""
+    return A.path_matrices(symbols, 0, len(symbols) - A.window + 1)
+
+
 def brute_bump_field(x, word, theta, nu, span=4000):
     L = len(word)
     word = list(word)
@@ -175,7 +180,7 @@ class TestCocycleSpec:
     def test_generator_inverse_built_on_first_read(self):
         # products and log|det| do not need the inverses; the envelope does
         A = lc(FULL2, D2, SHEAR)
-        A.path_matrices(np.array([0, 1, 1, 0]))
+        whole_path(A, np.array([0, 1, 1, 0]))
         cc.evaluate(A, sh.periodic_point(FULL2, "01"), 4)
         assert "_generator_inverse" not in vars(A)
         A.norm_envelope()
@@ -439,7 +444,7 @@ class TestPathMatrices:
         A = lc(FULL2, D2, SHEAR)
         rng = np.random.default_rng(3)
         sym = rng.integers(0, 2, size=50)
-        mats, logdet = A.path_matrices(sym)
+        mats, logdet = whole_path(A, sym)
         for t in range(len(sym)):
             ref = D2 if sym[t] == 0 else SHEAR
             assert np.array_equal(mats[t], ref)
@@ -449,7 +454,7 @@ class TestPathMatrices:
         gen = {"00": D2, "01": SHEAR, "10": POS}
         A = cc.CocycleSpec(GOLDEN, 2, gen)
         sym = np.array([0, 1, 0, 0, 1, 0])
-        mats, _ = A.path_matrices(sym)
+        mats, _ = whole_path(A, sym)
         expect = [SHEAR, POS, D2, SHEAR, POS]
         assert all(np.array_equal(m, e) for m, e in zip(mats, expect))
 
@@ -458,7 +463,7 @@ class TestPathMatrices:
         A = cc.CocycleSpec(FULL2, 1, {"0": D2, "1": SHEAR}, pert)
         p = sh.periodic_point(FULL2, "01")
         sym = np.tile([0, 1], 200)
-        mats, logdet = A.path_matrices(sym)
+        mats, logdet = whole_path(A, sym)
         t = 200  # deep inside, truncation far below double precision
         exact = reference_value_at(A, p.shift(t % 2))
         assert np.allclose(mats[t], exact, atol=1e-12)
@@ -469,7 +474,7 @@ class TestPathMatrices:
         gen = {"00": D2, "01": SHEAR, "10": POS}
         A = cc.CocycleSpec(GOLDEN, 2, gen)
         with pytest.raises(ValueError, match="inadmissible"):
-            A.path_matrices(np.array([0, 1, 1, 0]))
+            whole_path(A, np.array([0, 1, 1, 0]))
 
     def test_generator_of_forbidden_word_is_never_read(self):
         # steps are looked up among the shift's admissible windows only, so
@@ -477,7 +482,7 @@ class TestPathMatrices:
         A = cc.CocycleSpec(GOLDEN, 2, {"00": D2, "01": SHEAR, "10": POS, "11": D2})
         assert len(A._generator_table[0]) == 3
         with pytest.raises(ValueError, match=r"point visits inadmissible window \(1, 1\)"):
-            A.path_matrices(np.array([0, 1, 1, 0]))
+            whole_path(A, np.array([0, 1, 1, 0]))
         with pytest.raises(ValueError, match=r"point visits inadmissible window \(1, 1\)"):
             cc.evaluate(A, sh.make_point("0", (1, 1), "0"), 3)
         p = sh.periodic_point(GOLDEN, "001")
@@ -494,11 +499,11 @@ class TestPathMatrices:
         # window 1: -1 used to wrap around to the generator of word 1
         A = lc(FULL2, D2, SHEAR)
         with pytest.raises(ValueError, match=r"^path symbol -1 outside \[0, 2\)$"):
-            A.path_matrices(np.array([0, -1, 1]))
+            whole_path(A, np.array([0, -1, 1]))
         # window 2: the path 30 used to read as the word 11
         A2 = cc.CocycleSpec(FULL2, 2, {"00": D2, "01": SHEAR, "10": POS, "11": D2})
         with pytest.raises(ValueError, match=r"^path symbol 3 outside \[0, 2\)$"):
-            A2.path_matrices(np.array([3, 0]))
+            whole_path(A2, np.array([3, 0]))
 
     def test_symbol_out_of_range_rejected_in_a_step_range(self):
         A = lc(FULL2, D2, SHEAR)
@@ -527,7 +532,7 @@ class TestPathMatrices:
         A = cc.CocycleSpec(base, 2, {"00": D2, "01": SHEAR, "10": POS, "11": D2},
                            cc.HoelderPerturbation(nu, bumps))
         sym = np.random.default_rng(4).integers(0, 2, size=length)
-        mats, logdet = A.path_matrices(sym)
+        mats, logdet = whole_path(A, sym)
         T = len(logdet)
         for start, stop in [(0, 1), (0, 200), (1, 2), (137, 901), (T - 300, T), (T - 1, T)]:
             part, part_ld = A.path_matrices(sym, start, stop)

@@ -370,10 +370,33 @@ def e1_generator(word, matrix):
 
 def e2_suite(**fields):
     """A mutation of e2.json: its commuting suite alone, lifted over the two
-    copy counts around its full turn, with fields set."""
+    copy counts around its full turn and scanned for the collision at 33
+    points, with fields set."""
     def mutate(cfg):
-        cfg["suites"] = [dict(cfg["suites"][0], n_grid=[7, 8], **fields)]
+        cfg["suites"] = [dict(cfg["suites"][0], n_grid=[7, 8], scan_points=33, **fields)]
     return mutate
+
+
+def e2_widened(extra, **fields):
+    """e2_suite with each generator G_w widened to diag(G_w, extra[w])."""
+    def mutate(cfg):
+        e2_suite(**fields)(cfg)
+        gens = cfg["suites"][0]["cocycle"]["generators"]
+        for w, M in gens.items():
+            k = len(extra[w])
+            gens[w] = [row + [0.0] * k for row in M] + [[0.0] * len(M) + r for r in extra[w]]
+    return mutate
+
+
+def rotation_block(angle, radius):
+    c, s = radius * np.cos(angle), radius * np.sin(angle)
+    return [[c, -s], [s, c]]
+
+
+def rotation_pairs(a, b):
+    """diag(R_a, R_b) of two unit rotations: pairs of equal modulus."""
+    (p, q), (r, t) = rotation_block(a, 1.0), rotation_block(b, 1.0)
+    return [p + [0.0, 0.0], q + [0.0, 0.0], [0.0, 0.0] + r, [0.0, 0.0] + t]
 
 
 # configs that pass the schema and fail later, each with its one error line
@@ -408,6 +431,18 @@ CONFIG_ERRORS = {
                                "ValueError: non-diagonalizable input"),
     "e2-separation-budget": ("e2.json", e2_suite(pinching_eps=1e-14),
                              "ArithmeticError: could not separate moduli within the budget"),
+    # snapping the collided pair to the real axis takes most of the budget;
+    # the separation steps eps / 10 / 1.6^k that still fit are below 1e-9
+    # and leave its two reals closer than the gap tolerance
+    "e2-separation-real-gap": ("e2.json", e2_suite(pinching_eps=3.5e-8),
+                               "ArithmeticError: could not separate moduli within the budget"),
+    # two unit rotation pairs below the tracked pair share a modulus; the
+    # tracked pair is not snapped, and steps of eps / 30 and below leave the
+    # two pairs closer than the gap tolerance
+    "e2-separation-equal-pairs": (
+        "e2.json", e2_widened({"0": rotation_pairs(0.2, 0.5), "1": rotation_pairs(0.1, 0.3)},
+                              pinching_eps=1e-8, realify_tol=1e-300),
+        "ArithmeticError: could not separate moduli within the budget"),
     "e4-non-primitive-base": ("e4.json", lambda c: c.update(base={
         "kind": "transitions", "transitions": [[0, 1], [1, 0]], "theta": 0.5}),
         "ValueError: transition matrix must be primitive"),
@@ -427,6 +462,29 @@ CONFIG_ERRORS = {
 }
 
 
+def commuting_pair_and_axis(W, angle, radius, scalar):
+    """W diag(R, scalar) W^-1, R the rotation block of angle and radius."""
+    D = np.zeros((3, 3))
+    D[:2, :2] = rotation_block(angle, radius)
+    D[2, 2] = scalar
+    return W @ D @ np.linalg.inv(W)
+
+
+R04 = np.array(rotation_block(0.4, 1.0))
+W3 = np.array([[1.0, 0.4, 0.3], [0.2, 1.0, -0.5], [0.1, 0.3, 1.0]])
+# commuting E1 generators whose closed-form oracle declines
+NO_ORACLE_MEMBERS = {
+    # one shared Jordan block: no real block-diagonal basis
+    "jordan": lambda: {"0": R04 @ [[2.0, 1.0], [0.0, 2.0]] @ R04.T,
+                       "1": R04 @ [[0.5, 0.3], [0.0, 0.5]] @ R04.T},
+    # the shared basis reads blocks to a tolerance that grows with its
+    # condition number, and an eigenvalue of 3e-10 beside pairs of modulus 2
+    # and 0.5 lies below it
+    "tiny-eigenvalue": lambda: {"0": commuting_pair_and_axis(W3, 0.3, 2.0, 3e-10),
+                                "1": commuting_pair_and_axis(W3, 0.7, 0.5, 6e-10)},
+}
+
+
 def run_doctored(tmp_path, name, mutate):
     """Exit code and report directory of the CLI on a shipped config
     changed by mutate."""
@@ -436,11 +494,6 @@ def run_doctored(tmp_path, name, mutate):
     doctored.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     return cli.main(["--config", str(doctored), "--out", str(out)]), out
-
-
-def rotation_block(angle, radius):
-    c, s = radius * np.cos(angle), radius * np.sin(angle)
-    return [[c, -s], [s, c]]
 
 
 class TestCli:
@@ -717,13 +770,7 @@ class TestCli:
         ({"0": rotation_block(0.2, 1.0), "1": rotation_block(0.1, 1.0)}, False),
     ], ids=["d3", "d4"])
     def test_e2_commuting_family_in_higher_dimension(self, tmp_path, capsys, extra, pinched):
-        def widen(cfg):
-            e2_suite()(cfg)
-            gens = cfg["suites"][0]["cocycle"]["generators"]
-            for w, M in gens.items():
-                k = len(extra[w])
-                gens[w] = [row + [0.0] * k for row in M] + [[0.0] * len(M) + r for r in extra[w]]
-        code, out = run_doctored(tmp_path, "e2.json", widen)
+        code, out = run_doctored(tmp_path, "e2.json", e2_widened(extra))
         row = (out / "e2_pipeline.csv").read_text().splitlines()[1].split(",")
         assert row[3:5] == ["golden", "true" if pinched else "false"]
         assert code == (0 if pinched else 2)
@@ -747,22 +794,56 @@ class TestCli:
         assert [row[-1] for row in lifts] == ["1", "1", "1"]
         assert (out / "e2_pipeline.csv").read_text().splitlines()[1].split(",")[3] == "interior"
 
-    def test_e1_defective_commuting_member_has_no_oracle(self, tmp_path, capsys):
-        # commuting generators sharing one Jordan block have no real
-        # block-diagonal basis, so the closed-form oracle declines them
-        R = np.array(rotation_block(0.4, 1.0))
-        gens = {"0": R @ [[2.0, 1.0], [0.0, 2.0]] @ R.T, "1": R @ [[0.5, 0.3], [0.0, 0.5]] @ R.T}
+    def test_e1_oracle_disagrees_on_a_path_that_keeps_its_state(self, tmp_path, capsys):
+        # a chain that leaves a state once in 10^5 steps keeps the 1000-step
+        # path in its first state: every batch mean is that state's log
+        # modulus, log 2 or log 0.5, and the stationary average is 0
+        def member(cfg):
+            cfg["n_steps"] = 1000
+            cfg["suite"] = [{
+                "name": "conformal-d2", "p_word": "0", "bridge": "1",
+                "cocycle": {"window": 1, "generators": {
+                    "0": rotation_block(0.3, 2.0), "1": rotation_block(0.7, 0.5)}},
+                "measures": [{"kind": "markov", "name": "sticky",
+                              "P": [[0.99999, 0.00001], [0.00001, 0.99999]]}]}]
+            cfg["gap_member"] = "conformal-d2"
+        code, out = run_doctored(tmp_path, "e1.json", member)
+        v = {d["name"]: d for d in json.loads((out / "e1.json").read_text())["verdicts"]}
+        assert not v["closed-form-agreement"]["passed"]
+        errors = v["closed-form-agreement"]["detail"]["errors"]
+        assert errors["conformal-d2/sticky"] == pytest.approx(np.log(2.0), rel=1e-12)
+        assert code == 2
+
+    def test_e1_generator_with_an_off_block_entry_in_its_last_row(self, tmp_path, capsys):
+        # 5e-12 under the conformal pair is within the pair's tolerance but
+        # not within the last axis's, so no block starts on the last row; the
+        # closed-form oracle reads the commuting pair in a shared basis instead
+        gens = {"0": [[2.0, 1.0, 0.0], [-1.0, 2.0, 0.0], [5e-12, 0.0, 0.5]],
+                "1": [[1.0, 0.5, 0.0], [-0.5, 1.0, 0.0], [0.0, 0.0, 1.5]]}
 
         def member(cfg):
             cfg["n_steps"] = 1000
+            cfg["suite"] = [{"name": "last-row", "p_word": "0", "bridge": "1",
+                             "cocycle": {"window": 1, "generators": gens},
+                             "measures": [{"kind": "parry", "name": "parry"}]}]
+            cfg["gap_member"] = "last-row"
+        code, out = run_doctored(tmp_path, "e1.json", member)
+        v = {d["name"]: d for d in json.loads((out / "e1.json").read_text())["verdicts"]}
+        assert v["closed-form-agreement"]["passed"]
+        assert "last-row/parry" in v["closed-form-agreement"]["detail"]["errors"]
+
+    @pytest.mark.parametrize("gens", NO_ORACLE_MEMBERS.values(), ids=NO_ORACLE_MEMBERS)
+    def test_e1_commuting_member_without_an_oracle(self, tmp_path, capsys, gens):
+        def member(cfg):
+            cfg["n_steps"] = 1000
             cfg["suite"].append({
-                "name": "jordan-d2", "p_word": "0", "bridge": "1",
-                "cocycle": {"window": 1, "generators": {w: M.tolist() for w, M in gens.items()}},
+                "name": "no-oracle", "p_word": "0", "bridge": "1",
+                "cocycle": {"window": 1, "generators": {w: M.tolist() for w, M in gens().items()}},
                 "measures": [{"kind": "parry", "name": "parry"}]})
         _, out = run_doctored(tmp_path, "e1.json", member)
         rows = [r.split(",") for r in (out / "e1_spectra.csv").read_text().splitlines()]
-        jordan = [r for r in rows if r[0] == "jordan-d2"]
-        assert jordan and all(r[rows[0].index("oracle")] == "" for r in jordan)
+        member_rows = [r for r in rows if r[0] == "no-oracle"]
+        assert member_rows and all(r[rows[0].index("oracle")] == "" for r in member_rows)
 
 
 class TestColdStart:
@@ -808,6 +889,8 @@ ITEM5 = "ROADMAP item 5: the symplectic surgery ships with a repeated modulus"
 ITEM5_UNIT = "ROADMAP item 5: a symplectic member whose rotated pair has modulus one"
 ITEM4 = ("ROADMAP item 4: the E1 bump member from the hyperbolic_bump_cocycle family"
          " has two bumps, one along its own direction")
+ITEM4_DEEP = ("ROADMAP item 4: the shipped bump cocycles converge within one chunk of"
+              " their holonomy series; a slower fiber-bunched member runs past it")
 ITEM4_UNDOMINATED = ("ROADMAP item 4: with bump members in E1 configs, an undominated bump"
                      " cocycle is legal input")
 UNRUN_BLOCKS = {
@@ -826,6 +909,7 @@ UNRUN_BLOCKS = {
     ("cocycles.py", "_bump_factors", "elif lam[j].imag == 0:"): ITEM4,
     ("cocycles.py", "_factor_gap", "if i:"): ITEM4,
     ("cocycles.py", "_series_holonomy", "if len(bumps) > 1:"): ITEM4,
+    ("cocycles.py", "_series_holonomy", "k0 += n"): ITEM4_DEEP,
     ("cocycles.py", "domination_check", "if N >= _DOMINATION_MAX_POWER:"): ITEM4_UNDOMINATED,
     ("cocycles.py", "domination_check", "if len(idx) * m > _DOMINATION_BUDGET:"): ITEM4_UNDOMINATED,
     ("cocycles.py", "domination_check", "return DominationResult(False, None, 0.0)"):
@@ -874,15 +958,22 @@ def load_bench_workloads():
 
 
 @pytest.fixture(scope="module")
-def shipped_record(shipped_trace, tmp_path_factory):
+def shipped_record(request, shipped_trace, tmp_path_factory):
     """The session's trace of the shipped set, completed by one pass at
-    seed 2024 of the benchmark's hoelder workload and rho-fallback unit; or
-    None when the gate did not run in this session, after running it and
-    these guards in a fresh session."""
+    seed 2024 of the benchmark's hoelder workload and rho-fallback unit.
+
+    A shipped test that failed or skipped fails the guards at once.  When
+    the session left shipped tests out, they and these guards run in a
+    fresh session that names every shipped test, and the record is None; a
+    session that names them all and still misses one fails instead."""
     root = Path(ex.__file__).parents[3]
     shipped = conftest_shipped_tests()
-    if not shipped <= shipped_trace.passed:
+    if shipped & shipped_trace.failed:
+        pytest.fail(f"shipped tests did not pass: {sorted(shipped & shipped_trace.failed)}")
+    if not shipped <= shipped_trace.ran:
         nodes = sorted({f"tests/{f}" + (f"::{c}" if c else "") for f, c, _ in shipped})
+        if set(nodes) <= set(request.config.invocation_params.args):
+            pytest.fail(f"shipped tests did not run: {sorted(shipped - shipped_trace.ran)}")
         run = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *nodes,
              f"tests/{Path(__file__).name}::TestShippedRuns"],

@@ -27,6 +27,11 @@ def lc(base, g0, g1):
     return cc.CocycleSpec(base, 1, {"0": g0, "1": g1})
 
 
+def whole_path(A, symbols):
+    """Step matrices and log|det| of every step of a sample path."""
+    return A.path_matrices(symbols, 0, len(symbols) - A.window + 1)
+
+
 def tree_reduce(mats, B):
     """Collapse rows of (nb, B, d, d) into normalized block products.
 
@@ -61,7 +66,7 @@ class TestQrPipeline:
         A = lc(FULL2, np.diag([2.0, 0.5]), np.array([[1.0, 1.0], [0.5, 2.0]]))
         mu = sh.parry_measure(FULL2)
         symbols = np.asarray(mu.sample_orbit(400, seed=5))
-        mats, logdet = A.path_matrices(symbols)
+        mats, logdet = whole_path(A, symbols)
         blocked = ly.qr_spectrum(StepArrays(mats, logdet), block_size=8)
         ref = brute_qr(mats[: blocked.n_steps])
         assert np.allclose(blocked.exponents, ref, atol=1e-8)
@@ -70,7 +75,7 @@ class TestQrPipeline:
         A = lc(FULL2, np.diag([2.0, 0.5]), np.array([[1.0, 1.0], [0.5, 2.0]]))
         mu = sh.parry_measure(FULL2)
         symbols = np.asarray(mu.sample_orbit(512, seed=9))
-        mats, logdet = A.path_matrices(symbols)
+        mats, logdet = whole_path(A, symbols)
         runs = [ly.qr_spectrum(StepArrays(mats, logdet), block_size=b) for b in (1, 4, 16)]
         for r in runs[1:]:
             assert np.allclose(r.exponents, runs[0].exponents, atol=1e-8)
@@ -282,7 +287,7 @@ class StepArrays:
 def sampled_path(A, mu, n_steps, seed):
     """Step matrices, log|det| and the lyapunov_qr block size of one path."""
     symbols = np.asarray(mu.sample_orbit(n_steps + A.window - 1, seed))
-    mats, logdet = A.path_matrices(symbols)
+    mats, logdet = whole_path(A, symbols)
     return mats, logdet, ly._adaptive_block(A, n_steps)
 
 
@@ -409,7 +414,7 @@ class TestLockstepSamePath:
 
     def test_path_shorter_than_a_block_rejected(self):
         mats = np.tile(np.eye(2), (3, 1, 1))
-        with pytest.raises(ValueError, match="fewer than two blocks"):
+        with pytest.raises(ValueError, match="fewer than 20 blocks of 4"):
             ly.qr_spectrum(StepArrays(mats, np.zeros(3)), block_size=4)
 
     @pytest.mark.parametrize("n_batches", [0, -3])
@@ -497,7 +502,7 @@ class TestTwoPhaseSamePath:
 
     def test_bump_path(self):
         A = hoelder_bump_cocycle()
-        mats, logdet = A.path_matrices(sh.parry_measure(A.base).sample_orbit(50_000, seed=2024))
+        mats, logdet = whole_path(A, sh.parry_measure(A.base).sample_orbit(50_000, seed=2024))
         est = assert_same_as_warmup(mats, logdet, 8)
         assert est.segments > 2
 
@@ -667,7 +672,7 @@ class TestSegmentMajorSamePath:
 
     def test_bump_path(self):
         A = hoelder_bump_cocycle()
-        mats, logdet = A.path_matrices(sh.parry_measure(A.base).sample_orbit(50_000, seed=2024))
+        mats, logdet = whole_path(A, sh.parry_measure(A.base).sample_orbit(50_000, seed=2024))
         est, nb, L = assert_same_as_gathered(mats, logdet, 8)
         assert est.segments > 2
 
@@ -764,14 +769,14 @@ class TestStreamedBlocks:
         # two full chunks, a partial one, and a few steps past the last block
         n_steps = (2 * ly._CHUNK_BLOCKS + 37) * B + 5
         symbols = mu.sample_orbit(n_steps + A.window - 1, E1_CONFIG["seed"])
-        mats, logdet = A.path_matrices(symbols)
+        mats, logdet = whole_path(A, symbols)
         assert_same_blocks(ly._PathSteps(A, symbols), mats, logdet, B)
 
     def test_bump_path_same_blocks(self):
         A = hoelder_bump_cocycle()
         mu = sh.parry_measure(A.base)
         symbols = mu.sample_orbit(50_000, seed=2024)
-        mats, logdet = A.path_matrices(symbols)
+        mats, logdet = whole_path(A, symbols)
         assert 8 * ly._CHUNK_BLOCKS < len(mats)
         assert_same_blocks(ly._PathSteps(A, symbols), mats, logdet, 8)
         assert_same_estimate(ly.qr_spectrum(ly._PathSteps(A, symbols), 8),
@@ -786,7 +791,7 @@ class TestStreamedBlocks:
         A = SHARED_PATHS[name]()
         n_steps = (2 * ly._CHUNK_BLOCKS + 37) * B + 5
         symbols = sh.parry_measure(A.base).sample_orbit(n_steps + A.window - 1, seed=B)
-        mats, logdet = A.path_matrices(symbols)
+        mats, logdet = whole_path(A, symbols)
         path = ly._PathSteps(A, symbols)
         assert (path.sub_block(B) > 1) == (B > 1)
         assert_same_blocks(path, mats, logdet, B)

@@ -138,12 +138,19 @@ class TestReturnCocycle:
 
     def test_no_real_power_rejected(self):
         # return generators are integer matrix powers: a roof value that is
-        # not an integer, however close, has none
-        for values in ({"0": 0.5, "1": 1.0}, {"0": 1.0, "1": 2.0 + 1e-13}):
+        # not an integer has none, and one within rounding of an integer,
+        # such as a scaled roof 0.57 * 100, is taken as that integer
+        per_unit = {"0": 4.0 * rot(0.4), "1": rot(0.2)}
+        for values in ({"0": 0.5, "1": 1.0}, {"0": 1.0, "1": 2.0 + 1e-11}):
             sys = sp.SuspensionSystem(FULL2, sp.RoofFunction(FULL2, 1, values))
-            fc = sp.FlowCocycle(sys, 1, {"0": 4.0 * rot(0.4), "1": rot(0.2)})
             with pytest.raises(ValueError, match="integer roof values"):
-                sp.return_cocycle(fc)
+                sp.return_cocycle(sp.FlowCocycle(sys, 1, per_unit))
+        for values in ({"0": 1.0, "1": 2.0 + 1e-13}, {"0": 0.57 * 100, "1": 1.0}):
+            sys = sp.SuspensionSystem(FULL2, sp.RoofFunction(FULL2, 1, values))
+            A = sp.return_cocycle(sp.FlowCocycle(sys, 1, per_unit))
+            for w, M in per_unit.items():
+                k = round(values[w])
+                assert np.array_equal(A.generator[(int(w),)], np.linalg.matrix_power(M, k))
 
     def test_missing_generator_rejected(self):
         sys = mixed_system()
