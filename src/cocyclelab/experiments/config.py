@@ -53,11 +53,16 @@ _MEASURE = {
     ],
 }
 
+# a generator has at least two rows and columns: a 1 x 1 cocycle has no
+# modulus gap to measure (CocycleSpec checks that it is square)
+_GENERATOR = {"type": "array", "minItems": 2,
+              "items": {"type": "array", "minItems": 2, "items": {"type": "number"}}}
+
 _COCYCLE = {
     "type": "object",
     "properties": {
         "window": {"type": "integer", "minimum": 1},
-        "generators": {"type": "object"},
+        "generators": {"type": "object", "additionalProperties": _GENERATOR},
     },
     "required": ["window", "generators"],
 }

@@ -307,9 +307,8 @@ def run_e2(cfg: dict, seed: int) -> dict:
         n_grid = sorted(int(n) for n in suite["n_grid"])
 
         lifted = []
-        for n in n_grid:
+        for w in homoclinic_family(spec, p, b, n_grid):
             # one periodic point per word, read by every step below
-            w = homoclinic_family(spec, p, b, n)
             q = periodic_point(spec, w)
             lift = lift_theta_family(at, sysm, q, len(w), s_lift)
             visits = _count_visits(q, len(w), fam.support_word)
@@ -390,7 +389,7 @@ def run_e2(cfg: dict, seed: int) -> dict:
         constraint = "symplectic" if kind == "symplectic" else "none"
         M_sep = la.moduli_separation_perturb(
             M_rot, float(suite["pinching_eps"]), constraint=constraint,
-            realify_tol=float(suite.get("realify_tol", 1e-5)),
+            realify_tol=float(suite.get("realify_tol", la.REALIFY_TOL)),
         )
         G = M_sep @ np.linalg.inv(M_rot)
         A_fin = cylinder_perturb(

@@ -16,6 +16,9 @@ import numpy as np
 REAL_TOL = 1e-9
 # Residual allowed when checking that a matrix preserves a symplectic form.
 SYMPLECTIC_TOL = 1e-8
+# Angle from the real axis within which moduli separation snaps a conjugate
+# pair to two reals.
+REALIFY_TOL = 1e-5
 # Relative floor below which a wedge coefficient counts as a twisting failure.
 TWISTING_TOL = 1e-10
 # |det M| below this (relative to norm^d) means M is unusable as a cocycle value.
@@ -159,11 +162,14 @@ def symplectic_diagonalize(M) -> SymplecticBlockForm:
     """Real block diagonalization of a matrix preserving the standard
     symplectic form by a symplectic basis.
 
-    Requires all eigenvalues distinct.  Eigenvalues are grouped into
-    {lam, 1/lam} pairs and {lam, conj, 1/lam, 1/conj} quadruples; each group
-    receives a symplectic sub-basis in which M acts by 1x1 entries or 2x2
-    conformal blocks.  Raises on non-symplectic input, degenerate spectrum,
-    or defective (non-semisimple) input.
+    Eigenvalues are grouped into {lam, 1/lam} pairs and {lam, conj, 1/lam,
+    1/conj} quadruples; each group receives a symplectic sub-basis in which
+    M acts by 1x1 entries or 2x2 conformal blocks.  A real eigenvalue's
+    partner is the eigenvector its row of the symplectic Gram matrix picks,
+    so a repeated real eigenvalue gives one pair per eigenvector.  The two
+    members of a conjugate pair are distinct however close they lie.
+    Raises on non-symplectic input, a repeated complex eigenvalue, or
+    defective (non-semisimple) input.
     """
     M = _as_matrix(M)
     if M.shape[0] % 2:
@@ -174,10 +180,14 @@ def symplectic_diagonalize(M) -> SymplecticBlockForm:
         raise ValueError("matrix does not preserve the symplectic form")
 
     eig, vec = np.linalg.eig(M)
+    if np.linalg.cond(vec) > 1e8:
+        raise DegenerateSpectrumError("non-diagonalizable input")
+    real = np.abs(eig.imag) <= REAL_TOL * np.maximum(1.0, np.abs(eig))
     for i in range(len(eig)):
         for j in range(i + 1, len(eig)):
-            if abs(eig[i] - eig[j]) <= 1e-8 * max(1.0, abs(eig[i])):
-                raise DegenerateSpectrumError("degenerate spectrum")
+            if (not real[i] and eig[j] != np.conj(eig[i])
+                    and abs(eig[i] - eig[j]) <= 1e-8 * max(1.0, abs(eig[i]))):
+                raise DegenerateSpectrumError("repeated complex eigenvalue")
 
     def omega_c(u, v):
         return complex(u @ omega @ v)
@@ -191,10 +201,10 @@ def symplectic_diagonalize(M) -> SymplecticBlockForm:
             continue
         lam = eig[i]
         mod = abs(lam)
-        real = abs(lam.imag) <= REAL_TOL * max(1.0, mod)
-        if real:
-            j = _eig_partner(eig.real if real else eig, i, 1.0 / lam.real, used, match_tol)
-            if j is None:
+        if real[i]:
+            # the partner is the eigenvector with the largest symplectic pairing
+            j = int(np.argmax(np.abs(vec[:, i] @ omega @ vec)))
+            if j in used or abs(lam.real * eig[j].real - 1.0) > match_tol:
                 raise DegenerateSpectrumError("eigenvalue without reciprocal partner")
             used.update((i, j))
             groups.append(("real_pair", [(eig[i].real, vec[:, i]), (eig[j].real, vec[:, j])]))
@@ -519,16 +529,20 @@ def moduli_separation_perturb(
     M,
     eps: float,
     constraint: str = "none",
-    realify_tol: float = 1e-6,
+    realify_tol: float = REALIFY_TOL,
 ):
     """Perturb M within eps so eigenvalue moduli become pairwise distinct.
 
-    Conjugate pairs keep equal moduli with each other.  A complex pair whose
-    argument is within realify_tol of 0 or pi is snapped to a real pair with
-    slightly distinct moduli; genuinely complex pairs stay conformal.
-    constraint 'symplectic' scales reciprocal eigenvalue families by
-    reciprocal factors.  Returns M unchanged when all class moduli already
-    differ by more than 1e-6 relatively and no pair needs snapping.
+    M is read in blocks of a basis adapted to the constraint: its real
+    Jordan basis, or for 'symplectic' the basis of symplectic_diagonalize.
+    Each block is scaled by its own factor.  Conjugate pairs keep equal
+    moduli with each other, except that a pair whose argument is within
+    realify_tol of 0 or pi is snapped to a real pair with slightly distinct
+    moduli.  Under the symplectic constraint each e-side block sets its
+    f-side partner to its inverse transpose, and a unit pair on its
+    (e_i, f_i) plane keeps its rotation or snaps to diag(tm, 1/(tm)).
+    Returns M unchanged when all class moduli already differ by more than
+    1e-6 relatively and no pair needs snapping.
     """
     M = _as_matrix(M)
     if constraint not in ("none", "symplectic"):
@@ -546,144 +560,48 @@ def moduli_separation_perturb(
     if separated and not any(near_real):
         return M
 
+    # blocks (kind, e, f, lam): M acts on the W-columns e by lam and on the
+    # columns f by the inverse transpose of that
     if constraint == "symplectic":
-        return _symplectic_moduli_perturb(M, eps, realify_tol)
-
-    W, blocks = _real_jordan_basis(M)
+        form = symplectic_diagonalize(M)
+        n = M.shape[0] // 2
+        W = form.P
+        blocks = [(b.kind, b.e_slots, tuple(n + j for j in b.f_slots), b.eigenvalues[0])
+                  for b in form.blocks]
+    else:
+        W, jordan = _real_jordan_basis(M)
+        blocks = [(kind, (pos,) if kind == "real" else (pos, pos + 1), (), lam)
+                  for kind, pos, lam in jordan]
     Winv = np.linalg.inv(W)
+    # the two members of a symplectic block on +-1 (an identity block, or a
+    # unit pair snapped to the real axis) coincide at factor 1
+    first = 1 if constraint == "symplectic" else 0
     d = M.shape[0]
     for attempt in range(10):
         step = (eps / (10.0 * max(1, len(blocks)))) / (1.6**attempt)
-        mults = [1.0 + a * step for a in range(len(blocks))]
         B = np.zeros((d, d))
-        for (kind, pos, lam), m, snap in zip(blocks, mults, near_real):
-            if kind == "real":
-                B[pos, pos] = lam * m
+        for a, (kind, e, f, lam) in enumerate(blocks, start=first):
+            m = 1.0 + a * step
+            snap = np.iscomplexobj(lam) and _is_near_real_pair(lam, realify_tol)
+            t = abs(lam) * (1.0 if abs(np.angle(lam)) < np.pi / 2 else -1.0)
+            if kind == "unit_pair":
+                B[np.ix_(e + f, e + f)] = (np.diag([t * m, 1.0 / (t * m)]) if snap
+                                           else [[lam.real, lam.imag], [-lam.imag, lam.real]])
+                continue
+            if not np.iscomplexobj(lam):
+                Be = [[lam * m]]
             elif snap:
-                t = abs(lam) * (1.0 if abs(np.angle(lam)) < np.pi / 2 else -1.0)
-                B[pos, pos] = t * m * (1.0 + step / 2.0)
-                B[pos + 1, pos + 1] = t * m * (1.0 - step / 2.0)
+                Be = np.diag([t * m * (1.0 + step / 2.0), t * m * (1.0 - step / 2.0)])
             else:
                 a_, b_ = lam.real * m, lam.imag * m
-                B[pos : pos + 2, pos : pos + 2] = [[a_, b_], [-b_, a_]]
+                Be = [[a_, b_], [-b_, a_]]
+            B[np.ix_(e, e)] = Be
+            if f:
+                B[np.ix_(f, f)] = np.linalg.inv(Be).T
         cand = W @ B @ Winv
         if float(np.linalg.norm(cand - M, 2)) > eps:
             continue
-        if _gaps_ok_outside_pairs(sorted_spectrum(cand)):
-            return cand
-    raise ArithmeticError("could not separate moduli within the budget")
-
-
-def _symplectic_moduli_perturb(M, eps, realify_tol):
-    """Moduli separation by reciprocal scalings of symplectic blocks.
-
-    Uses the symplectic block form when the spectrum is simple; for repeated
-    eigenvalues falls back to eigencolumn pairing through the symplectic
-    Gram matrix (real spectrum only).  Unit-modulus conjugate pairs cannot
-    change modulus under a symplectic scaling and are left alone; if two of
-    them collide the separation fails.
-    """
-    try:
-        form = symplectic_diagonalize(M)
-    except DegenerateSpectrumError:
-        return _symplectic_moduli_perturb_repeated(M, eps)
-    n = M.shape[0] // 2
-    P = form.P
-    Pinv = np.linalg.inv(P)
-    for attempt in range(10):
-        step = (eps / (10.0 * max(1, len(form.blocks)))) / (1.6**attempt)
-        B = np.zeros((2 * n, 2 * n))
-        for a, blk in enumerate(form.blocks):
-            m = 1.0 + (a + 1) * step
-            if blk.kind == "real_pair":
-                lam = blk.eigenvalues[0]
-                i = blk.e_slots[0]
-                B[i, i] = lam * m
-                B[n + i, n + i] = 1.0 / (lam * m)
-            elif blk.kind == "unit_pair":
-                lam = blk.eigenvalues[0]
-                i = blk.e_slots[0]
-                if _is_near_real_pair(lam, realify_tol):
-                    t = 1.0 if abs(np.angle(lam)) < np.pi / 2 else -1.0
-                    B[i, i] = t * m
-                    B[n + i, n + i] = 1.0 / (t * m)
-                else:
-                    c_, s_ = lam.real, lam.imag
-                    B[np.ix_([i, n + i], [i, n + i])] = [[c_, s_], [-s_, c_]]
-            else:  # quad: conformal e-plane, exactly dual f-plane
-                lam = blk.eigenvalues[0]
-                i, j = blk.e_slots
-                if _is_near_real_pair(lam, realify_tol):
-                    t = abs(lam) * (1.0 if abs(np.angle(lam)) < np.pi / 2 else -1.0)
-                    Be = np.diag([t * m * (1.0 + step / 2.0), t * m * (1.0 - step / 2.0)])
-                else:
-                    a_, b_ = lam.real * m, lam.imag * m
-                    Be = np.array([[a_, b_], [-b_, a_]])
-                B[np.ix_([i, j], [i, j])] = Be
-                B[np.ix_([n + i, n + j], [n + i, n + j])] = np.linalg.inv(Be).T
-        cand = P @ B @ Pinv
-        if float(np.linalg.norm(cand - M, 2)) > eps:
-            continue
-        if not is_symplectic(cand, tol=1e-6):
-            continue
-        if _gaps_ok_outside_pairs(sorted_spectrum(cand)):
-            return cand
-    raise ArithmeticError("could not separate moduli within the budget")
-
-
-def _symplectic_moduli_perturb_repeated(M, eps):
-    """Repeated-eigenvalue symplectic case via Gram-paired eigencolumns.
-
-    Supports real semisimple spectrum (for example diag(2, 2, 1/2, 1/2)):
-    partner columns are matched through the symplectic Gram matrix, the
-    partner basis is re-mixed so each pairing is exact, and each matched
-    (lam, 1/lam) column pair is scaled by (m, 1/m).
-    """
-    n = M.shape[0] // 2
-    if not is_symplectic(M):
-        raise ValueError("matrix does not preserve the symplectic form")
-    eig, vec = np.linalg.eig(M)
-    if np.linalg.cond(vec) > 1e8:
-        raise ValueError("non-diagonalizable input")
-    if np.max(np.abs(eig.imag)) > 1e-9 * max(1.0, float(np.max(np.abs(eig)))):
-        raise DegenerateSpectrumError(
-            "repeated complex spectrum not supported for symplectic separation"
-        )
-    eig = eig.real
-    V = vec.real if np.max(np.abs(vec.imag)) < 1e-9 else None
-    if V is None:
-        raise DegenerateSpectrumError("complex eigenbasis for real spectrum")
-    omega = standard_symplectic_form(n)
-    K = V.T @ omega @ V
-    used = set()
-    pairs = []
-    for i in range(2 * n):
-        if i in used:
-            continue
-        j = int(np.argmax(np.abs(K[i])))
-        if j in used or abs(eig[i] * eig[j] - 1.0) > 1e-6:
-            raise DegenerateSpectrumError("symplectic pairing is not a perfect matching")
-        used.update((i, j))
-        if abs(eig[i]) >= abs(eig[j]):
-            pairs.append((i, j))
-        else:
-            pairs.append((j, i))
-    # rescale partner columns so each matched pairing is exactly 1
-    for i, j in pairs:
-        V[:, j] = V[:, j] / float(V[:, i] @ omega @ V[:, j])
-    Vinv = np.linalg.inv(V)
-    for attempt in range(10):
-        step = (eps / (10.0 * max(1, len(pairs)))) / (1.6**attempt)
-        lam_new = np.empty(2 * n)
-        for a, (i, j) in enumerate(pairs):
-            m = 1.0 + (a + 1) * step
-            lam_new[i] = eig[i] * m
-            lam_new[j] = 1.0 / (eig[i] * m)
-        cand = V @ np.diag(lam_new) @ Vinv
-        if float(np.linalg.norm(cand - M, 2)) > eps:
-            continue
-        if not is_symplectic(cand, tol=1e-6):
-            continue
-        if _gaps_ok_outside_pairs(sorted_spectrum(cand)):
+        kept = constraint == "none" or is_symplectic(cand, tol=1e-6)
+        if kept and _gaps_ok_outside_pairs(sorted_spectrum(cand)):
             return cand
     raise ArithmeticError("could not separate moduli within the budget")

@@ -348,20 +348,11 @@ def _advance(W, C, mats, word, u):
 
 def _extremes(W, C):
     """Exact (sigma, tau) of each walked displacement: polar center plus or
-    minus the spread, branch pinned by the lifted image of angle 0.
-
-    The angles come from math.atan2 and math.asin per path: numpy's
-    vectorized arctan2 and arcsin round differently in some last bits, and
-    these must equal the scalar _polar_angle and _spread.  Sums, products,
-    square roots and rounding are exact elementwise and stay arrays."""
-    c1 = C[:, 0, 0] + C[:, 1, 1]
-    c2 = C[:, 1, 0] - C[:, 0, 1]
-    beta = np.array([math.atan2(y, x) for y, x in zip(c2.tolist(), c1.tolist())])
-    det = C[:, 0, 0] * C[:, 1, 1] - C[:, 0, 1] * C[:, 1, 0]
-    f2 = np.sum(C * C, axis=(1, 2)) / det
-    s2 = 0.5 * (f2 + np.sqrt(np.maximum(f2 * f2 - 4.0, 0.0)))
-    tilt = np.minimum((s2 - 1.0) / (s2 + 1.0), 1.0)
-    half = 2.0 * np.array([math.asin(x) for x in tilt.tolist()])
+    minus the spread, branch pinned by the lifted image of angle 0.  Each
+    displacement goes through the scalar _polar_angle and _spread."""
+    rows = C.reshape(-1, 4).tolist()
+    beta = np.array([_polar_angle(*row) for row in rows])
+    half = np.array([_spread(*row) for row in rows])
     center = TWO_PI * np.round((W - 2.0 * beta) / TWO_PI) + 2.0 * beta
     return center + half, center - half
 

@@ -26,20 +26,20 @@ _SNAP_GUARD = 1e-6
 # symbolic side: the homoclinic closing family
 # ---------------------------------------------------------------------------
 
-def homoclinic_family(spec: SftSpec, p_word, bridge, n: int) -> tuple:
-    """Cyclic word of the n-th homoclinic closing: the bridge followed by 2n
-    copies of the periodic block.
+def homoclinic_family(spec: SftSpec, p_word, bridge, n_values) -> list:
+    """Cyclic words of the homoclinic closings, one per n in n_values: the
+    bridge followed by 2n copies of the periodic block.
 
-    Its orbit agrees with the homoclinic orbit on symbol windows of radius
-    growing linearly with n, so the two stay within a contraction-rate power
-    of each other near the bridge.
+    The orbit of the n-th word agrees with the homoclinic orbit on symbol
+    windows of radius growing linearly with n, so the two stay within a
+    contraction-rate power of each other near the bridge.
     """
     p = parse_word(p_word)
     b = parse_word(bridge)
-    if n < 1:
+    if any(n < 1 for n in n_values):
         raise ValueError("n must be positive")
     homoclinic_point(spec, p, b)   # shares the admissibility requirements
-    return b + p * (2 * n)
+    return [b + p * (2 * int(n)) for n in n_values]
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,7 @@ def exponential_shadowing_check(spec: SftSpec, p_word, bridge, n_values) -> Shad
     o = periodic_point(spec, p)
     xs, ys = [], []
     profiles = {}
-    for n in n_values:
-        w = homoclinic_family(spec, p, b, int(n))
+    for n, w in zip(n_values, homoclinic_family(spec, p, b, n_values)):
         T = len(w)
         q = periodic_point(spec, w)
         center = 0.5 * (len(b) - 1 + T)
@@ -154,8 +153,7 @@ def period_difference_bound(roof0: RoofFunction, roof1: RoofFunction,
     sys0 = SuspensionSystem(spec, roof0)
     sys1 = SuspensionSystem(spec, roof1)
     deltas = []
-    for n in n_values:
-        w = homoclinic_family(spec, p, b, int(n))
+    for w in homoclinic_family(spec, p, b, n_values):
         q = periodic_point(spec, w)
         deltas.append(abs(period(sys1, q, len(w)) - period(sys0, q, len(w))))
     deltas = np.asarray(deltas)

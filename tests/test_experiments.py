@@ -106,6 +106,22 @@ class TestConfig:
             cf.build_measure(FULL2, measure)
 
 
+    @pytest.mark.parametrize("generators,anchor,message", [
+        ({"0": [[2.0]], "1": [[0.5]]}, "$.suite[0].cocycle.generators.0", "[[2.0]] is too short"),
+        ({"0": [[2.0], [0.5]], "1": [[0.5], [2.0]]}, "$.suite[0].cocycle.generators.0[0]",
+         "[2.0] is too short"),
+    ], ids=["1x1", "2x1"])
+    def test_generators_smaller_than_2x2_rejected(self, tmp_path, capsys, generators, anchor,
+                                                 message):
+        # a 1 x 1 member used to pass validation and end in an internal error
+        code, out = run_doctored(
+            tmp_path, "e1.json", e1_member(cocycle={"window": 1, "generators": generators}))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path / 'doctored_e1.json'}: {anchor}: {message}\n"
+        assert not out.exists()
+
+
 class TestReport:
     def test_canonical_json_sorts_and_converts(self):
         s = rp.canonical_json({"b": np.float64(1.5), "a": np.array([1, 2])})
@@ -391,6 +407,14 @@ def e2_widened(extra, **fields):
 def rotation_block(angle, radius):
     c, s = radius * np.cos(angle), radius * np.sin(angle)
     return [[c, -s], [s, c]]
+
+
+def symplectic_double(B):
+    """sp(B) = diag(B, B^-T), symplectic for the standard form."""
+    B = np.asarray(B)
+    M = np.zeros((4, 4))
+    M[:2, :2], M[2:, 2:] = B, np.linalg.inv(B).T
+    return M.tolist()
 
 
 def rotation_pairs(a, b):
@@ -775,6 +799,24 @@ class TestCli:
         assert row[3:5] == ["golden", "true" if pinched else "false"]
         assert code == (0 if pinched else 2)
 
+    def test_e2_symplectic_surgery_snaps_a_collided_quadruple(self, tmp_path, capsys):
+        # the symplectic twin of commuting-d2: sp of two commuting conformal
+        # blocks collides where the conjugate pair lies 1.6e-8 off the real
+        # axis, and the symplectic separation snaps its quadruple to reals.
+        # The generators keep the e- and f-planes invariant, so the bridge
+        # transition cannot twist
+        def twin(cfg):
+            cfg["suites"][1]["cocycle"]["generators"] = {
+                "0": symplectic_double(rotation_block(0.9, 1.1)),
+                "1": symplectic_double(rotation_block(0.35, 1.05))}
+        code, out = run_doctored(tmp_path, "e2.json", twin)
+        v = {d["name"]: d for d in json.loads((out / "e2.json").read_text())["verdicts"]}
+        assert v["symplectic-d4-pinching-after-separation"]["passed"]
+        assert v["symplectic-d4-pinching-after-separation"]["detail"]["method"] == "golden"
+        assert not v["symplectic-d4-simplicity-restored"]["passed"]
+        assert v["symplectic-d4-simplicity-restored"]["detail"]["min_psi"] == 0.0
+        assert code == 2
+
     @pytest.mark.parametrize("theta0,generators", [
         (2.353, {"0": [[0.6962, -0.8147], [0.8147, 0.6962]],
                  "1": [[1.1193, -0.1137], [-0.0878, 0.9968]]}),
@@ -894,10 +936,8 @@ ITEM4_DEEP = ("ROADMAP item 4: the shipped bump cocycles converge within one chu
 ITEM4_UNDOMINATED = ("ROADMAP item 4: with bump members in E1 configs, an undominated bump"
                      " cocycle is legal input")
 UNRUN_BLOCKS = {
-    ("linalg.py", "_symplectic_moduli_perturb", None): ITEM5,
-    ("linalg.py", "_symplectic_moduli_perturb_repeated", None): ITEM5,
-    ("linalg.py", "moduli_separation_perturb", 'if constraint == "symplectic":'): ITEM5,
-    ("linalg.py", "symplectic_diagonalize", "if real:"): ITEM5,
+    ("linalg.py", "moduli_separation_perturb", 'if kind == "unit_pair":'): ITEM5_UNIT,
+    ("linalg.py", "symplectic_diagonalize", "if real[i]:"): ITEM5,
     ("linalg.py", "symplectic_diagonalize", "elif abs(mod - 1.0) <= match_tol:"): ITEM5,
     ("linalg.py", "symplectic_diagonalize", 'if kind == "real_pair":'): ITEM5,
     ("linalg.py", "symplectic_diagonalize", 'elif kind == "unit_pair":'): ITEM5,

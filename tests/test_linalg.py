@@ -149,6 +149,22 @@ class TestSymplecticDiagonalize:
         kinds = sorted(b.kind for b in form.blocks)
         assert kinds == ["real_pair", "unit_pair"]
 
+    def test_repeated_real_eigenvalue_paired_through_the_gram_matrix(self):
+        M = np.diag([2.0, 2.0, 0.5, 0.5])
+        form = la.symplectic_diagonalize(M)
+        assert [b.kind for b in form.blocks] == ["real_pair", "real_pair"]
+        assert la.is_symplectic(form.P)
+        assert np.allclose(np.linalg.solve(form.P, M @ form.P), M, atol=1e-12)
+
+    def test_conjugate_pair_near_the_real_axis_is_not_repeated(self):
+        # a collided quadruple: its pair lies 1e-8 off the real axis, closer
+        # than the repeated-eigenvalue tolerance
+        Be = 1.5 * rotation2(1e-8)
+        M = np.block([[Be, np.zeros((2, 2))], [np.zeros((2, 2)), np.linalg.inv(Be).T]])
+        form = la.symplectic_diagonalize(M)
+        assert [b.kind for b in form.blocks] == ["quad"]
+        assert block_moduli(form) == pytest.approx([1.5, 1.0 / 1.5], abs=1e-12)
+
     def test_non_symplectic_rejected(self):
         with pytest.raises(ValueError, match="symplectic"):
             la.symplectic_diagonalize(np.diag([2.0, 0.6]))
@@ -327,6 +343,15 @@ class TestModuliSeparation:
     def test_defective_rejected(self):
         with pytest.raises(ValueError, match="non-diagonalizable"):
             la.moduli_separation_perturb(np.array([[2.0, 1.0], [0.0, 2.0]]), 0.1)
+
+    @pytest.mark.parametrize("M", [np.eye(2), rotation2(1e-7)], ids=["identity", "unit-pair"])
+    def test_symplectic_block_on_one_separated(self, M):
+        # the two members of a block on +-1 coincide until its factor moves
+        out = la.moduli_separation_perturb(M, 0.05, constraint="symplectic")
+        assert la.is_symplectic(out)
+        assert np.linalg.norm(out - M, 2) <= 0.05
+        rec = la.sorted_spectrum(out)
+        assert rec.all_real() and rec.min_relative_gap() > 1e-9
 
     @pytest.mark.parametrize("kind", ["real_pair", "unit_pair", "quad", "quad_snap"])
     def test_symplectic_simple_spectrum_separated(self, kind):

@@ -21,35 +21,41 @@ CAT = np.array([[2, 1], [1, 1]])
 
 class TestHomoclinicFamily:
     def test_single_symbol_example(self):
-        w = sd.homoclinic_family(FULL2, "0", "1", 2)
-        assert w == (1, 0, 0, 0, 0)
+        assert sd.homoclinic_family(FULL2, "0", "1", [2]) == [(1, 0, 0, 0, 0)]
 
     def test_length_formula(self):
         for p, b, n in [("0", "1", 1), ("0", "1", 5), ("01", "11", 3), ("0", "11", 4)]:
-            w = sd.homoclinic_family(FULL2, p, b, n)
+            w, = sd.homoclinic_family(FULL2, p, b, [n])
             assert len(w) == 2 * n * len(p) + len(b)
 
     def test_golden_mean_admissible(self):
-        w = sd.homoclinic_family(GOLDEN, "0", "1", 3)
+        w, = sd.homoclinic_family(GOLDEN, "0", "1", [3])
         assert w == (1, 0, 0, 0, 0, 0, 0)
         assert GOLDEN.word_admissible(w, cyclic=True)
 
     def test_inadmissible_block_rejected(self):
         with pytest.raises(ValueError, match="admissible"):
-            sd.homoclinic_family(GOLDEN, "1", "0", 2)
+            sd.homoclinic_family(GOLDEN, "1", "0", [2])
 
     def test_bridge_equal_to_block_power_rejected(self):
         with pytest.raises(ValueError, match="power"):
-            sd.homoclinic_family(FULL2, "0", "00", 2)
+            sd.homoclinic_family(FULL2, "0", "00", [2])
 
     def test_nonpositive_n_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            sd.homoclinic_family(FULL2, "0", "1", 0)
+            sd.homoclinic_family(FULL2, "0", "1", [1, 0])
+
+    def test_one_homoclinic_point_per_family(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sd, "homoclinic_point", lambda *args: calls.append(args))
+        words = sd.homoclinic_family(FULL2, "01", "11", range(1, 6))
+        assert words == [(1, 1) + (0, 1) * (2 * n) for n in range(1, 6)]
+        assert len(calls) == 1
 
     def test_orbit_distance_to_homoclinic_point(self):
         z, _ = sh.homoclinic_point(FULL2, "0", "1")
-        for n in (2, 3, 5):
-            q = sh.periodic_point(FULL2, sd.homoclinic_family(FULL2, "0", "1", n))
+        for n, w in zip((2, 3, 5), sd.homoclinic_family(FULL2, "0", "1", (2, 3, 5))):
+            q = sh.periodic_point(FULL2, w)
             d = sh.metric(q, z, FULL2)
             # agreement radius is the full word length here
             assert d == FULL2.theta ** (2 * n + 1)
