@@ -739,32 +739,17 @@ class RotationFamily:
     base_cocycle: CocycleSpec
     support_word: tuple
     theta0: float
-    symplectic: bool
-    insertion_basis: np.ndarray  # full-rank basis used to build insertions
-    block_slots: tuple
-    orientation: float = 1.0     # sign making arg(lam) increase with s
+    basis: np.ndarray            # basis of the return matrix adapted to the constraint
+    planes: tuple                # column pairs of the basis that the block spans
+    orientation: float           # sign making arg(lam) increase with s
 
     def insertion(self, s: float) -> np.ndarray:
-        d = self.base_cocycle.dim
         a = s * self.theta0 * self.orientation
-        if self.symplectic:
-            n = d // 2
-            R = np.eye(d)
-            c_, s_ = np.cos(a), np.sin(a)
-            rot = np.array([[c_, s_], [-s_, c_]])
-            if len(self.block_slots) == 2:
-                i, j = self.block_slots
-                R[np.ix_([i, j], [i, j])] = rot
-                R[np.ix_([n + i, n + j], [n + i, n + j])] = rot
-            else:
-                i = self.block_slots[0]
-                R[np.ix_([i, n + i], [i, n + i])] = rot
-            W = self.insertion_basis
-            return W @ R @ np.linalg.inv(W)
-        W = self.insertion_basis
         c_, s_ = np.cos(a), np.sin(a)
-        R = np.eye(d)
-        R[:2, :2] = [[c_, s_], [-s_, c_]]
+        R = np.eye(self.base_cocycle.dim)
+        for plane in self.planes:
+            R[np.ix_(plane, plane)] = [[c_, s_], [-s_, c_]]
+        W = self.basis
         return W @ R @ np.linalg.inv(W)
 
     def at(self, s: float) -> CocycleSpec:
@@ -773,85 +758,31 @@ class RotationFamily:
         return cylinder_perturb(self.base_cocycle, self.support_word, self.insertion(s))
 
 
-def rotation_perturb_family(
-    A: CocycleSpec,
-    p_word,
-    theta0: float,
-    pair_index: int = 0,
-) -> RotationFamily:
-    """Family A_s inserting a rotation by s*theta0 of a complex eigenplane of
-    the return matrix (the ``pair_index``-th conformal pair in decreasing
-    modulus order), applied on the support cylinder: the first A.window
-    symbols of the periodic word.
+def rotation_perturb_family(A: CocycleSpec, p_word, theta0: float) -> RotationFamily:
+    """Family A_s inserting a rotation by s*theta0 of the first complex
+    eigenplane of the return matrix, in decreasing modulus, applied on the
+    support cylinder: the first A.window symbols of the periodic word.
 
-    For symplectic-valued cocycles the insertion is built inside a symplectic
-    block basis so every A_s stays symplectic.  The block argument at p moves
+    The plane is a block of the real Jordan basis or, for symplectic-valued
+    cocycles, of a symplectic block basis, where the rotation turns the
+    e-plane and its dual f-plane together (a unit pair's (e_i, f_i) plane)
+    so every A_s stays symplectic.  The block argument at p moves
     continuously in s, exactly linearly in the conformal commuting case.
     """
     p = periodic_point(A.base, p_word)
     M, rec = periodic_eigendata(A, p)
-    candidates = [
-        i
-        for i in range(rec.dim)
-        if not rec.is_real[i] and rec.eigenvalues[i].imag > 0
-    ]
-    if not candidates:
+    pairs = rec.complex_pairs
+    if not pairs:
         raise ValueError("return matrix has real spectrum: no conformal block to rotate")
-    if pair_index >= len(candidates):
-        raise ValueError(
-            f"pair_index {pair_index} out of range: {len(candidates)} conformal pair(s)"
-        )
-    lam = rec.eigenvalues[candidates[pair_index]]
-    support = tuple(p.word_array(0, A.window).tolist())
-    symplectic = all(la.is_symplectic(G) for G in A.generator.values()) and A.dim % 2 == 0
-
-    if symplectic:
-        form = la.symplectic_diagonalize(M)
-        slots = None
-        for blk in form.blocks:
-            if any(abs(ev - lam) < 1e-8 * max(1.0, abs(lam)) for ev in blk.eigenvalues):
-                slots = blk.e_slots
-                break
-        if slots is None:
-            raise ArithmeticError("could not locate the conformal block symplectically")
-        # orientation of the conformal block basis: the off-diagonal entry of
-        # the restricted return block carries the sign of Im(lam)
-        coords = np.linalg.solve(form.P, M @ form.P)
-        n = A.dim // 2
-        if len(slots) == 2:
-            off = coords[slots[0], slots[1]]
-        else:
-            off = coords[slots[0], n + slots[0]]
-        return RotationFamily(
-            base_cocycle=A,
-            support_word=support,
-            theta0=theta0,
-            symplectic=True,
-            insertion_basis=form.P,
-            block_slots=tuple(slots),
-            orientation=1.0 if off >= 0 else -1.0,
-        )
-    # complete the eigenplane of lam to a basis with the other real-Jordan
-    # directions
-    eig, vec = np.linalg.eig(M)
-    v = vec[:, int(np.argmin(np.abs(eig - lam)))]
-    W, blocks = la._real_jordan_basis(M)
-    cols = [v.real, v.imag]
-    for kind, pos, lam_b in blocks:
-        take = [pos] if kind == "real" else [pos, pos + 1]
-        for c in take:
-            cand = W[:, c]
-            test = np.column_stack(cols + [cand])
-            if np.linalg.matrix_rank(test, tol=1e-10) == test.shape[1]:
-                cols.append(cand)
-    Wfull = np.column_stack(cols[: A.dim])
-    if np.linalg.matrix_rank(Wfull, tol=1e-10) < A.dim:
-        raise ArithmeticError("could not complete the rotation plane to a basis")
-    return RotationFamily(
-        base_cocycle=A,
-        support_word=support,
-        theta0=theta0,
-        symplectic=False,
-        insertion_basis=Wfull,
-        block_slots=(0, 1),
-    )
+    lam = pairs[0]
+    symplectic = all(la.is_symplectic(G) for G in A.generator.values())
+    W, blocks = la._adapted_blocks(M, symplectic)
+    cols = [e + f for _, e, f, mu in blocks if abs(mu - lam) < 1e-8 * max(1.0, abs(lam))]
+    if not cols:
+        raise ArithmeticError("could not locate the conformal block")
+    planes = tuple(cols[0][k:k + 2] for k in range(0, len(cols[0]), 2))
+    # the off-diagonal entry of the return block on its first plane carries
+    # the sign of Im(lam)
+    off = np.linalg.solve(W, M @ W)[planes[0]]
+    return RotationFamily(A, tuple(p.word_array(0, A.window).tolist()), theta0, W, planes,
+                          1.0 if off >= 0 else -1.0)

@@ -66,6 +66,12 @@ class SpectrumRecord:
         scale = np.maximum(self.moduli[:-1], 1e-300)
         return float(np.min(self.moduli_gaps / scale))
 
+    @property
+    def complex_pairs(self) -> list:
+        """Upper (positive-imaginary) member of each complex-conjugate pair,
+        in decreasing modulus."""
+        return [ev for ev, real in zip(self.eigenvalues, self.is_real) if not real and ev.imag > 0]
+
 
 def sorted_spectrum(M) -> SpectrumRecord:
     """Eigenvalues of M sorted by decreasing modulus.
@@ -164,10 +170,11 @@ def symplectic_diagonalize(M) -> SymplecticBlockForm:
 
     Eigenvalues are grouped into {lam, 1/lam} pairs and {lam, conj, 1/lam,
     1/conj} quadruples; each group receives a symplectic sub-basis in which
-    M acts by 1x1 entries or 2x2 conformal blocks.  A real eigenvalue's
-    partner is the eigenvector its row of the symplectic Gram matrix picks,
-    so a repeated real eigenvalue gives one pair per eigenvector.  The two
-    members of a conjugate pair are distinct however close they lie.
+    M acts by 1x1 entries or 2x2 conformal blocks.  A real lam != +-1 takes
+    its whole eigenspace with the 1/lam one, so a repeated real eigenvalue
+    gives one pair per eigenvector; on +-1 an eigenvector's partner is the
+    one its row of the symplectic Gram matrix picks.  The two members of a
+    conjugate pair are distinct however close they lie.
     Raises on non-symplectic input, a repeated complex eigenvalue, or
     defective (non-semisimple) input.
     """
@@ -202,12 +209,24 @@ def symplectic_diagonalize(M) -> SymplecticBlockForm:
         lam = eig[i]
         mod = abs(lam)
         if real[i]:
-            # the partner is the eigenvector with the largest symplectic pairing
-            j = int(np.argmax(np.abs(vec[:, i] @ omega @ vec)))
-            if j in used or abs(lam.real * eig[j].real - 1.0) > match_tol:
+            # the lam and 1/lam eigenspaces together, the 1/lam basis mapped
+            # through the inverse of their cross-Gram block so every pairing
+            # is exact; on +-1 the eigenvector of largest symplectic pairing
+            if abs(mod - 1.0) > match_tol:
+                es, fs = ([k for k in order if k not in used and real[k]
+                           and abs(eig[k].real * t - 1.0) <= match_tol]
+                          for t in (1.0 / lam.real, lam.real))
+            else:
+                es, fs = [i], [int(np.argmax(np.abs(vec[:, i] @ omega @ vec)))]
+            if (len(es) != len(fs) or used & set(fs)
+                    or any(abs(lam.real * eig[j].real - 1.0) > match_tol for j in fs)):
                 raise DegenerateSpectrumError("eigenvalue without reciprocal partner")
-            used.update((i, j))
-            groups.append(("real_pair", [(eig[i].real, vec[:, i]), (eig[j].real, vec[:, j])]))
+            U, V = vec[:, es].real, vec[:, fs].real
+            if len(es) > 1:  # a single pair is scaled below
+                V = V @ np.linalg.inv(U.T @ omega @ V)
+            used.update(es + fs)
+            groups += [("real_pair", [(eig[a].real, U[:, k]), (eig[b].real, V[:, k])])
+                       for k, (a, b) in enumerate(zip(es, fs))]
         elif abs(mod - 1.0) <= match_tol:
             j = _eig_partner(eig, i, np.conj(lam), used, match_tol)
             if j is None:
@@ -235,8 +254,6 @@ def symplectic_diagonalize(M) -> SymplecticBlockForm:
     for kind, data in groups:
         if kind == "real_pair":
             (lam, u), (lam2, w) = data
-            u = np.real_if_close(u, tol=1e6).real
-            w = np.real_if_close(w, tol=1e6).real
             c = float(u @ omega @ w)
             if abs(c) < 1e-12:
                 raise DegenerateSpectrumError("isotropic eigenvector pairing")
@@ -506,6 +523,21 @@ def _real_jordan_basis(M):
     return W, blocks
 
 
+def _adapted_blocks(M, symplectic: bool):
+    """Basis W of M, the real Jordan one or that of symplectic_diagonalize,
+    and its blocks (kind, e, f, lam): M acts on the W-columns e by lam and on
+    the columns f by the inverse transpose of that (a unit pair on e + f)."""
+    if symplectic:
+        form = symplectic_diagonalize(M)
+        n = M.shape[0] // 2
+        blocks = [(b.kind, b.e_slots, tuple(n + j for j in b.f_slots), b.eigenvalues[0])
+                  for b in form.blocks]
+        return form.P, blocks
+    W, jordan = _real_jordan_basis(M)
+    return W, [(kind, (pos,) if kind == "real" else (pos, pos + 1), (), lam)
+               for kind, pos, lam in jordan]
+
+
 def _gaps_ok_outside_pairs(rec: SpectrumRecord) -> bool:
     """Accept zero modulus gaps only inside complex-conjugate pairs."""
     eig = rec.eigenvalues
@@ -560,18 +592,7 @@ def moduli_separation_perturb(
     if separated and not any(near_real):
         return M
 
-    # blocks (kind, e, f, lam): M acts on the W-columns e by lam and on the
-    # columns f by the inverse transpose of that
-    if constraint == "symplectic":
-        form = symplectic_diagonalize(M)
-        n = M.shape[0] // 2
-        W = form.P
-        blocks = [(b.kind, b.e_slots, tuple(n + j for j in b.f_slots), b.eigenvalues[0])
-                  for b in form.blocks]
-    else:
-        W, jordan = _real_jordan_basis(M)
-        blocks = [(kind, (pos,) if kind == "real" else (pos, pos + 1), (), lam)
-                  for kind, pos, lam in jordan]
+    W, blocks = _adapted_blocks(M, constraint == "symplectic")
     Winv = np.linalg.inv(W)
     # the two members of a symplectic block on +-1 (an identity block, or a
     # unit pair snapped to the real axis) coincide at factor 1

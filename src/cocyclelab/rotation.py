@@ -237,17 +237,17 @@ class CircleCocycle:
         return out
 
 
-def circle_cocycle(A: CocycleSpec, sys: SuspensionSystem, p: SymbolicPoint, ell: int,
-                   block_index: int = 0) -> CircleCocycle:
+def circle_cocycle(A: CocycleSpec, sys: SuspensionSystem, p: SymbolicPoint,
+                   ell: int) -> CircleCocycle:
     """Projectivize a matrix cocycle along ell steps from the periodic point
     p of a word (ell its length, also when the word is not primitive).
 
     The step matrices come from one path_matrices call over the word
     (A.point_steps) and the roofs from one read of its windows.  In
     dimension two the step matrices act directly.  In higher dimension the
-    return matrix is folded from those steps, and its invariant 2D block
-    (the block_index-th complex pair, in decreasing modulus) is transported
-    with orthonormal frames; the per-step maps are the triangular factors,
+    return matrix is folded from those steps, and the invariant 2D block of
+    its first complex pair, in decreasing modulus, is transported with
+    orthonormal frames; the per-step maps are the triangular factors,
     and the closing frame rotation is folded into the last step so the
     composite equals the restriction of the return matrix.
     """
@@ -260,16 +260,10 @@ def circle_cocycle(A: CocycleSpec, sys: SuspensionSystem, p: SymbolicPoint, ell:
     M = np.eye(A.dim)
     for S in steps:
         M = S @ M
-    rec = la.sorted_spectrum(M)
-    pairs = [
-        i for i in range(rec.dim)
-        if not rec.is_real[i] and rec.eigenvalues[i].imag > 0
-    ]
-    if block_index >= len(pairs):
-        raise ValueError(
-            f"block_index {block_index} out of range: {len(pairs)} complex pair(s)"
-        )
-    lam = rec.eigenvalues[pairs[block_index]]
+    pairs = la.sorted_spectrum(M).complex_pairs
+    if not pairs:
+        raise ValueError("return matrix has real spectrum: no complex pair to track")
+    lam = pairs[0]
     eig, vec = np.linalg.eig(M)
     v = vec[:, int(np.argmin(np.abs(eig - lam)))]
     Q, _ = np.linalg.qr(np.column_stack([v.real, v.imag]))
@@ -417,15 +411,15 @@ class ThetaEllRhoReport:
     skipped: bool
 
 
-def theta_ell_rho_check(A: CocycleSpec, sys: SuspensionSystem, p: SymbolicPoint, ell: int,
-                        block_index: int = 0) -> ThetaEllRhoReport:
+def theta_ell_rho_check(A: CocycleSpec, sys: SuspensionSystem, p: SymbolicPoint,
+                        ell: int) -> ThetaEllRhoReport:
     """Compare the eigenvalue argument of the return block over ell steps
     from the periodic point p against period times the iterated-lift
     rotation number, folding the rotation sign.
 
     Returns a skipped report when the block has real spectrum.
     """
-    C = circle_cocycle(A, sys, p, ell, block_index=block_index)
+    C = circle_cocycle(A, sys, p, ell)
     M = C.composite()
     rho = rho_periodic(C)
     try:
@@ -461,11 +455,7 @@ def tracked_raw_angle(A: CocycleSpec, p: SymbolicPoint, ell: int, prev_modulus: 
     other eigenvalue modulus."""
     M = evaluate(A, p, ell)
     rec = la.sorted_spectrum(M)
-    pairs = []
-    for i in range(rec.dim):
-        ev = rec.eigenvalues[i]
-        if not rec.is_real[i] and ev.imag > 0:
-            pairs.append((abs(ev), abs(np.angle(ev)), False))
+    pairs = [(abs(ev), abs(np.angle(ev)), False) for ev in rec.complex_pairs]
     reals = [i for i in range(rec.dim) if rec.is_real[i]]
     for a in range(0, len(reals) - 1, 2):
         lam1 = rec.eigenvalues[reals[a]].real

@@ -1271,21 +1271,35 @@ class TestPerturbations:
         with pytest.raises(ValueError, match="real spectrum"):
             cc.rotation_perturb_family(A, "0", theta0=0.05)
 
-    def test_pair_index_selects_slow_block(self):
+    def test_rotation_family_rotates_the_first_pair_by_modulus(self):
         g = np.zeros((4, 4))
         g[:2, :2] = 2.0 * rot(0.3)
         g[2:, 2:] = 0.5 * rot(0.2)
         A = cc.CocycleSpec(FULL2, 1, {"0": g, "1": g})
-        fam = cc.rotation_perturb_family(A, "0", theta0=0.05, pair_index=1)
+        fam = cc.rotation_perturb_family(A, "0", theta0=0.05)
         _, rec = cc.periodic_eigendata(fam.at(0.7), sh.periodic_point(FULL2, "0"))
-        by_mod = {round(abs(ev), 6): np.angle(ev) for ev in rec.eigenvalues if ev.imag > 0}
-        assert by_mod[2.0] == pytest.approx(0.3, abs=1e-10)
-        assert by_mod[0.5] == pytest.approx(0.2 + 0.7 * 0.05, abs=1e-10)
+        by_mod = {round(abs(ev), 6): np.angle(ev) for ev in rec.complex_pairs}
+        assert by_mod[2.0] == pytest.approx(0.3 + 0.7 * 0.05, abs=1e-10)
+        assert by_mod[0.5] == pytest.approx(0.2, abs=1e-10)
 
-    def test_pair_index_out_of_range(self):
-        A = lc(FULL2, 1.2 * rot(0.9), D2)
-        with pytest.raises(ValueError, match="pair_index"):
-            cc.rotation_perturb_family(A, "0", theta0=0.05, pair_index=1)
+    def test_rotation_family_pair_after_a_real_jordan_block(self):
+        # a generic d = 4 return matrix whose complex pair is not the first
+        # block of its real Jordan basis: only the pair's argument moves
+        g = np.zeros((4, 4))
+        g[0, 0], g[3, 3] = 3.0, 0.25
+        g[1:3, 1:3] = 1.5 * rot(0.3)
+        S = np.eye(4) + 0.2 * np.random.default_rng(5).normal(size=(4, 4))
+        g = S @ g @ np.linalg.inv(S)
+        assert la._real_jordan_basis(g)[1][0][0] == "real"
+        A = cc.CocycleSpec(FULL2, 1, {"0": g, "1": g})
+        fam = cc.rotation_perturb_family(A, "0", theta0=0.05)
+        for s in (0.7, 2.0):
+            _, rec = cc.periodic_eigendata(fam.at(s), sh.periodic_point(FULL2, "0"))
+            assert rec.eigenvalues[0].real == pytest.approx(3.0, abs=1e-10)
+            assert rec.eigenvalues[-1].real == pytest.approx(0.25, abs=1e-10)
+            (lam,) = rec.complex_pairs
+            assert abs(lam) == pytest.approx(1.5, abs=1e-10)
+            assert np.angle(lam) == pytest.approx(0.3 + 0.05 * s, abs=1e-10)
 
     def test_symplectic_family_stays_symplectic(self):
         E = 1.3 * rot(0.4)
@@ -1294,7 +1308,7 @@ class TestPerturbations:
         S1 = la.paired_rotation(0.3, 1, 2, 2)
         A = lc(FULL2, M4, S1)
         fam = cc.rotation_perturb_family(A, "0", theta0=0.02)
-        assert fam.symplectic
+        assert len(fam.planes) == 2  # the e-plane and its dual f-plane
         for s in (0.7, 1.5):
             As = fam.at(s)
             for G in As.generator.values():
@@ -1304,3 +1318,20 @@ class TestPerturbations:
             big = lam[np.abs(lam) > 1.0]
             arg = np.angle(big[np.argmax(big.imag)])
             assert arg == pytest.approx(0.4 + 0.02 * s, abs=1e-8)
+
+    def test_symplectic_unit_pair_family(self):
+        # diag(3, 1/3) on (e_1, f_1) and a rotation by 0.4 on (e_2, f_2): the
+        # unit pair is rotated on its own (e_2, f_2) plane
+        M4 = np.zeros((4, 4))
+        M4[0, 0], M4[2, 2] = 3.0, 1.0 / 3.0
+        M4[np.ix_([1, 3], [1, 3])] = rot(0.4)
+        A = lc(FULL2, M4, la.paired_rotation(0.3, 1, 2, 2))
+        fam = cc.rotation_perturb_family(A, "0", theta0=0.1)
+        assert fam.planes == ((1, 3),)
+        for s in (0.5, 1.0, 3.0):
+            As = fam.at(s)
+            assert all(la.is_symplectic(G) for G in As.generator.values())
+            _, rec = cc.periodic_eigendata(As, sh.periodic_point(FULL2, "0"))
+            (lam,) = rec.complex_pairs
+            assert abs(lam) == pytest.approx(1.0, abs=1e-12)
+            assert np.angle(lam) == pytest.approx(0.4 + 0.1 * s, abs=1e-10)

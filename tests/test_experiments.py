@@ -942,9 +942,6 @@ UNRUN_BLOCKS = {
     ("linalg.py", "symplectic_diagonalize", 'if kind == "real_pair":'): ITEM5,
     ("linalg.py", "symplectic_diagonalize", 'elif kind == "unit_pair":'): ITEM5,
     ("linalg.py", "symplectic_diagonalize", 'if b.kind == "unit_pair":'): ITEM5,
-    ("cocycles.py", "insertion", "i = self.block_slots[0]"): ITEM5_UNIT,
-    ("cocycles.py", "insertion", "R[np.ix_([i, n + i], [i, n + i])] = rot"): ITEM5_UNIT,
-    ("cocycles.py", "rotation_perturb_family", "off = coords[slots[0], n + slots[0]]"): ITEM5_UNIT,
     ("cocycles.py", "direction_for", None): ITEM4,
     ("cocycles.py", "_bump_factors", "elif lam[j].imag == 0:"): ITEM4,
     ("cocycles.py", "_factor_gap", "if i:"): ITEM4,

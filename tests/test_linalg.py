@@ -74,6 +74,16 @@ class TestSortedSpectrum:
         assert rec.all_real()
         assert np.all(rec.moduli_gaps > 0)
 
+    def test_complex_pairs_upper_members_by_modulus(self):
+        M = np.zeros((5, 5))
+        M[0, 0] = 3.0
+        M[1:3, 1:3] = 0.5 * rotation2(-0.2)
+        M[3:, 3:] = 2.0 * rotation2(0.3)
+        pairs = la.sorted_spectrum(M).complex_pairs
+        assert np.abs(pairs) == pytest.approx([2.0, 0.5], abs=1e-12)
+        assert np.angle(pairs) == pytest.approx([0.3, 0.2], abs=1e-12)
+        assert la.sorted_spectrum(np.diag([2.0, 0.5])).complex_pairs == []
+
     def test_scaled_rotation_conjugate_pair(self):
         rec = la.sorted_spectrum(2.0 * rotation2(np.pi / 4))
         assert np.allclose(rec.moduli, [2.0, 2.0], atol=1e-12)
@@ -155,6 +165,17 @@ class TestSymplecticDiagonalize:
         assert [b.kind for b in form.blocks] == ["real_pair", "real_pair"]
         assert la.is_symplectic(form.P)
         assert np.allclose(np.linalg.solve(form.P, M @ form.P), M, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_repeated_real_eigenspaces_paired_exactly(self, n):
+        # diag(2, .., 2, 1/2, .., 1/2) in a basis whose eigenvectors do not
+        # pair one to one
+        M = repeated_real_case(n)
+        form = la.symplectic_diagonalize(M)
+        assert [b.kind for b in form.blocks] == ["real_pair"] * n
+        assert la.is_symplectic(form.P)
+        want = np.diag([2.0] * n + [0.5] * n)
+        assert np.allclose(np.linalg.solve(form.P, M @ form.P), want, atol=1e-12)
 
     def test_conjugate_pair_near_the_real_axis_is_not_repeated(self):
         # a collided quadruple: its pair lies 1e-8 off the real axis, closer
@@ -353,6 +374,15 @@ class TestModuliSeparation:
         rec = la.sorted_spectrum(out)
         assert rec.all_real() and rec.min_relative_gap() > 1e-9
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_symplectic_repeated_real_conjugated_separated(self, n):
+        M = repeated_real_case(n)
+        out = la.moduli_separation_perturb(M, 0.05, constraint="symplectic")
+        assert la.is_symplectic(out)
+        assert np.linalg.norm(out - M, 2) <= 0.05
+        rec = la.sorted_spectrum(out)
+        assert rec.all_real() and rec.min_relative_gap() > 1e-9
+
     @pytest.mark.parametrize("kind", ["real_pair", "unit_pair", "quad", "quad_snap"])
     def test_symplectic_simple_spectrum_separated(self, kind):
         # a simple spectrum takes the symplectic block form; each case puts
@@ -376,9 +406,9 @@ def symplectic_separation_case(kind):
     """(M, block kind): a symplectic matrix with simple spectrum whose moduli
     need separating, conjugated by a fixed symplectic basis change."""
     if kind == "real_pair":
-        n, M = 2, np.diag([2.0, -2.0, 0.5, -0.5])
+        M = np.diag([2.0, -2.0, 0.5, -0.5])
     elif kind == "unit_pair":
-        n, M = 2, np.diag([1.0, 3.0, 1.0, 1.0 / 3.0])
+        M = np.diag([1.0, 3.0, 1.0, 1.0 / 3.0])
         M[np.ix_([0, 2], [0, 2])] = rotation2(1e-6)
     else:
         E = 2.0 * rotation2(1e-7) if kind == "quad_snap" else np.diag([2.0, 2.0, 2.0])
@@ -386,6 +416,18 @@ def symplectic_separation_case(kind):
             E[:2, :2] = 2.0 * rotation2(0.7)
         n = len(E)
         M = np.block([[E, np.zeros((n, n))], [np.zeros((n, n)), np.linalg.inv(E).T]])
+    return symplectic_conjugate(M), kind.removesuffix("_snap")
+
+
+def repeated_real_case(n):
+    """diag(2, .., 2, 1/2, .., 1/2) of size 2n in the basis of
+    symplectic_conjugate."""
+    return symplectic_conjugate(np.diag([2.0] * n + [0.5] * n))
+
+
+def symplectic_conjugate(M):
+    """M conjugated by a fixed symplectic basis change."""
+    n = len(M) // 2
     rng = np.random.default_rng(3)
     A = np.eye(n) + 0.3 * rng.normal(size=(n, n))
     sym = rng.normal(size=(n, n))
@@ -393,4 +435,4 @@ def symplectic_separation_case(kind):
     scale = np.block([[A, np.zeros((n, n))], [np.zeros((n, n)), np.linalg.inv(A).T]])
     S = shear @ scale
     assert la.is_symplectic(S)
-    return S @ M @ np.linalg.inv(S), kind.removesuffix("_snap")
+    return S @ M @ np.linalg.inv(S)

@@ -430,7 +430,7 @@ class TestFloatLoopSamePath:
         assert np.array_equal(f.lift(grid), reference_lift(beta, P, grid))
 
 
-def per_point_circle_cocycle(A, sys, word, block_index=0):
+def per_point_circle_cocycle(A, sys, word):
     """circle_cocycle with one-step evaluate calls and roof lookups at each
     shifted point, and the return matrix evaluated again for d > 2."""
     w = sh.parse_word(word)
@@ -443,8 +443,7 @@ def per_point_circle_cocycle(A, sys, word, block_index=0):
         return ro.CircleCocycle(roofs, tuple(steps))
     M = cc.evaluate(A, p, ell)
     rec = ro.la.sorted_spectrum(M)
-    pairs = [i for i in range(rec.dim) if not rec.is_real[i] and rec.eigenvalues[i].imag > 0]
-    lam = rec.eigenvalues[pairs[block_index]]
+    lam = next(ev for ev, real in zip(rec.eigenvalues, rec.is_real) if not real and ev.imag > 0)
     eig, vec = np.linalg.eig(M)
     v = vec[:, int(np.argmin(np.abs(eig - lam)))]
     frames = [np.linalg.qr(np.column_stack([v.real, v.imag]))[0]]
@@ -461,11 +460,12 @@ def per_point_circle_cocycle(A, sys, word, block_index=0):
 
 
 def _mixing_d4():
+    # a leading real block, so the tracked pair is the slow one
     g0 = np.zeros((4, 4))
-    g0[:2, :2] = 2.0 * rot(0.3)
+    g0[:2, :2] = np.diag([2.0, 1.6])
     g0[2:, 2:] = 0.5 * rot(0.2)
     g1 = np.zeros((4, 4))
-    g1[:2, :2] = 1.5 * rot(0.5)
+    g1[:2, :2] = np.diag([1.5, 1.2])
     g1[2:, 2:] = 0.4 * rot(0.45)
     rng = np.random.default_rng(4)
     S = np.eye(4) + 0.2 * rng.normal(size=(4, 4))
@@ -484,25 +484,25 @@ def _complex_pair_d3():
     return cc.CocycleSpec(GOLDEN, 2, gens)
 
 
-# (cocycle, suspension, word, block_index): planar, window two with a
+# (cocycle, suspension, word): planar, window two with a
 # window-two roof, a bump cocycle, and d = 3 and d = 4 tracked blocks
 CIRCLE_CASES = {
     "d2-window1": lambda: (
         const_cocycle(1.2 * rot(0.4), rot(0.7) @ np.diag([1.05, 0.95])),
         sp.SuspensionSystem(FULL2, sp.RoofFunction(FULL2, 1, {"0": 1.0, "1": 2.5})),
-        "0110", 0),
+        "0110"),
     "d2-window2": lambda: (
         cc.CocycleSpec(GOLDEN, 2, {"00": 1.1 * rot(0.3), "01": rot(0.8) @ np.diag([1.2, 0.9]),
                                    "10": 0.9 * rot(-0.4)}),
         sp.SuspensionSystem(GOLDEN, sp.RoofFunction(GOLDEN, 2, {"00": 1.0, "01": 0.5,
                                                                 "10": 2.0})),
-        "00100", 0),
+        "00100"),
     "d2-bump": lambda: (
         cc.CocycleSpec(FULL2, 1, {"0": 1.5 * rot(0.3), "1": 1.2 * rot(-0.2)},
                        cc.HoelderPerturbation(0.8, (cc.HoelderBump((0, 1), 0.1),))),
-        unit_flow(), "011", 0),
-    "d3-window2": lambda: (_complex_pair_d3(), unit_flow(GOLDEN, 1.5), "0100", 0),
-    "d4-slow-block": lambda: (_mixing_d4(), unit_flow(), "011", 1),
+        unit_flow(), "011"),
+    "d3-window2": lambda: (_complex_pair_d3(), unit_flow(GOLDEN, 1.5), "0100"),
+    "d4-slow-block": lambda: (_mixing_d4(), unit_flow(), "011"),
 }
 
 
@@ -530,15 +530,14 @@ class TestCircleCocycle:
         assert C.period == pytest.approx(3.5)
 
     def test_tracked_block_composite(self):
+        # the complex pair follows a leading real block
         g = np.zeros((4, 4))
-        g[:2, :2] = 2.0 * rot(0.3)
-        g[2:, 2:] = 0.5 * rot(0.2)
+        g[0, 0], g[3, 3] = 3.0, 0.25
+        g[1:3, 1:3] = 2.0 * rot(0.3)
         A = cc.CocycleSpec(FULL2, 1, {"0": g, "1": g})
-        fast = ro.circle_cocycle(A, unit_flow(), *orbit("01"), block_index=0)
-        slow = ro.circle_cocycle(A, unit_flow(), *orbit("01"), block_index=1)
-        assert ro.eigen_argument(fast.composite()) == pytest.approx(0.6, abs=1e-10)
-        assert ro.eigen_argument(slow.composite()) == pytest.approx(0.4, abs=1e-10)
-        assert np.max(np.abs(np.linalg.eigvals(fast.composite()))) == pytest.approx(4.0, abs=1e-10)
+        C = ro.circle_cocycle(A, unit_flow(), *orbit("01"))
+        assert ro.eigen_argument(C.composite()) == pytest.approx(0.6, abs=1e-10)
+        assert np.abs(np.linalg.eigvals(C.composite())) == pytest.approx([4.0, 4.0], abs=1e-10)
 
     def test_tracked_block_under_mixing_generators(self):
         # non-constant generators sharing an invariant coordinate splitting
@@ -549,22 +548,19 @@ class TestCircleCocycle:
         g1[:2, :2] = 1.5 * rot(0.5)
         g1[2:, 2:] = 0.4 * rot(0.45)
         A = cc.CocycleSpec(FULL2, 1, {"0": g0, "1": g1})
-        C = ro.circle_cocycle(A, unit_flow(), *orbit("01"), block_index=0)
+        C = ro.circle_cocycle(A, unit_flow(), *orbit("01"))
         assert ro.eigen_argument(C.composite()) == pytest.approx(0.8, abs=1e-9)
 
-    def test_block_index_out_of_range(self):
-        A = const_cocycle(1.2 * rot(0.4), 1.2 * rot(0.4))
-        g = np.zeros((4, 4))
-        g[:2, :2] = 2.0 * rot(0.3)
-        g[2:, 2:] = np.diag([0.5, 0.25])
+    def test_no_complex_pair_rejected(self):
+        g = np.diag([2.0, 1.5, 0.5, 0.25])
         B = cc.CocycleSpec(FULL2, 1, {"0": g, "1": g})
-        with pytest.raises(ValueError, match="block_index"):
-            ro.circle_cocycle(B, unit_flow(), *orbit("0"), block_index=1)
+        with pytest.raises(ValueError, match="no complex pair"):
+            ro.circle_cocycle(B, unit_flow(), *orbit("0"))
 
     @pytest.mark.parametrize("case", sorted(CIRCLE_CASES))
     def test_same_as_per_point_build(self, case, monkeypatch):
-        A, sys, word, block_index = CIRCLE_CASES[case]()
-        ref = per_point_circle_cocycle(A, sys, word, block_index)
+        A, sys, word = CIRCLE_CASES[case]()
+        ref = per_point_circle_cocycle(A, sys, word)
         calls = {"path_matrices": 0, "evaluate": 0}
         path_matrices, evaluate = cc.CocycleSpec.path_matrices, cc.evaluate
 
@@ -579,7 +575,7 @@ class TestCircleCocycle:
         monkeypatch.setattr(cc.CocycleSpec, "path_matrices", counting_path_matrices)
         monkeypatch.setattr(cc, "evaluate", counting_evaluate)
         monkeypatch.setattr(ro, "evaluate", counting_evaluate)
-        C = ro.circle_cocycle(A, sys, *orbit(word, A.base), block_index)
+        C = ro.circle_cocycle(A, sys, *orbit(word, A.base))
         assert calls == {"path_matrices": 1, "evaluate": 0}
         assert C.roofs == ref.roofs
         assert all(np.array_equal(a, b) for a, b in zip(C.maps, ref.maps, strict=True))
@@ -795,12 +791,13 @@ class TestThetaEllRho:
         assert math.isnan(rep.residual)
 
     def test_tracked_block_in_dimension_four(self):
+        # a leading real block: the tracked pair spans the slow plane
         g = np.zeros((4, 4))
-        g[:2, :2] = 2.0 * rot(0.3)
+        g[:2, :2] = np.diag([2.0, 1.5])
         g[2:, 2:] = 0.5 * rot(0.2)
         A = cc.CocycleSpec(FULL2, 1, {"0": g, "1": g})
-        rep = ro.theta_ell_rho_check(A, unit_flow(), *orbit("0"), block_index=1)
-        C = ro.circle_cocycle(A, unit_flow(), *orbit("0"), block_index=1)
+        rep = ro.theta_ell_rho_check(A, unit_flow(), *orbit("0"))
+        C = ro.circle_cocycle(A, unit_flow(), *orbit("0"))
         assert ro.eigen_argument(C.composite()) == pytest.approx(0.2, abs=1e-10)
         assert rep.residual < 1e-9
 
