@@ -172,9 +172,9 @@ def symplectic_diagonalize(M) -> SymplecticBlockForm:
     1/conj} quadruples; each group receives a symplectic sub-basis in which
     M acts by 1x1 entries or 2x2 conformal blocks.  A real lam != +-1 takes
     its whole eigenspace with the 1/lam one, so a repeated real eigenvalue
-    gives one pair per eigenvector; on +-1 an eigenvector's partner is the
-    one its row of the symplectic Gram matrix picks.  The two members of a
-    conjugate pair are distinct however close they lie.
+    gives one pair per eigenvector; +-1 pairs its eigenspace with itself
+    by a symplectic Gram-Schmidt.  The two members of a conjugate pair are
+    distinct however close they lie.
     Raises on non-symplectic input, a repeated complex eigenvalue, or
     defective (non-semisimple) input.
     """
@@ -209,24 +209,41 @@ def symplectic_diagonalize(M) -> SymplecticBlockForm:
         lam = eig[i]
         mod = abs(lam)
         if real[i]:
-            # the lam and 1/lam eigenspaces together, the 1/lam basis mapped
-            # through the inverse of their cross-Gram block so every pairing
-            # is exact; on +-1 the eigenvector of largest symplectic pairing
+            # the lam and 1/lam eigenspaces together (on +-1 one eigenspace)
+            es, fs = ([k for k in order if k not in used and real[k]
+                       and abs(eig[k].real * t - 1.0) <= match_tol]
+                      for t in (1.0 / lam.real, lam.real))
             if abs(mod - 1.0) > match_tol:
-                es, fs = ([k for k in order if k not in used and real[k]
-                           and abs(eig[k].real * t - 1.0) <= match_tol]
-                          for t in (1.0 / lam.real, lam.real))
+                # the 1/lam basis mapped through the inverse of their
+                # cross-Gram block, so every pairing is exact
+                if len(es) != len(fs) or used & set(fs):
+                    raise DegenerateSpectrumError("eigenvalue without reciprocal partner")
+                U, V = vec[:, es].real, vec[:, fs].real
+                if len(es) > 1:  # a single pair is scaled below
+                    V = V @ np.linalg.inv(U.T @ omega @ V)
+                lams = [(eig[a].real, eig[b].real) for a, b in zip(es, fs)]
             else:
-                es, fs = [i], [int(np.argmax(np.abs(vec[:, i] @ omega @ vec)))]
-            if (len(es) != len(fs) or used & set(fs)
-                    or any(abs(lam.real * eig[j].real - 1.0) > match_tol for j in fs)):
-                raise DegenerateSpectrumError("eigenvalue without reciprocal partner")
-            U, V = vec[:, es].real, vec[:, fs].real
-            if len(es) > 1:  # a single pair is scaled below
-                V = V @ np.linalg.inv(U.T @ omega @ V)
+                # a symplectic Gram-Schmidt on the +-1 eigenspace, spanned
+                # by the null vectors of M -+ 1 (eig may return it as tiny
+                # conjugate pairs, whose real parts span less): each vector
+                # left takes the one it pairs with most strongly, and the
+                # rest lose their pairings with both
+                null = np.linalg.svd(M - lam.real * np.eye(2 * n))[2][2 * n - len(es):]
+                W, U, V = list(null), [], []
+                while len(W) > 1:
+                    u = W.pop(0)
+                    v = W.pop(int(np.argmax([abs(u @ omega @ y) for y in W])))
+                    v = v / (u @ omega @ v)
+                    W = [y - (y @ omega @ v) * u + (y @ omega @ u) * v for y in W]
+                    U.append(u)
+                    V.append(v)
+                if W:
+                    raise DegenerateSpectrumError("eigenvalue without reciprocal partner")
+                U, V = np.column_stack(U), np.column_stack(V)
+                lams = [(lam.real, lam.real)] * U.shape[1]
             used.update(es + fs)
-            groups += [("real_pair", [(eig[a].real, U[:, k]), (eig[b].real, V[:, k])])
-                       for k, (a, b) in enumerate(zip(es, fs))]
+            groups += [("real_pair", [(a, U[:, k]), (b, V[:, k])])
+                       for k, (a, b) in enumerate(lams)]
         elif abs(mod - 1.0) <= match_tol:
             j = _eig_partner(eig, i, np.conj(lam), used, match_tol)
             if j is None:

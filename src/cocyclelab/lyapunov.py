@@ -6,9 +6,10 @@ and tree-reduces each chunk into short block products with per-matrix
 scale tracking, so a path's T x d x d step matrices are never held at
 once.  On a locally constant cocycle a block's h-step sub-blocks repeat
 (a window-1 cocycle on the full 2-shift has at most 2^8 distinct 8-step
-ones), so the tree reduces each distinct sub-block of a chunk once and
-gathers; every product and scale is still the one the whole-path tree
-reduction forms from that sub-block's own steps, so no bit moves.  The
+ones), so the path keeps a table of each distinct sub-block it has read,
+reduced once, and a chunk whose sub-blocks are all in it builds no step
+matrices at all; every product and scale is still the one the whole-path
+tree reduction forms from that sub-block's own steps, so no bit moves.  The
 recurrence then runs contiguous segments of blocks in lockstep, one
 batched QR per step, in two phases: every segment from the identity at its
 own start, then each segment's end frame on into the next segment until it
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 # the LAPACK gufuncs behind np.linalg.qr, called bare by _qr_step
@@ -54,8 +55,9 @@ class LyapunovEstimate:
     volume_residual: float       # |sum of exponents - mean log|det||
     multiplicities: tuple | None = None
     # deterministic work counters of qr_spectrum: lockstep segments, the
-    # sub-blocks (or whole blocks) the block stage reduced from steps, and
-    # the blocks phase 2 re-ran before a seam's frames met
+    # distinct sub-blocks of the path (or its whole blocks) the block stage
+    # reduced from steps, and the blocks phase 2 re-ran before a seam's
+    # frames met
     segments: int | None = None
     reduced_blocks: int | None = None
     seam_blocks: int | None = None
@@ -83,22 +85,20 @@ def _tree_level(P: np.ndarray):
     return P, np.log(s)
 
 
-def _shared_tree(sub: np.ndarray, inverse: np.ndarray | None, n: int):
-    """Tree reduction of n blocks of B steps whose consecutive h-step
-    sub-blocks are sub[inverse], sub (K, h, d, d); inverse None: sub itself,
-    in order.  The levels up to h run on the K distinct sub-blocks only;
-    their products and each level's log scales are then gathered, and the
-    log scales summed per block level by level on (n, B / 2^l) arrays, the
-    sums the whole-path tree reduction takes.  Every product and scale
-    depends only on its own sub-block's steps, so the result is that
-    reduction's bit for bit."""
+def _shared_tree(sub: np.ndarray, levels: list, slot: np.ndarray | None, n: int):
+    """Tree reduction of n blocks of B steps from their h-step sub-blocks.
+    sub (K, d, d) holds sub-block products already reduced through the
+    first log2 h levels and levels those levels' log scales, (K, h / 2^l)
+    each; the blocks' consecutive sub-blocks are sub[slot] (slot None: sub
+    itself, in order).  The products and log scales are gathered, the log
+    scales summed per block level by level on (n, B / 2^l) arrays, and the
+    levels above h run on the gathered products: the sums and products the
+    whole-path tree reduction takes.  Every product and scale depends only
+    on its own sub-block's steps, so the result is that reduction's bit for
+    bit."""
     d = sub.shape[-1]
-    levels = []
-    while sub.shape[1] > 1:
-        sub, level = _tree_level(sub)
-        levels.append(level)
-    if inverse is not None:
-        sub, levels = sub[inverse], [level[inverse] for level in levels]
+    if slot is not None:
+        sub, levels = sub[slot], [level[slot] for level in levels]
     P = sub.reshape(n, -1, d, d)
     logs = np.zeros(n)
     for level in levels:
@@ -113,10 +113,13 @@ def _shared_tree(sub: np.ndarray, inverse: np.ndarray | None, n: int):
 class _PathSteps:
     """The step matrices of A along a symbol path, built a chunk at a time
     by chunk(a, b, B).  shape is that of the whole (T, d, d) array, which
-    is never built."""
+    is never built.  tables holds, per sub-block size h > 1, the table of
+    the distinct h-step sub-blocks the path's chunks have read (see chunk);
+    it lives on the path, so paths that share a cocycle share nothing."""
 
     A: CocycleSpec
     symbols: np.ndarray
+    tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def shape(self):
@@ -141,22 +144,53 @@ class _PathSteps:
         return min((1 << j for j in range(B.bit_length())), key=products)
 
     def chunk(self, a: int, b: int, B: int):
-        """Steps a to b - 1, whole blocks of B steps, as (sub, logdet,
-        inverse): their consecutive h-step sub-blocks (h = sub_block(B))
-        are sub[inverse], sub (K, h, d, d) holding each distinct one once,
-        keyed by the symbols it reads.  With h = 1 inverse is None and sub
-        is the (b - a) / B blocks in order."""
-        mats, logdet = self.A.path_matrices(self.symbols, a, b)
-        h = self.sub_block(B)
+        """Steps a to b - 1, whole blocks of B steps, as (sub, levels,
+        logdet, slot) for _shared_tree: their consecutive h-step sub-blocks
+        (h = sub_block(B)) are sub[slot], reduced through the first log2 h
+        tree levels, and logdet is the steps' log|det|.  With h = 1 sub is
+        the steps themselves, levels is empty and slot None.
+
+        For h > 1, sub, levels and the rows logdet is gathered from are the
+        path's table for h: every distinct sub-block its chunks have read,
+        keyed by the window code of the h + w - 1 symbols it reads, which
+        fix its steps, with its product, log scales and h log|det| values.
+        Only a chunk with an unseen key, or with a symbol outside the
+        alphabet (which could alias a key), calls path_matrices over its
+        steps, whose checks raise on that symbol or an inadmissible window;
+        it then reduces each unseen sub-block at its first occurrence.
+        window_code is injective on the alphabet, so every window of any
+        other chunk belongs to a key whose steps passed those checks.  h > 1
+        only when m^(h + w - 1) is below a chunk's sub-blocks, so the table
+        never outgrows one chunk."""
+        A, h = self.A, self.sub_block(B)
         if h == 1:
-            sub, inverse = mats.reshape(-1, B, *mats.shape[1:]), None
-        else:
-            m, n = self.A.base.alphabet_size, (b - a) // h
-            s = np.asarray(self.symbols[a : b + self.A.window - 1], dtype=np.int64)
-            keys = window_code([s[j : j + n * h : h] for j in range(h + self.A.window - 1)], m)
-            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-            sub = mats.reshape(n, h, *mats.shape[1:])[first]
-        return sub, logdet, inverse
+            mats, logdet = A.path_matrices(self.symbols, a, b)
+            return mats, [], logdet, None
+        m, w, n, d = A.base.alphabet_size, A.window, (b - a) // h, A.dim
+        s = np.asarray(self.symbols[a : b + w - 1], dtype=np.int64)
+        keys = window_code([s[j : j + n * h : h] for j in range(h + w - 1)], m)
+        # (sorted keys, products, log|det| rows, level 1 scales, level 2 ...)
+        table = self.tables.setdefault(h, [
+            np.empty(0, np.int64), np.empty((0, d, d)), np.empty((0, h)),
+            *(np.empty((0, h >> l)) for l in range(1, h.bit_length()))])
+        slot = np.searchsorted(table[0], keys)
+        # a key past every table key lands on the appended -1, which no key equals
+        unseen = np.append(table[0], -1)[slot] != keys
+        if unseen.any() or s.min() < 0 or s.max() >= m:
+            mats, logdet = A.path_matrices(self.symbols, a, b)
+            new, first = np.unique(keys[unseen], return_index=True)
+            first = np.flatnonzero(unseen)[first]
+            sub, levels = mats.reshape(n, h, d, d)[first], []
+            while sub.shape[1] > 1:
+                sub, level = _tree_level(sub)
+                levels.append(level)
+            rows = [new, sub[:, 0], logdet.reshape(n, h)[first], *levels]
+            table = [np.concatenate(pair) for pair in zip(table, rows)]
+            order = np.argsort(table[0])
+            table = self.tables[h] = [part[order] for part in table]
+            slot = np.searchsorted(table[0], keys)
+        _, sub, logdet, *levels = table
+        return sub, levels, logdet[slot].ravel(), slot
 
 
 def _block_products(chunk, nb: int, B: int, L: int = 1):
@@ -171,14 +205,16 @@ def _block_products(chunk, nb: int, B: int, L: int = 1):
     reduced = 0
     for lo in range(0, nb, _CHUNK_BLOCKS):
         hi = min(lo + _CHUNK_BLOCKS, nb)
-        sub, ld, inverse = chunk(lo * B, hi * B, B)
+        sub, levels, ld, slot = chunk(lo * B, hi * B, B)
         d = sub.shape[-1]
         if lo == 0:
             prods, logs, logdet = np.empty((-(-nb // L) * L, d, d)), np.empty(nb), np.empty(nb * B)
             prods[nb:] = np.eye(d)
-        prods[lo:hi], logs[lo:hi] = _shared_tree(sub, inverse, hi - lo)
+        prods[lo:hi], logs[lo:hi] = _shared_tree(sub, levels, slot, hi - lo)
         logdet[lo * B : hi * B] = ld
-        reduced += len(sub)
+        # a table keeps every sub-block it has reduced; blocks in order are
+        # each reduced from their own steps
+        reduced = len(sub) if slot is not None else reduced + hi - lo
     return prods, logs, logdet, reduced
 
 
@@ -221,7 +257,7 @@ def _lockstep_qr(prods: np.ndarray, nb: int, L: int):
     S = len(prods) // L
     # phase 1: every segment from the identity at its own first block,
     # block j of all segments read as one strided view; the frames after
-    # 1, 2, 4, ... blocks are the checkpoints
+    # 1, 2 and 4 blocks and after every 8th block are the checkpoints
     segments = prods.reshape(S, L, d, d)
     Q = np.broadcast_to(np.eye(d), (S, d, d))
     diag = np.empty((S, L, d))
@@ -230,7 +266,7 @@ def _lockstep_qr(prods: np.ndarray, nb: int, L: int):
         M = segments[:, j] @ Q
         Q = _qr_step(M)
         np.abs(np.diagonal(M, axis1=1, axis2=2), out=diag[:, j])
-        if j & (j + 1) == 0:
+        if j + 1 in (1, 2, 4) or (j + 1) % 8 == 0:
             checkpoints[j + 1] = Q.view(np.int64)
     # phase 2: each segment's end frame runs on into the next segment (seg:
     # the segment each row re-runs) until it equals that segment's phase-1
@@ -263,11 +299,11 @@ def qr_spectrum(mats: _PathSteps, block_size: int, n_batches: int = DEFAULT_BATC
     of blocks each.  The block stage (_block_products)
     reduces the first nb = T // block_size blocks, and the recurrence below
     runs over the (nb, d, d) products and their log scales.  A locally
-    constant cocycle reduces each distinct h-step sub-block of a chunk once
-    (reduced_blocks counts them; otherwise it counts the nb blocks); a bump
-    cocycle reduces every block from its own steps.  The products and
-    scales are those of the whole-path tree reduction either way, bit for
-    bit.
+    constant cocycle reduces each distinct h-step sub-block of the path
+    once, into the path's table (reduced_blocks counts them; otherwise it
+    counts the nb blocks); a bump cocycle reduces every block from its own
+    steps.  The products and scales are those of the whole-path tree
+    reduction either way, bit for bit.
 
     The nb block products are cut into S contiguous segments of L blocks
     (the last may be shorter), with S at most _MAX_SEGMENTS_PER_BATCH *
@@ -280,17 +316,18 @@ def qr_spectrum(mats: _PathSteps, block_size: int, n_batches: int = DEFAULT_BATC
     block and runs L steps, reading block j of every segment as one strided
     view of the products, which the block stage pads to whole segments with
     identities (the rows past nb are discarded).  Segment 0's log|R_ii|
-    are final; the
-    others' stay until phase 2 overwrites them.  The frames after 1, 2, 4,
-    8, ... blocks are saved as checkpoints.  Phase 2 carries segment c's
-    phase-1 end frame on into segment c + 1, one stack row per seam, and
-    overwrites that segment's log|R_ii|.  A row leaves the stack at the
+    are final; the others' stay until phase 2 overwrites them.  The frames
+    after 1, 2 and 4 blocks and after every 8th block are saved as
+    checkpoints.  Phase 2 carries segment c's phase-1 end frame on into
+    segment c + 1, one stack row per seam, and overwrites that segment's
+    log|R_ii|.  A row leaves the stack at the
     first checkpoint where its frame equals segment c + 1's phase-1 frame
     bit for bit (as int64 words, so 0.0 and -0.0 differ).  From that block
     on both runs take the same QR of the same matrix, so the phase-1 values
     left in place are the ones the row would compute.  A row whose frames
-    never meet runs to the end of its segment.  seam_blocks counts the
-    blocks phase 2 ran; the two phases take at most 2L steps.  So every
+    never meet runs to the end of its segment, and one that meets runs at
+    most 7 blocks past the meeting.  seam_blocks counts the blocks phase 2
+    ran; the two phases take at most 2L steps.  So every
     segment c >= 1 starts from the frame segment c - 1 reaches from the
     identity at its own first block, a warm-up of one segment, bit for bit
     whether or not its seam meets.  Each stderr batch sums its blocks'

@@ -177,6 +177,20 @@ class TestSymplecticDiagonalize:
         want = np.diag([2.0] * n + [0.5] * n)
         assert np.allclose(np.linalg.solve(form.P, M @ form.P), want, atol=1e-12)
 
+    @pytest.mark.parametrize("lam", [1.0, -1.0])
+    def test_unit_real_eigenspace_of_dimension_four(self, lam):
+        # +-1 with multiplicity four pairs its eigenspace with itself; eig
+        # may return part of it as a conjugate pair 1e-16 off the axis
+        M = unit_real_case(lam)
+        form = la.symplectic_diagonalize(M)
+        assert [b.kind for b in form.blocks] == ["real_pair"] * 3
+        assert la.is_symplectic(form.P)
+        lams = [b.eigenvalues for b in form.blocks]
+        want = np.diag([a for a, _ in lams] + [b for _, b in lams])
+        assert np.allclose(np.linalg.solve(form.P, M @ form.P), want, atol=1e-12)
+        assert np.allclose(form.P @ want @ np.linalg.inv(form.P), M, atol=1e-12)
+        assert np.allclose(sorted(np.diag(want)), sorted([lam] * 4 + [2.0, 0.5]), atol=1e-12)
+
     def test_conjugate_pair_near_the_real_axis_is_not_repeated(self):
         # a collided quadruple: its pair lies 1e-8 off the real axis, closer
         # than the repeated-eigenvalue tolerance
@@ -383,6 +397,15 @@ class TestModuliSeparation:
         rec = la.sorted_spectrum(out)
         assert rec.all_real() and rec.min_relative_gap() > 1e-9
 
+    @pytest.mark.parametrize("lam", [1.0, -1.0])
+    def test_symplectic_unit_real_eigenspace_separated(self, lam):
+        M = unit_real_case(lam)
+        out = la.moduli_separation_perturb(M, 0.05, constraint="symplectic")
+        assert la.is_symplectic(out)
+        assert np.linalg.norm(out - M, 2) <= 0.05
+        rec = la.sorted_spectrum(out)
+        assert rec.all_real() and rec.min_relative_gap() > 1e-9
+
     @pytest.mark.parametrize("kind", ["real_pair", "unit_pair", "quad", "quad_snap"])
     def test_symplectic_simple_spectrum_separated(self, kind):
         # a simple spectrum takes the symplectic block form; each case puts
@@ -423,6 +446,12 @@ def repeated_real_case(n):
     """diag(2, .., 2, 1/2, .., 1/2) of size 2n in the basis of
     symplectic_conjugate."""
     return symplectic_conjugate(np.diag([2.0] * n + [0.5] * n))
+
+
+def unit_real_case(lam):
+    """diag(lam, lam, 2, lam, lam, 1/2), lam = +-1, in the basis of
+    symplectic_conjugate: a +-1 eigenspace of dimension four."""
+    return symplectic_conjugate(np.diag([lam, lam, 2.0, lam, lam, 0.5]))
 
 
 def symplectic_conjugate(M):

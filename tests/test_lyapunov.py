@@ -281,7 +281,7 @@ class StepArrays:
         self.shape = mats.shape
 
     def chunk(self, a, b, B):
-        return self.mats[a:b].reshape(-1, B, *self.shape[1:]), self.logdet[a:b], None
+        return self.mats[a:b], [], self.logdet[a:b], None
 
 
 def sampled_path(A, mu, n_steps, seed):
@@ -550,12 +550,14 @@ def gathered_lockstep_qr(prods, L):
     Q = np.broadcast_to(np.eye(d), (len(starts), d, d))
     diag = np.empty((nb, d))
     checkpoints = {}
+    # the frames after 1, 2 and 4 blocks and after every 8th block
+    saved = {1, 2, 4, *range(8, L + 1, 8)}
     for j in range(L):
         idx = np.minimum(starts + j, nb - 1)
         Q, R = np.linalg.qr(prods[idx] @ Q)
         live = starts + j < nb
         diag[idx[live]] = np.abs(np.diagonal(R[live], axis1=1, axis2=2))
-        if j & (j + 1) == 0:
+        if j + 1 in saved:
             checkpoints[j + 1] = Q.view(np.int64)
     seg, Q = np.arange(1, len(starts)), Q[:-1]
     rerun = 0
@@ -721,6 +723,19 @@ def assert_same_blocks(path, mats, logdet, B):
         assert np.array_equal(new, ref)
 
 
+def counted_path_matrices(monkeypatch):
+    """The (start, stop) of every path_matrices call from here on."""
+    calls = []
+    path_matrices = cc.CocycleSpec.path_matrices
+
+    def counting(self, symbols, start, stop):
+        calls.append((start, stop))
+        return path_matrices(self, symbols, start, stop)
+
+    monkeypatch.setattr(cc.CocycleSpec, "path_matrices", counting)
+    return calls
+
+
 def hoelder_bump_cocycle():
     """A d = 3 cocycle in the style of the benchmark's Hoelder ensemble:
     conjugated scaled rotations on the full 2-shift, theta = 0.7, nu = 1,
@@ -793,29 +808,89 @@ class TestStreamedBlocks:
         symbols = sh.parry_measure(A.base).sample_orbit(n_steps + A.window - 1, seed=B)
         mats, logdet = whole_path(A, symbols)
         path = ly._PathSteps(A, symbols)
-        assert (path.sub_block(B) > 1) == (B > 1)
+        h = path.sub_block(B)
+        assert (h > 1) == (B > 1)
         assert_same_blocks(path, mats, logdet, B)
         *_, reduced = ly._block_products(path.chunk, n_steps // B, B)
         if B > 1:
-            assert reduced < (n_steps // B) * B // path.sub_block(B)
+            # the path's table holds each distinct sub-block once, never
+            # more than one chunk's sub-blocks
+            assert reduced == len(path.tables[h][0]) <= ly._CHUNK_BLOCKS * B // h
 
-    def test_path_matrices_once_per_chunk(self, monkeypatch):
-        # the block stage reads its steps through path_matrices, one call
-        # per chunk of whole blocks, which is where its symbol checks run
-        calls = []
-        path_matrices = cc.CocycleSpec.path_matrices
+    def test_path_matrices_for_unseen_sub_blocks_only(self, monkeypatch):
+        # path_matrices, where the symbol and window checks run, builds the
+        # steps of the first chunk and of each later chunk holding an h-step
+        # sub-block word no earlier chunk held; 1 1 is rare under this
+        # measure, so new words still turn up after a chunk with none
+        monkeypatch.setattr(ly, "_CHUNK_BLOCKS", 64)
+        calls = counted_path_matrices(monkeypatch)
+        A = random_cocycle(FULL2, 1, 2, 14)
+        mu = sh.MarkovMeasure(FULL2, np.array([[0.7, 0.3], [0.95, 0.05]]), np.array([0.76, 0.24]))
+        B, nb = 64, 400
+        symbols = mu.sample_orbit(nb * B, seed=7)
+        path = ly._PathSteps(A, symbols)
+        h = path.sub_block(B)
+        *_, reduced = ly._block_products(path.chunk, nb, B)
+        want, seen = [], set()
+        for lo in range(0, nb, 64):
+            a, b = lo * B, min(lo + 64, nb) * B
+            words = {tuple(symbols[t : t + h]) for t in range(a, b, h)}
+            if words - seen:
+                want.append((a, b))
+            seen |= words
+        assert h > 1 and calls == want
+        # the first chunk, then the third and fourth, not the second
+        assert [a // (64 * B) for a, _ in want] == [0, 2, 3]
+        assert reduced == len(seen)
 
-        def counting(self, symbols, start=0, stop=None):
-            calls.append((start, stop))
-            return path_matrices(self, symbols, start, stop)
+    def test_late_rare_sub_block_same_blocks(self, monkeypatch):
+        # every sub-block but the last chunk's one 1 1 1 1 word is in the
+        # table after the first chunk
+        monkeypatch.setattr(ly, "_CHUNK_BLOCKS", 64)
+        A = random_cocycle(FULL2, 1, 3, 15)
+        B, nb = 8, 200
+        symbols = sh.parry_measure(FULL2).sample_orbit(nb * B, seed=6)
+        path = ly._PathSteps(A, symbols)
+        h = path.sub_block(B)
+        words = symbols.reshape(-1, h)
+        words[words.all(axis=1), 0] = 0
+        words[-5] = 1
+        mats, logdet = whole_path(A, symbols)
+        calls = counted_path_matrices(monkeypatch)
+        assert_same_blocks(path, mats, logdet, B)
+        assert calls == [(0, 64 * B), (192 * B, nb * B)]
+        assert len(path.tables[h][0]) == 2**h
 
-        monkeypatch.setattr(cc.CocycleSpec, "path_matrices", counting)
-        A = e1_cocycle("positive-d2")
-        est = ly.lyapunov_qr(A, sh.parry_measure(A.base), 300_000, seed=E1_CONFIG["seed"])
-        B, nb = est.block_size, est.n_steps // est.block_size
-        assert nb > 2 * ly._CHUNK_BLOCKS
-        assert calls == [(lo * B, min(lo + ly._CHUNK_BLOCKS, nb) * B)
-                         for lo in range(0, nb, ly._CHUNK_BLOCKS)]
+    def test_warm_chunk_checks_symbols(self, monkeypatch):
+        # once every key of the last chunk is in the table, a symbol outside
+        # the alphabet still raises with path_matrices' message, even where
+        # its key aliases a seen one (0 0 2 0 codes as 0 0 0 1)
+        monkeypatch.setattr(ly, "_CHUNK_BLOCKS", 64)
+        A = random_cocycle(FULL2, 1, 2, 16)
+        B, nb = 8, 200
+        symbols = sh.parry_measure(FULL2).sample_orbit(nb * B, seed=7)
+        path = ly._PathSteps(A, symbols)
+        assert path.sub_block(B) == 4
+        ly._block_products(path.chunk, nb, B)
+        with pytest.raises(ValueError, match=r"^path symbol 2 outside \[0, 2\)$"):
+            A.path_matrices(np.where(np.arange(nb * B) == 5, 2, symbols), 0, nb * B)
+        symbols[nb * B - 4 : nb * B] = [0, 0, 2, 0]
+        with pytest.raises(ValueError, match=r"^path symbol 2 outside \[0, 2\)$"):
+            ly._block_products(path.chunk, nb, B)
+
+    def test_warm_chunk_checks_windows(self, monkeypatch):
+        # an inadmissible window 1 1 in the last chunk of a warm golden-mean
+        # path is a key no chunk has held, so path_matrices rejects it
+        monkeypatch.setattr(ly, "_CHUNK_BLOCKS", 64)
+        A = SHARED_PATHS["golden-window2-d3"]()
+        B, nb = 8, 200
+        symbols = sh.parry_measure(GOLDEN).sample_orbit(nb * B + 1, seed=8)
+        path = ly._PathSteps(A, symbols)
+        assert path.sub_block(B) > 1
+        ly._block_products(path.chunk, nb, B)
+        symbols[nb * B - 3 : nb * B - 1] = 1
+        with pytest.raises(ValueError, match=r"inadmissible window \(1, 1\)"):
+            ly._block_products(path.chunk, nb, B)
 
     def test_generic_d4_peak_memory(self):
         # the whole path's 10^6 step matrices alone are 122 MiB at d = 4
@@ -858,14 +933,11 @@ class TestWorkCounters:
         assert est.segments == rows[0] > 2
         assert len(rows) <= 2 * L
         assert sum(rows) == est.segments * L + est.seam_blocks < 1.1 * nb
-        # one reduced sub-block per distinct 8-symbol word of each chunk
+        # one reduced sub-block per distinct 8-symbol word of the whole path
         B = est.block_size
         assert ly._PathSteps(A, np.zeros(n_steps, dtype=int)).sub_block(B) == 8
         words = sh.parry_measure(A.base).sample_orbit(n_steps, seed)[: est.n_steps].reshape(-1, 8)
-        per_chunk = ly._CHUNK_BLOCKS * B // 8
-        distinct = sum(len(np.unique(words[i : i + per_chunk], axis=0))
-                       for i in range(0, len(words), per_chunk))
-        assert est.reduced_blocks == distinct <= 256 * -(-len(words) // per_chunk)
+        assert est.reduced_blocks == len(np.unique(words, axis=0)) == 256
 
     def test_bump_path(self, monkeypatch):
         rows = self.segment_stacks(monkeypatch)
