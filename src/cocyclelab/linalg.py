@@ -137,7 +137,8 @@ class SymplecticBlock:
     kind is 'real_pair' (eigenvalues lam, 1/lam, one e-slot and one f-slot),
     'unit_pair' (unit-modulus conjugate pair living on one (e_i, f_i) plane)
     or 'quad' (lam, conj, 1/lam, 1/conj; a conformal e-plane and its dual
-    f-plane).  Slot indices are 0-based positions into (e_1..e_n, f_1..f_n).
+    f-plane).  Slots are 0-based column indices of P, whose columns are
+    (e_1..e_n, f_1..f_n): e_i is column i - 1 and f_i column n + i - 1.
     """
 
     kind: str
@@ -168,13 +169,14 @@ def symplectic_diagonalize(M) -> SymplecticBlockForm:
     """Real block diagonalization of a matrix preserving the standard
     symplectic form by a symplectic basis.
 
-    Eigenvalues are grouped into {lam, 1/lam} pairs and {lam, conj, 1/lam,
-    1/conj} quadruples; each group receives a symplectic sub-basis in which
-    M acts by 1x1 entries or 2x2 conformal blocks.  A real lam != +-1 takes
-    its whole eigenspace with the 1/lam one, so a repeated real eigenvalue
-    gives one pair per eigenvector; +-1 pairs its eigenspace with itself
-    by a symplectic Gram-Schmidt.  The two members of a conjugate pair are
-    distinct however close they lie.
+    One pass over the eigenvalues in decreasing modulus groups them into
+    {lam, 1/lam} eigenspace pairs and {lam, conj, 1/lam, 1/conj}
+    quadruples, and places each group at the next free slots of a
+    symplectic basis in which M acts by 1x1 entries or 2x2 conformal
+    blocks.  A real lam takes the null vectors of M - lam and, unless
+    lam = +-1, of M - 1/lam, and one symplectic Gram-Schmidt pairs them, so
+    a repeated real eigenvalue gives one pair per eigenvector.  The two
+    members of a conjugate pair are distinct however close they lie.
     Raises on non-symplectic input, a repeated complex eigenvalue, or
     defective (non-semisimple) input.
     """
@@ -196,60 +198,61 @@ def symplectic_diagonalize(M) -> SymplecticBlockForm:
                     and abs(eig[i] - eig[j]) <= 1e-8 * max(1.0, abs(eig[i]))):
                 raise DegenerateSpectrumError("repeated complex eigenvalue")
 
-    def omega_c(u, v):
-        return complex(u @ omega @ v)
-
     match_tol = 1e-6
     used = set()
-    groups = []  # (kind, [(lam, v), ...]) with the expanding member first
+    # P's columns e and f, the blocks, and each unit pair's plane e + f
+    e_cols, f_cols, blocks, unit_planes = [], [], [], []
     order = sorted(range(2 * n), key=lambda i: (-abs(eig[i]), -eig[i].imag))
     for i in order:
         if i in used:
             continue
         lam = eig[i]
         mod = abs(lam)
+        slot = len(e_cols)
         if real[i]:
-            # the lam and 1/lam eigenspaces together (on +-1 one eigenspace)
+            # the lam and 1/lam eigenspaces (on +-1 one eigenspace), spanned
+            # by the null vectors of M - lam and M - 1/lam (eig may return a
+            # repeated real eigenvalue as tiny conjugate pairs, whose real
+            # parts span less), paired by a symplectic Gram-Schmidt: each
+            # vector left takes the one it pairs with most strongly, from
+            # the other eigenspace off +-1, and the rest lose their
+            # pairings with both
             es, fs = ([k for k in order if k not in used and real[k]
                        and abs(eig[k].real * t - 1.0) <= match_tol]
                       for t in (1.0 / lam.real, lam.real))
-            if abs(mod - 1.0) > match_tol:
-                # the 1/lam basis mapped through the inverse of their
-                # cross-Gram block, so every pairing is exact
-                if len(es) != len(fs) or used & set(fs):
-                    raise DegenerateSpectrumError("eigenvalue without reciprocal partner")
-                U, V = vec[:, es].real, vec[:, fs].real
-                if len(es) > 1:  # a single pair is scaled below
-                    V = V @ np.linalg.inv(U.T @ omega @ V)
-                lams = [(eig[a].real, eig[b].real) for a, b in zip(es, fs)]
-            else:
-                # a symplectic Gram-Schmidt on the +-1 eigenspace, spanned
-                # by the null vectors of M -+ 1 (eig may return it as tiny
-                # conjugate pairs, whose real parts span less): each vector
-                # left takes the one it pairs with most strongly, and the
-                # rest lose their pairings with both
-                null = np.linalg.svd(M - lam.real * np.eye(2 * n))[2][2 * n - len(es):]
-                W, U, V = list(null), [], []
-                while len(W) > 1:
-                    u = W.pop(0)
-                    v = W.pop(int(np.argmax([abs(u @ omega @ y) for y in W])))
-                    v = v / (u @ omega @ v)
-                    W = [y - (y @ omega @ v) * u + (y @ omega @ u) * v for y in W]
-                    U.append(u)
-                    V.append(v)
-                if W:
-                    raise DegenerateSpectrumError("eigenvalue without reciprocal partner")
-                U, V = np.column_stack(U), np.column_stack(V)
-                lams = [(lam.real, lam.real)] * U.shape[1]
+            W = [y for t, ks in ((lam.real, es), (1.0 / lam.real, set(fs) - set(es)))
+                 for y in np.linalg.svd(M - t * np.eye(2 * n))[2][2 * n - len(ks):]]
+            while len(W) > 1:
+                u = W.pop(0)
+                v = W.pop(int(np.argmax([abs(u @ omega @ y) for y in W])))
+                c = u @ omega @ v
+                if abs(c) < 1e-12:
+                    raise DegenerateSpectrumError("isotropic eigenvector pairing")
+                v = v / c
+                W = [y - (y @ omega @ v) * u + (y @ omega @ u) * v for y in W]
+                e_cols.append(u)
+                f_cols.append(v)
+            if W:
+                raise DegenerateSpectrumError("eigenvalue without reciprocal partner")
             used.update(es + fs)
-            groups += [("real_pair", [(a, U[:, k]), (b, V[:, k])])
-                       for k, (a, b) in enumerate(lams)]
+            blocks += [SymplecticBlock("real_pair", (lam.real, eig[fs[0]].real), (k,), (n + k,))
+                       for k in range(slot, len(e_cols))]
         elif abs(mod - 1.0) <= match_tol:
             j = _eig_partner(eig, i, np.conj(lam), used, match_tol)
             if j is None:
                 raise DegenerateSpectrumError("conjugate eigenvalue missing")
             used.update((i, j))
-            groups.append(("unit_pair", [(eig[i], vec[:, i])]))
+            x, y = vec[:, i].real, vec[:, i].imag
+            c = float(x @ omega @ y)
+            if abs(c) < 1e-12:
+                raise DegenerateSpectrumError("isotropic eigenvector pairing")
+            if c < 0:
+                y, c = -y, -c
+            s = np.sqrt(c)
+            e_cols.append(x / s)
+            f_cols.append(y / s)
+            blocks.append(SymplecticBlock("unit_pair", (lam, np.conj(lam)), (slot,), (n + slot,)))
+            unit_planes.append((slot, n + slot))
         else:
             jc = _eig_partner(eig, i, np.conj(lam), used, match_tol)
             ji = _eig_partner(eig, i, 1.0 / lam, used | ({jc} if jc is not None else set()), match_tol)
@@ -259,62 +262,18 @@ def symplectic_diagonalize(M) -> SymplecticBlockForm:
             if jci is None:
                 raise DegenerateSpectrumError("incomplete eigenvalue quadruple")
             used.update((i, jc, ji, jci))
-            groups.append(("quad", [(eig[i], vec[:, i]), (eig[ji], vec[:, ji])]))
-
-    # expanding side first, then unit pairs; deterministic slot assignment
-    groups.sort(key=lambda g: -abs(g[1][0][0]))
-
-    e_cols = [None] * n
-    f_cols = [None] * n
-    blocks = []
-    slot = 0
-    for kind, data in groups:
-        if kind == "real_pair":
-            (lam, u), (lam2, w) = data
-            c = float(u @ omega @ w)
-            if abs(c) < 1e-12:
-                raise DegenerateSpectrumError("isotropic eigenvector pairing")
-            e_cols[slot] = u
-            f_cols[slot] = w / c
-            blocks.append(SymplecticBlock("real_pair", (lam, lam2), (slot,), (slot,)))
-            slot += 1
-        elif kind == "unit_pair":
-            lam, v = data[0]
-            x, y = v.real.copy(), v.imag.copy()
-            c = float(x @ omega @ y)
-            if abs(c) < 1e-12:
-                raise DegenerateSpectrumError("isotropic eigenvector pairing")
-            if c < 0:
-                y, c = -y, -c
-            s = np.sqrt(c)
-            e_cols[slot] = x / s
-            f_cols[slot] = y / s
-            blocks.append(SymplecticBlock("unit_pair", (lam, np.conj(lam)), (slot,), (slot,)))
-            slot += 1
-        else:
-            (lam, v), (lam_inv, w) = data
-            x1, y1 = v.real.copy(), v.imag.copy()
-            x2, y2 = w.real.copy(), w.imag.copy()
-            c = omega_c(v, w) / 2.0
+            v, w = vec[:, i], vec[:, ji]
+            c = complex(v @ omega @ w) / 2.0
             r, phi = abs(c), np.angle(c)
             if r < 1e-12:
                 raise DegenerateSpectrumError("isotropic eigenvector pairing")
             # dual-plane basis making the cross pairing the identity; the
             # change is conformal-antilinear so the block stays conformal
-            f1 = (np.cos(phi) * x2 + np.sin(phi) * y2) / r
-            f2 = (np.sin(phi) * x2 - np.cos(phi) * y2) / r
-            e_cols[slot], e_cols[slot + 1] = x1, y1
-            f_cols[slot], f_cols[slot + 1] = f1, f2
-            blocks.append(
-                SymplecticBlock(
-                    "quad",
-                    (lam, np.conj(lam), lam_inv, np.conj(lam_inv)),
-                    (slot, slot + 1),
-                    (slot, slot + 1),
-                )
-            )
-            slot += 2
-    assert slot == n
+            e_cols += [v.real, v.imag]
+            f_cols += [(np.cos(phi) * w.real + np.sin(phi) * w.imag) / r,
+                       (np.sin(phi) * w.real - np.cos(phi) * w.imag) / r]
+            blocks.append(SymplecticBlock("quad", (lam, np.conj(lam), eig[ji], np.conj(eig[ji])),
+                                          (slot, slot + 1), (n + slot, n + slot + 1)))
 
     P = np.column_stack(e_cols + f_cols)
     if not is_symplectic(P):
@@ -323,13 +282,8 @@ def symplectic_diagonalize(M) -> SymplecticBlockForm:
 
     # zero the structural off-block entries and verify the residual
     mask = np.zeros_like(B, dtype=bool)
-    for b in blocks:
-        for idx in (list(b.e_slots), [n + j for j in b.f_slots]):
-            if b.kind == "unit_pair":
-                idx = [b.e_slots[0], n + b.f_slots[0]]
-            for r in idx:
-                for c_ in idx:
-                    mask[r, c_] = True
+    for idx in [b.e_slots for b in blocks] + [b.f_slots for b in blocks] + unit_planes:
+        mask[np.ix_(idx, idx)] = True
     resid = float(np.max(np.abs(np.where(mask, 0.0, B))))
     if resid > SYMPLECTIC_TOL * max(1.0, float(np.max(np.abs(M)))):
         raise ArithmeticError("block form residual too large")
@@ -546,9 +500,7 @@ def _adapted_blocks(M, symplectic: bool):
     the columns f by the inverse transpose of that (a unit pair on e + f)."""
     if symplectic:
         form = symplectic_diagonalize(M)
-        n = M.shape[0] // 2
-        blocks = [(b.kind, b.e_slots, tuple(n + j for j in b.f_slots), b.eigenvalues[0])
-                  for b in form.blocks]
+        blocks = [(b.kind, b.e_slots, b.f_slots, b.eigenvalues[0]) for b in form.blocks]
         return form.P, blocks
     W, jordan = _real_jordan_basis(M)
     return W, [(kind, (pos,) if kind == "real" else (pos, pos + 1), (), lam)

@@ -457,7 +457,7 @@ def _conformal_blocks(M: np.ndarray, tol_factor: float = _STRUCT_TOL):
 
 def _commuting_block_logs(generators: dict):
     """Per-word log moduli after a shared real block-diagonalizing change of
-    basis, for pairwise commuting generator families; None if unavailable.
+    basis, for a pairwise commuting generator family; None if unavailable.
 
     The basis is the real Jordan basis of one random combination of the
     generators, which fails only for a defective family.  Commuting
@@ -465,10 +465,6 @@ def _commuting_block_logs(generators: dict):
     so they are block-conformal in that basis, but a block at the
     tolerance of an ill-conditioned basis cannot be read."""
     mats = list(generators.values())
-    scale = max(1.0, max(float(np.abs(M).max()) for M in mats))
-    for M, N in itertools.combinations(mats, 2):
-        if np.abs(M @ N - N @ M).max() > 1e-9 * scale**2:
-            return None
     rng = np.random.default_rng(0)
     combo = sum(float(c) * M for c, M in zip(rng.normal(size=len(mats)), mats))
     try:
@@ -488,8 +484,8 @@ def _commuting_block_logs(generators: dict):
 
 def closed_form_oracle(A: CocycleSpec, mu: MarkovMeasure):
     """Exact frequency-weighted spectrum for generators that are
-    simultaneously triangular or block-conformal (standard axes or any
-    shared basis for commuting families).
+    simultaneously triangular, or commuting and block-conformal (on the
+    standard axes or in a shared basis).
 
     Only locally constant cocycles qualify (bump factors shift log moduli
     pointwise and have no finite closed form)."""
@@ -508,6 +504,13 @@ def closed_form_oracle(A: CocycleSpec, mu: MarkovMeasure):
                 per += f * np.log(np.abs(np.diag(A.generator[w])))
             return np.sort(per)[::-1]
 
+    # per-block logs add up along a path only for commuting generators,
+    # whether their blocks sit on the standard axes or in a shared basis
+    mats = list(A.generator.values())
+    scale = max(1.0, max(float(np.abs(M).max()) for M in mats))
+    if any(np.abs(M @ N - N @ M).max() > 1e-9 * scale**2
+           for M, N in itertools.combinations(mats, 2)):
+        raise ValueError("generators are not simultaneously block-diagonal")
     blocks = {w: _conformal_blocks(A.generator[w]) for w in A.generator}
     if any(b is None for b in blocks.values()):
         blocks = _commuting_block_logs(A.generator)

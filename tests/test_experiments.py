@@ -496,8 +496,11 @@ def commuting_pair_and_axis(W, angle, radius, scalar):
 
 R04 = np.array(rotation_block(0.4, 1.0))
 W3 = np.array([[1.0, 0.4, 0.3], [0.2, 1.0, -0.5], [0.1, 0.3, 1.0]])
-# commuting E1 generators whose closed-form oracle declines
+# E1 generators whose closed-form oracle declines
 NO_ORACLE_MEMBERS = {
+    # block-conformal on the standard axes one by one, but not commuting
+    "non-commuting": lambda: {"0": np.array(rotation_block(0.7, 1.5)),
+                              "1": np.diag([3.0, 0.25])},
     # one shared Jordan block: no real block-diagonal basis
     "jordan": lambda: {"0": R04 @ [[2.0, 1.0], [0.0, 2.0]] @ R04.T,
                        "1": R04 @ [[0.5, 0.3], [0.0, 0.5]] @ R04.T},
@@ -939,9 +942,6 @@ UNRUN_BLOCKS = {
     ("linalg.py", "moduli_separation_perturb", 'if kind == "unit_pair":'): ITEM5_UNIT,
     ("linalg.py", "symplectic_diagonalize", "if real[i]:"): ITEM5,
     ("linalg.py", "symplectic_diagonalize", "elif abs(mod - 1.0) <= match_tol:"): ITEM5,
-    ("linalg.py", "symplectic_diagonalize", 'if kind == "real_pair":'): ITEM5,
-    ("linalg.py", "symplectic_diagonalize", 'elif kind == "unit_pair":'): ITEM5,
-    ("linalg.py", "symplectic_diagonalize", 'if b.kind == "unit_pair":'): ITEM5,
     ("cocycles.py", "direction_for", None): ITEM4,
     ("cocycles.py", "_bump_factors", "elif lam[j].imag == 0:"): ITEM4,
     ("cocycles.py", "_factor_gap", "if i:"): ITEM4,
@@ -963,14 +963,17 @@ def parsed_module(path):
 
 def block_lines(path, function, header):
     """Lines of a function, or of its statement whose first line reads
-    header: the body of a compound statement, a simple one whole."""
+    header: the body of a compound statement, a simple one whole; none when
+    no such statement is left."""
     tree, lines = parsed_module(path)
     fn = next(n for n in ast.walk(tree)
               if isinstance(n, ast.FunctionDef) and n.name == function)
     if header is None:
         return set(range(fn.lineno, fn.end_lineno + 1))
-    node = next(n for n in ast.walk(fn)
-                if isinstance(n, ast.stmt) and lines[n.lineno - 1].strip() == header)
+    node = next((n for n in ast.walk(fn)
+                 if isinstance(n, ast.stmt) and lines[n.lineno - 1].strip() == header), None)
+    if node is None:
+        return set()
     body = getattr(node, "body", [node])
     return set(range(body[0].lineno, body[-1].end_lineno + 1))
 

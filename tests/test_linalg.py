@@ -52,6 +52,16 @@ def random_symplectic4(rng):
     return la.paired_rotation(theta, 1, 2, 2) @ shear @ scal
 
 
+# (lam, n, seed) of repeated_real_case; at the seeds other than 3, eig
+# returns the repeated eigenvalues as conjugate pairs 1e-18 to 2e-16 off
+# the real axis, whose eigenvectors' real parts span less than the eigenspace
+REPEATED_REAL_CASES = [
+    pytest.param(2.0, 2, 3, id="2"), pytest.param(2.0, 3, 3, id="3"),
+    pytest.param(2.0, 2, 0, id="2-seed0"), pytest.param(2.0, 2, 8, id="2-seed8"),
+    pytest.param(3.0, 3, 6, id="3-lam3-seed6"), pytest.param(3.0, 3, 33, id="3-lam3-seed33"),
+]
+
+
 def block_moduli(form):
     """The distinct eigenvalue moduli of every block of a symplectic block
     form, rounded to 12 digits, all blocks together in decreasing order."""
@@ -166,15 +176,15 @@ class TestSymplecticDiagonalize:
         assert la.is_symplectic(form.P)
         assert np.allclose(np.linalg.solve(form.P, M @ form.P), M, atol=1e-12)
 
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_repeated_real_eigenspaces_paired_exactly(self, n):
-        # diag(2, .., 2, 1/2, .., 1/2) in a basis whose eigenvectors do not
-        # pair one to one
-        M = repeated_real_case(n)
+    @pytest.mark.parametrize("lam, n, seed", REPEATED_REAL_CASES)
+    def test_repeated_real_eigenspaces_paired_exactly(self, lam, n, seed):
+        # diag(lam, .., lam, 1/lam, .., 1/lam) in a basis whose eigenvectors
+        # do not pair one to one
+        M = repeated_real_case(lam, n, seed)
         form = la.symplectic_diagonalize(M)
         assert [b.kind for b in form.blocks] == ["real_pair"] * n
         assert la.is_symplectic(form.P)
-        want = np.diag([2.0] * n + [0.5] * n)
+        want = np.diag([lam] * n + [1.0 / lam] * n)
         assert np.allclose(np.linalg.solve(form.P, M @ form.P), want, atol=1e-12)
 
     @pytest.mark.parametrize("lam", [1.0, -1.0])
@@ -388,9 +398,9 @@ class TestModuliSeparation:
         rec = la.sorted_spectrum(out)
         assert rec.all_real() and rec.min_relative_gap() > 1e-9
 
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_symplectic_repeated_real_conjugated_separated(self, n):
-        M = repeated_real_case(n)
+    @pytest.mark.parametrize("lam, n, seed", REPEATED_REAL_CASES)
+    def test_symplectic_repeated_real_conjugated_separated(self, lam, n, seed):
+        M = repeated_real_case(lam, n, seed)
         out = la.moduli_separation_perturb(M, 0.05, constraint="symplectic")
         assert la.is_symplectic(out)
         assert np.linalg.norm(out - M, 2) <= 0.05
@@ -442,10 +452,10 @@ def symplectic_separation_case(kind):
     return symplectic_conjugate(M), kind.removesuffix("_snap")
 
 
-def repeated_real_case(n):
-    """diag(2, .., 2, 1/2, .., 1/2) of size 2n in the basis of
-    symplectic_conjugate."""
-    return symplectic_conjugate(np.diag([2.0] * n + [0.5] * n))
+def repeated_real_case(lam, n, seed):
+    """diag(lam, .., lam, 1/lam, .., 1/lam) of size 2n in the basis of
+    symplectic_conjugate at seed."""
+    return symplectic_conjugate(np.diag([lam] * n + [1.0 / lam] * n), seed)
 
 
 def unit_real_case(lam):
@@ -454,10 +464,10 @@ def unit_real_case(lam):
     return symplectic_conjugate(np.diag([lam, lam, 2.0, lam, lam, 0.5]))
 
 
-def symplectic_conjugate(M):
-    """M conjugated by a fixed symplectic basis change."""
+def symplectic_conjugate(M, seed=3):
+    """M conjugated by a symplectic basis change drawn from seed."""
     n = len(M) // 2
-    rng = np.random.default_rng(3)
+    rng = np.random.default_rng(seed)
     A = np.eye(n) + 0.3 * rng.normal(size=(n, n))
     sym = rng.normal(size=(n, n))
     shear = np.block([[np.eye(n), 0.3 * (sym + sym.T)], [np.zeros((n, n)), np.eye(n)]])

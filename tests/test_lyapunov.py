@@ -173,6 +173,15 @@ class TestClosedFormOracle:
         with pytest.raises(ValueError, match="simultaneously"):
             ly.closed_form_oracle(A, mu)
 
+    def test_non_commuting_standard_axes_rejected(self):
+        # each generator is block-conformal on the standard axes, but the
+        # rotation block and the diagonal do not commute, so per-axis logs
+        # do not add up along a path
+        A = lc(FULL2, 1.5 * rot(0.7), np.diag([3.0, 0.25]))
+        mu = sh.parry_measure(FULL2)
+        with pytest.raises(ValueError, match="not simultaneously block-diagonal"):
+            ly.closed_form_oracle(A, mu)
+
     def test_shared_nonstandard_basis(self):
         S = np.array([[1.0, 1.0], [0.5, -1.0]])
         Sinv = np.linalg.inv(S)
