@@ -671,16 +671,19 @@ def pinching_check(A: CocycleSpec, p: SymbolicPoint) -> bool:
     return _pinched(periodic_eigendata(A, p)[1])
 
 
-def _normalized_eigenbasis(M: np.ndarray, rec: la.SpectrumRecord) -> np.ndarray:
-    """Real eigenbasis ordered by decreasing modulus, unit length, first
-    nonzero coordinate positive.  Requires a real simple spectrum."""
-    if not rec.all_real():
-        raise ValueError("return matrix has non-real spectrum")
+def _normalized_eigenbasis(M: np.ndarray) -> np.ndarray | None:
+    """Real eigenbasis of la._eigenspaces ordered by decreasing modulus,
+    unit length, first nonzero coordinate positive; None unless M is
+    semisimple with real eigenvalues more than CLUSTER_TOL apart."""
+    try:
+        spaces = sorted(la._eigenspaces(M), key=lambda sp: -abs(sp[0]))
+    except la.DegenerateSpectrumError:
+        spaces = []
+    if len(spaces) < M.shape[0]:
+        return None
     cols = []
-    for lam in rec.eigenvalues.real:
-        B = M - lam * np.eye(M.shape[0])
-        _, _, vh = np.linalg.svd(B)
-        v = vh[-1]
+    for _, V in spaces:
+        v = V[:, 0]
         v = v / np.linalg.norm(v)
         nz = np.argmax(np.abs(v) > 1e-10)
         if v[nz] < 0:
@@ -702,13 +705,16 @@ class SimplicityReport:
 
 def simplicity_check(A: CocycleSpec, p_word, bridge) -> SimplicityReport:
     """Pinching at the periodic word plus twisting of the bridge transition,
-    the two halves of the simplicity criterion for the periodic pair."""
+    the two halves of the simplicity criterion for the periodic pair.
+    Pinching also needs the eigenbasis twisting is read in: a return matrix
+    whose eigenvalues cluster (la.CLUSTER_TOL), or a defective one, is not
+    pinched."""
     p = periodic_point(A.base, p_word)
     z, N = homoclinic_point(A.base, parse_word(p_word), parse_word(bridge))
     M, rec = periodic_eigendata(A, p)
-    if not _pinched(rec):
+    Q = _normalized_eigenbasis(M) if _pinched(rec) else None
+    if Q is None:
         return SimplicityReport(False, False, False, None)
-    Q = _normalized_eigenbasis(M, rec)
     psi_eig = np.linalg.solve(Q, psi_transition(A, p, z, N) @ Q)
     ok, _ = la.twisting_check(psi_eig)
     return SimplicityReport(pinching=True, twisting=ok, verdict=ok, psi=psi_eig)
@@ -777,10 +783,8 @@ def rotation_perturb_family(A: CocycleSpec, p_word, theta0: float) -> RotationFa
     lam = pairs[0]
     symplectic = all(la.is_symplectic(G) for G in A.generator.values())
     W, blocks = la._adapted_blocks(M, symplectic)
-    cols = [e + f for _, e, f, mu in blocks if abs(mu - lam) < 1e-8 * max(1.0, abs(lam))]
-    if not cols:
-        raise ArithmeticError("could not locate the conformal block")
-    planes = tuple(cols[0][k:k + 2] for k in range(0, len(cols[0]), 2))
+    _, e, f, _ = min(blocks, key=lambda b: abs(b[3] - lam))
+    planes = tuple((e + f)[k:k + 2] for k in range(0, len(e + f), 2))
     # the off-diagonal entry of the return block on its first plane carries
     # the sign of Im(lam)
     off = np.linalg.solve(W, M @ W)[planes[0]]

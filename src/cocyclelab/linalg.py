@@ -21,8 +21,13 @@ SYMPLECTIC_TOL = 1e-8
 REALIFY_TOL = 1e-5
 # Relative floor below which a wedge coefficient counts as a twisting failure.
 TWISTING_TOL = 1e-10
-# |det M| below this (relative to norm^d) means M is unusable as a cocycle value.
+# A smallest singular value below this times the largest means M is unusable
+# as a cocycle value.
 INVERTIBILITY_TOL = 1e-12
+# Relative distance within which eigenvalues are one: real ones join one
+# cluster, and so do complex ones with Im > 0; a reciprocal or conjugate
+# partner matches its target within this times max(1, |target|).
+CLUSTER_TOL = 1e-6
 
 
 class DegenerateSpectrumError(ValueError):
@@ -37,12 +42,18 @@ def _as_matrix(M) -> np.ndarray:
 
 
 def check_invertible(M) -> np.ndarray:
-    """Return M as an array, raising if it is singular at working precision."""
+    """Return M as an array, raising if it is singular at working precision:
+    its smallest singular value at most INVERTIBILITY_TOL times its largest."""
     M = _as_matrix(M)
-    scale = max(1.0, float(np.linalg.norm(M))) ** M.shape[0]
-    if abs(float(np.linalg.det(M))) <= INVERTIBILITY_TOL * scale:
+    s = np.linalg.svd(M, compute_uv=False)
+    if s[-1] <= INVERTIBILITY_TOL * s[0]:
         raise ValueError("non-invertible cocycle value")
     return M
+
+
+def _is_real(eig) -> np.ndarray:
+    """Whether each eigenvalue counts as real: |Im| <= REAL_TOL max(1, |lam|)."""
+    return np.abs(eig.imag) <= REAL_TOL * np.maximum(1.0, np.abs(eig))
 
 
 @dataclass
@@ -83,7 +94,7 @@ def sorted_spectrum(M) -> SpectrumRecord:
     M = check_invertible(M)
     eig = np.linalg.eigvals(M)
     mod = np.abs(eig)
-    real = np.abs(eig.imag) <= REAL_TOL * np.maximum(1.0, mod)
+    real = _is_real(eig)
     # abs(arg) lands complex-conjugate partners on the same key; the final
     # -imag component orders the pair itself.
     keys = sorted(
@@ -105,6 +116,44 @@ def sorted_spectrum(M) -> SpectrumRecord:
         moduli_gaps=mod[:-1] - mod[1:],
         is_real=real,
     )
+
+
+def _eigenspaces(M) -> list:
+    """Real invariant subspaces of M, one (lam, V) per eigenvalue cluster, in
+    the order np.linalg.eig lists each cluster's first member.
+
+    Realness is sorted_spectrum's test (_is_real).  Real eigenvalues within
+    CLUSTER_TOL, relatively, of a cluster's first member join it, and lam is
+    their mean.  A complex eigenvalue pairs with its conjugate, and the
+    Im > 0 members within CLUSTER_TOL form one class, lam the first.  V
+    spans the null space of M - lam from one SVD, by (Re v, Im v) of each
+    null vector v for a class; the null space must have one dimension per
+    member, or M is defective and DegenerateSpectrumError is raised.  A class
+    of one pair takes (Re v, Im v) of its Im > 0 eig vector v instead.
+    """
+    M = _as_matrix(M)
+    d = M.shape[0]
+    eig, vec = np.linalg.eig(M)
+    real, ev = _is_real(eig).tolist(), eig.tolist()
+    left = [i for i in range(d) if real[i] or ev[i].imag > 0]
+    spaces = []
+    while left:
+        i = left[0]
+        members = [j for j in left
+                   if real[j] == real[i] and abs(ev[j] - ev[i]) <= CLUSTER_TOL * abs(ev[i])]
+        left = [j for j in left if j not in members]
+        k = len(members)
+        lam = sum(ev[j].real for j in members) / k if real[i] else ev[i]
+        if real[i] or k > 1:
+            _, s, vh = np.linalg.svd(M - lam * np.eye(d))
+            if s[d - k] > CLUSTER_TOL * max(1.0, abs(lam), s[0]):
+                raise DegenerateSpectrumError("non-diagonalizable input")
+            vs = vh[d - k:].conj()
+        else:
+            vs = vec[:, i:i + 1].T
+        spaces.append((lam, np.column_stack(
+            [v.real for v in vs] if real[i] else [p for v in vs for p in (v.real, v.imag)])))
+    return spaces
 
 
 # ---------------------------------------------------------------------------
@@ -153,32 +202,21 @@ class SymplecticBlockForm:
     blocks: list = field(default_factory=list)
 
 
-def _eig_partner(values, i, target, used, tol):
-    """Index j (not used, != i) with values[j] closest to target, or None."""
-    best, best_err = None, tol
-    for j in range(len(values)):
-        if j == i or j in used:
-            continue
-        err = abs(values[j] - target) / max(1.0, abs(target))
-        if err < best_err:
-            best, best_err = j, err
-    return best
-
-
 def symplectic_diagonalize(M) -> SymplecticBlockForm:
     """Real block diagonalization of a matrix preserving the standard
     symplectic form by a symplectic basis.
 
-    One pass over the eigenvalues in decreasing modulus groups them into
-    {lam, 1/lam} eigenspace pairs and {lam, conj, 1/lam, 1/conj}
-    quadruples, and places each group at the next free slots of a
+    One pass over the clusters of _eigenspaces in decreasing modulus groups
+    them into {lam, 1/lam} eigenspace pairs and {lam, conj, 1/lam, 1/conj}
+    quadruples, each cluster with the one at 1/conj(lam) (its own on the
+    unit circle), and places each group at the next free slots of a
     symplectic basis in which M acts by 1x1 entries or 2x2 conformal
-    blocks.  A real lam takes the null vectors of M - lam and, unless
-    lam = +-1, of M - 1/lam, and one symplectic Gram-Schmidt pairs them, so
-    a repeated real eigenvalue gives one pair per eigenvector.  The two
-    members of a conjugate pair are distinct however close they lie.
-    Raises on non-symplectic input, a repeated complex eigenvalue, or
-    defective (non-semisimple) input.
+    blocks.  A real lam's null vectors, with those of 1/lam unless
+    lam = +-1, are paired by one symplectic Gram-Schmidt, so a repeated real
+    eigenvalue gives one pair per eigenvector.  The two members of a
+    conjugate pair are distinct however close they lie.  Raises on
+    non-symplectic input, a repeated complex eigenvalue, or defective
+    (non-semisimple) input.
     """
     M = _as_matrix(M)
     if M.shape[0] % 2:
@@ -188,40 +226,28 @@ def symplectic_diagonalize(M) -> SymplecticBlockForm:
     if not is_symplectic(M):
         raise ValueError("matrix does not preserve the symplectic form")
 
-    eig, vec = np.linalg.eig(M)
-    if np.linalg.cond(vec) > 1e8:
-        raise DegenerateSpectrumError("non-diagonalizable input")
-    real = np.abs(eig.imag) <= REAL_TOL * np.maximum(1.0, np.abs(eig))
-    for i in range(len(eig)):
-        for j in range(i + 1, len(eig)):
-            if (not real[i] and eig[j] != np.conj(eig[i])
-                    and abs(eig[i] - eig[j]) <= 1e-8 * max(1.0, abs(eig[i]))):
-                raise DegenerateSpectrumError("repeated complex eigenvalue")
-
-    match_tol = 1e-6
+    spaces = sorted(_eigenspaces(M), key=lambda sp: (-abs(sp[0]), -sp[0].imag))
+    if any(np.iscomplexobj(lam) and V.shape[1] > 2 for lam, V in spaces):
+        raise DegenerateSpectrumError("repeated complex eigenvalue")
     used = set()
     # P's columns e and f, the blocks, and each unit pair's plane e + f
     e_cols, f_cols, blocks, unit_planes = [], [], [], []
-    order = sorted(range(2 * n), key=lambda i: (-abs(eig[i]), -eig[i].imag))
-    for i in order:
-        if i in used:
+    for a, (lam, V) in enumerate(spaces):
+        if a in used:
             continue
-        lam = eig[i]
-        mod = abs(lam)
+        t = 1.0 / np.conj(lam)
+        b = next((b for b, (mu, _) in enumerate(spaces)
+                  if b not in used and abs(mu - t) <= CLUSTER_TOL * max(1.0, abs(t))), None)
+        if b is None:
+            raise DegenerateSpectrumError("eigenvalue without reciprocal partner")
+        used.update((a, b))
+        mu, U = spaces[b]
         slot = len(e_cols)
-        if real[i]:
-            # the lam and 1/lam eigenspaces (on +-1 one eigenspace), spanned
-            # by the null vectors of M - lam and M - 1/lam (eig may return a
-            # repeated real eigenvalue as tiny conjugate pairs, whose real
-            # parts span less), paired by a symplectic Gram-Schmidt: each
-            # vector left takes the one it pairs with most strongly, from
-            # the other eigenspace off +-1, and the rest lose their
+        if not np.iscomplexobj(lam):
+            # each vector left takes the one it pairs with most strongly,
+            # from the other eigenspace off +-1, and the rest lose their
             # pairings with both
-            es, fs = ([k for k in order if k not in used and real[k]
-                       and abs(eig[k].real * t - 1.0) <= match_tol]
-                      for t in (1.0 / lam.real, lam.real))
-            W = [y for t, ks in ((lam.real, es), (1.0 / lam.real, set(fs) - set(es)))
-                 for y in np.linalg.svd(M - t * np.eye(2 * n))[2][2 * n - len(ks):]]
+            W = list(V.T) + (list(U.T) if b != a else [])
             while len(W) > 1:
                 u = W.pop(0)
                 v = W.pop(int(np.argmax([abs(u @ omega @ y) for y in W])))
@@ -234,15 +260,10 @@ def symplectic_diagonalize(M) -> SymplecticBlockForm:
                 f_cols.append(v)
             if W:
                 raise DegenerateSpectrumError("eigenvalue without reciprocal partner")
-            used.update(es + fs)
-            blocks += [SymplecticBlock("real_pair", (lam.real, eig[fs[0]].real), (k,), (n + k,))
+            blocks += [SymplecticBlock("real_pair", (lam, mu), (k,), (n + k,))
                        for k in range(slot, len(e_cols))]
-        elif abs(mod - 1.0) <= match_tol:
-            j = _eig_partner(eig, i, np.conj(lam), used, match_tol)
-            if j is None:
-                raise DegenerateSpectrumError("conjugate eigenvalue missing")
-            used.update((i, j))
-            x, y = vec[:, i].real, vec[:, i].imag
+        elif b == a:
+            x, y = V.T
             c = float(x @ omega @ y)
             if abs(c) < 1e-12:
                 raise DegenerateSpectrumError("isotropic eigenvector pairing")
@@ -254,15 +275,8 @@ def symplectic_diagonalize(M) -> SymplecticBlockForm:
             blocks.append(SymplecticBlock("unit_pair", (lam, np.conj(lam)), (slot,), (n + slot,)))
             unit_planes.append((slot, n + slot))
         else:
-            jc = _eig_partner(eig, i, np.conj(lam), used, match_tol)
-            ji = _eig_partner(eig, i, 1.0 / lam, used | ({jc} if jc is not None else set()), match_tol)
-            if jc is None or ji is None:
-                raise DegenerateSpectrumError("incomplete eigenvalue quadruple")
-            jci = _eig_partner(eig, i, np.conj(1.0 / lam), used | {jc, ji}, match_tol)
-            if jci is None:
-                raise DegenerateSpectrumError("incomplete eigenvalue quadruple")
-            used.update((i, jc, ji, jci))
-            v, w = vec[:, i], vec[:, ji]
+            # the eig vectors of lam and 1/lam, the conjugate of mu's
+            v, w = V.view(complex)[:, 0], U.view(complex)[:, 0].conj()
             c = complex(v @ omega @ w) / 2.0
             r, phi = abs(c), np.angle(c)
             if r < 1e-12:
@@ -272,7 +286,7 @@ def symplectic_diagonalize(M) -> SymplecticBlockForm:
             e_cols += [v.real, v.imag]
             f_cols += [(np.cos(phi) * w.real + np.sin(phi) * w.imag) / r,
                        (np.sin(phi) * w.real - np.cos(phi) * w.imag) / r]
-            blocks.append(SymplecticBlock("quad", (lam, np.conj(lam), eig[ji], np.conj(eig[ji])),
+            blocks.append(SymplecticBlock("quad", (lam, np.conj(lam), np.conj(mu), mu),
                                           (slot, slot + 1), (n + slot, n + slot + 1)))
 
     P = np.column_stack(e_cols + f_cols)
@@ -441,70 +455,23 @@ def twisting_witness(n: int) -> np.ndarray:
 # moduli separation
 # ---------------------------------------------------------------------------
 
-def _conjugate_classes(eig):
-    """Group eigenvalue indices into real singletons and conjugate pairs."""
-    classes = []
-    used = set()
-    for i in range(len(eig)):
-        if i in used:
-            continue
-        lam = eig[i]
-        if abs(lam.imag) <= REAL_TOL * max(1.0, abs(lam)):
-            classes.append([i])
-            used.add(i)
-        else:
-            j = _eig_partner(eig, i, np.conj(lam), used, 1e-6)
-            if j is None:
-                raise DegenerateSpectrumError("unpaired complex eigenvalue")
-            classes.append([i, j] if eig[i].imag > 0 else [j, i])
-            used.update((i, j))
-    return classes
-
-
-def _real_jordan_basis(M):
-    """Real basis W and class descriptors for a semisimple real matrix.
-
-    Descriptors are ('real', col, lam) or ('pair', col, lam) where a pair
-    occupies columns (col, col+1) = (Re v, Im v) of the Im>0 eigenvector and
-    M acts there by [[a, b], [-b, a]] with lam = a + bi.
-    """
-    M = _as_matrix(M)
-    eig, vec = np.linalg.eig(M)
-    if np.linalg.cond(vec) > 1e8:
-        raise ValueError("non-diagonalizable input")
-    classes = _conjugate_classes(eig)
-    cols, blocks, pos = [], [], 0
-    for c in classes:
-        if len(c) == 1:
-            v = vec[:, c[0]]
-            vr = v.real if np.linalg.norm(v.real) >= np.linalg.norm(v.imag) else v.imag
-            cols.append(vr / np.linalg.norm(vr))
-            blocks.append(("real", pos, float(eig[c[0]].real)))
-            pos += 1
-        else:
-            v = vec[:, c[0]]
-            x, y = v.real.copy(), v.imag.copy()
-            cols.append(x)
-            cols.append(y)
-            blocks.append(("pair", pos, complex(eig[c[0]])))
-            pos += 2
-    W = np.column_stack(cols)
-    if np.linalg.cond(W) > 1e8:
-        raise ValueError("non-diagonalizable input")
-    return W, blocks
-
-
 def _adapted_blocks(M, symplectic: bool):
-    """Basis W of M, the real Jordan one or that of symplectic_diagonalize,
+    """Basis W of M, that of _eigenspaces or that of symplectic_diagonalize,
     and its blocks (kind, e, f, lam): M acts on the W-columns e by lam and on
-    the columns f by the inverse transpose of that (a unit pair on e + f)."""
+    the columns f by the inverse transpose of that (a unit pair on e + f).
+    Each real eigenvector and each (Re v, Im v) plane is one block."""
     if symplectic:
         form = symplectic_diagonalize(M)
         blocks = [(b.kind, b.e_slots, b.f_slots, b.eigenvalues[0]) for b in form.blocks]
         return form.P, blocks
-    W, jordan = _real_jordan_basis(M)
-    return W, [(kind, (pos,) if kind == "real" else (pos, pos + 1), (), lam)
-               for kind, pos, lam in jordan]
+    spaces = _eigenspaces(M)
+    blocks, pos = [], 0
+    for lam, V in spaces:
+        w = 2 if np.iscomplexobj(lam) else 1
+        blocks += [("pair" if w == 2 else "real", tuple(range(k, k + w)), (), lam)
+                   for k in range(pos, pos + V.shape[1], w)]
+        pos += V.shape[1]
+    return np.column_stack([V for _, V in spaces]), blocks
 
 
 def _gaps_ok_outside_pairs(rec: SpectrumRecord) -> bool:
@@ -516,7 +483,7 @@ def _gaps_ok_outside_pairs(rec: SpectrumRecord) -> bool:
             continue
         if rec.is_real[i] or rec.is_real[i + 1]:
             return False
-        if abs(eig[i] - np.conj(eig[i + 1])) > 1e-6 * max(1.0, abs(eig[i])):
+        if abs(eig[i] - np.conj(eig[i + 1])) > CLUSTER_TOL * max(1.0, abs(eig[i])):
             return False
     return True
 
@@ -534,34 +501,30 @@ def moduli_separation_perturb(
 ):
     """Perturb M within eps so eigenvalue moduli become pairwise distinct.
 
-    M is read in blocks of a basis adapted to the constraint: its real
-    Jordan basis, or for 'symplectic' the basis of symplectic_diagonalize.
+    M is read in blocks of a basis adapted to the constraint: that of
+    _eigenspaces, or for 'symplectic' the basis of symplectic_diagonalize.
     Each block is scaled by its own factor.  Conjugate pairs keep equal
     moduli with each other, except that a pair whose argument is within
     realify_tol of 0 or pi is snapped to a real pair with slightly distinct
     moduli.  Under the symplectic constraint each e-side block sets its
     f-side partner to its inverse transpose, and a unit pair on its
     (e_i, f_i) plane keeps its rotation or snaps to diag(tm, 1/(tm)).
-    Returns M unchanged when all class moduli already differ by more than
-    1e-6 relatively and no pair needs snapping.
+    Returns M unchanged when the moduli of the blocks of _eigenspaces
+    already differ by more than CLUSTER_TOL relatively and no pair needs
+    snapping.
     """
     M = _as_matrix(M)
     if constraint not in ("none", "symplectic"):
         raise ValueError(f"unknown constraint {constraint!r}")
-    eig = np.linalg.eigvals(M)
-    classes = _conjugate_classes(eig)
-    near_real = [
-        len(c) == 2 and _is_near_real_pair(eig[c[0]], realify_tol) for c in classes
-    ]
-    mods = sorted((abs(eig[c[0]]) for c in classes), reverse=True)
-    scale = max(mods)
-    separated = all(
-        mods[a] - mods[a + 1] > 1e-6 * scale for a in range(len(mods) - 1)
-    )
-    if separated and not any(near_real):
+    W, blocks = _adapted_blocks(M, False)
+    lams = [lam for *_, lam in blocks]
+    mods = sorted(map(abs, lams), reverse=True)
+    separated = all(mods[a] - mods[a + 1] > CLUSTER_TOL * mods[0] for a in range(len(mods) - 1))
+    if separated and not any(np.iscomplexobj(lam) and _is_near_real_pair(lam, realify_tol)
+                             for lam in lams):
         return M
-
-    W, blocks = _adapted_blocks(M, constraint == "symplectic")
+    if constraint == "symplectic":
+        W, blocks = _adapted_blocks(M, True)
     Winv = np.linalg.inv(W)
     # the two members of a symplectic block on +-1 (an identity block, or a
     # unit pair snapped to the real axis) coincide at factor 1

@@ -459,8 +459,8 @@ def _commuting_block_logs(generators: dict):
     """Per-word log moduli after a shared real block-diagonalizing change of
     basis, for a pairwise commuting generator family; None if unavailable.
 
-    The basis is the real Jordan basis of one random combination of the
-    generators, which fails only for a defective family.  Commuting
+    The basis is that of linalg._eigenspaces for one random combination of
+    the generators, which fails only for a defective family.  Commuting
     generators are polynomials in a combination with distinct eigenvalues,
     so they are block-conformal in that basis, but a block at the
     tolerance of an ill-conditioned basis cannot be read."""
@@ -468,7 +468,7 @@ def _commuting_block_logs(generators: dict):
     rng = np.random.default_rng(0)
     combo = sum(float(c) * M for c, M in zip(rng.normal(size=len(mats)), mats))
     try:
-        W, _ = la._real_jordan_basis(combo)
+        W, _ = la._adapted_blocks(combo, False)
     except (ValueError, np.linalg.LinAlgError):
         return None
     Winv = np.linalg.inv(W)

@@ -263,10 +263,8 @@ def circle_cocycle(A: CocycleSpec, sys: SuspensionSystem, p: SymbolicPoint,
     pairs = la.sorted_spectrum(M).complex_pairs
     if not pairs:
         raise ValueError("return matrix has real spectrum: no complex pair to track")
-    lam = pairs[0]
-    eig, vec = np.linalg.eig(M)
-    v = vec[:, int(np.argmin(np.abs(eig - lam)))]
-    Q, _ = np.linalg.qr(np.column_stack([v.real, v.imag]))
+    V = min(la._eigenspaces(M), key=lambda sp: abs(sp[0] - pairs[0]))[1]
+    Q, _ = np.linalg.qr(V[:, :2])
     frames = [Q]
     factors = []
     for k in range(ell):

@@ -274,8 +274,8 @@ def homoclinic_point(spec: SftSpec, p_word, bridge):
     """Point equal to p-tails on both sides with bridge inserted at [0, |bridge|).
 
     Returns (z, exit_time) where exit_time is |bridge| rounded up to a
-    multiple of |p_word|; shift(z, exit_time) lies in the local stable set
-    of a point on the p-orbit.
+    multiple of |p_word|; shift(z, exit_time) must agree with the periodic
+    point of p_word on all i >= 0, or the bridge is rejected as misaligned.
     """
     p = parse_word(p_word)
     b = parse_word(bridge)
@@ -294,6 +294,9 @@ def homoclinic_point(spec: SftSpec, p_word, bridge):
     if any(z == orbit.shift(k) for k in range(len(p))):
         raise ValueError("bridge reproduces the periodic orbit")
     exit_time = math.ceil(len(b) / len(p)) * len(p)
+    B, same = z.shift(exit_time).agreement(orbit)
+    if not same[0, : B + 1].all():
+        raise ValueError("misaligned exit time")
     return z, exit_time
 
 

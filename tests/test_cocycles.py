@@ -1,5 +1,6 @@
 """Cocycle evaluation, domination, holonomies, transitions, perturbations."""
 import importlib.util
+import json
 import math
 from decimal import Decimal, localcontext
 from pathlib import Path
@@ -1117,9 +1118,11 @@ class TestPsiTransition:
         gen = {"0": D2, "1": SHEAR}
         A = cc.CocycleSpec(GOLDEN, 1, gen)
         p = sh.periodic_point(GOLDEN, "01")
-        z, N = sh.homoclinic_point(GOLDEN, "01", "0")
+        # homoclinic_point rejects this bridge itself; psi_transition guards
+        # a point built by hand
+        z = sh.make_point("01", "0", "01")
         with pytest.raises(ValueError, match="misaligned exit time"):
-            cc.psi_transition(A, p, z, N)
+            cc.psi_transition(A, p, z, 2)
 
     def test_window_two_matches_brute_force(self):
         gen = {"00": D2, "01": SHEAR, "10": POS}
@@ -1229,6 +1232,62 @@ class TestSimplicity:
         assert np.allclose(rb.psi * rb.psi.T, ra.psi * ra.psi.T, atol=1e-10)
 
 
+def svd_eigenbasis(M):
+    """The twisting basis by each eigenvalue's own SVD: for each lam of
+    sorted_spectrum, the null vector of M - lam, unit length, first nonzero
+    coordinate positive."""
+    cols = []
+    for lam in la.sorted_spectrum(M).eigenvalues.real:
+        v = np.linalg.svd(M - lam * np.eye(M.shape[0]))[2][-1]
+        v = v / np.linalg.norm(v)
+        nz = np.argmax(np.abs(v) > 1e-10)
+        cols.append(-v if v[nz] < 0 else v)
+    return np.column_stack(cols)
+
+
+class TestEigenbasisSamePath:
+    """The twisting basis read from la._eigenspaces keeps the bits of one
+    SVD null vector per eigenvalue."""
+
+    def test_e1_members(self):
+        from cocyclelab.experiments import config as cfgmod
+        cfg = json.loads((Path(cfgmod.__file__).parent / "configs" / "e1.json").read_text())
+        spec = cfgmod.build_base(cfg["base"])
+        compared = set()
+        for m in cfg["suite"] + [cfg["control"], cfg["informative"]]:
+            A = cfgmod.build_cocycle(spec, m["cocycle"])
+            for word in (m["p_word"], "01", "011"):
+                M, rec = cc.periodic_eigendata(A, sh.periodic_point(spec, word))
+                if cc._pinched(rec):
+                    assert np.array_equal(cc._normalized_eigenbasis(M), svd_eigenbasis(M))
+                    compared.add((m["name"], word))
+        assert {(m["name"], m["p_word"]) for m in cfg["suite"]} <= compared
+        assert len(compared) == 11
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_random_real_spectra(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(50):
+            lams = rng.uniform(0.2, 3.0, size=d) * rng.choice([-1.0, 1.0], size=d)
+            S = rng.normal(size=(d, d))
+            M = S @ np.diag(lams) @ np.linalg.inv(S)
+            rec = la.sorted_spectrum(M)
+            if cc._pinched(rec) and rec.min_relative_gap() > 10 * la.CLUSTER_TOL:
+                assert np.array_equal(cc._normalized_eigenbasis(M), svd_eigenbasis(M))
+
+    @pytest.mark.parametrize("g", [
+        np.diag([2.0, 2.0 * (1 + 1e-7)]),
+        rot(0.4) @ np.array([[2.0, 1.0], [0.0, 2.0]]) @ rot(0.4).T,
+    ], ids=["cluster", "jordan"])
+    def test_no_basis_within_the_cluster_tolerance(self, g):
+        # gaps of 1e-7 and, from eig's split of a Jordan block, 1e-8 pass the
+        # pinching gap, but one cluster has no eigenbasis: not pinched
+        assert cc._pinched(la.sorted_spectrum(g))
+        assert cc._normalized_eigenbasis(g) is None
+        rep = cc.simplicity_check(lc(FULL2, g, POS), "0", "1")
+        assert (rep.pinching, rep.twisting, rep.verdict, rep.psi) == (False, False, False, None)
+
+
 class TestPerturbations:
     def test_cylinder_perturb_touches_one_word(self):
         A = lc(FULL2, D2, SHEAR)
@@ -1290,7 +1349,7 @@ class TestPerturbations:
         g[1:3, 1:3] = 1.5 * rot(0.3)
         S = np.eye(4) + 0.2 * np.random.default_rng(5).normal(size=(4, 4))
         g = S @ g @ np.linalg.inv(S)
-        assert la._real_jordan_basis(g)[1][0][0] == "real"
+        assert la._adapted_blocks(g, False)[1][0][0] == "real"
         A = cc.CocycleSpec(FULL2, 1, {"0": g, "1": g})
         fam = cc.rotation_perturb_family(A, "0", theta0=0.05)
         for s in (0.7, 2.0):

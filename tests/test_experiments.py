@@ -451,8 +451,6 @@ CONFIG_ERRORS = {
         "ValueError: transitions must be an m x m 0/1 matrix"),
     "e2-bridge-visits-twice": ("e2.json", e2_suite(bridge="11"),
                                "ValueError: word visits every cylinder more than once"),
-    "e2-defective-collision": ("e2.json", e2_suite(collision_tol=1e-300),
-                               "ValueError: non-diagonalizable input"),
     "e2-separation-budget": ("e2.json", e2_suite(pinching_eps=1e-14),
                              "ArithmeticError: could not separate moduli within the budget"),
     # snapping the collided pair to the real axis takes most of the budget;
@@ -722,6 +720,16 @@ class TestCli:
         v = {d["name"]: d for d in json.loads((out / "e3.json").read_text())["verdicts"]}
         assert v["toral-uniqueness"]["passed"] and v["toral-shadowing-bound"]["passed"]
 
+    def test_e2_near_real_collision_separated(self, tmp_path):
+        # located to the last bit, the collision's return matrix is a
+        # rotation by 5.8e-10 rad of 4.82472164: both eigenvalues lie within
+        # REAL_TOL of the axis, one real cluster of dimension 2 that the
+        # separation splits
+        code, out = run_doctored(tmp_path, "e2.json", e2_suite(collision_tol=1e-300))
+        assert code == 0
+        v = {d["name"]: d["passed"] for d in json.loads((out / "e2.json").read_text())["verdicts"]}
+        assert len(v) == 5 and all(v.values())
+
     def test_e2_lift_short_of_a_full_turn(self, tmp_path, capsys):
         # two copies never turn the commuting pair a full turn: no collision
         # to separate, and the pipeline row records none
@@ -940,8 +948,8 @@ ITEM4_UNDOMINATED = ("ROADMAP item 4: with bump members in E1 configs, an undomi
                      " cocycle is legal input")
 UNRUN_BLOCKS = {
     ("linalg.py", "moduli_separation_perturb", 'if kind == "unit_pair":'): ITEM5_UNIT,
-    ("linalg.py", "symplectic_diagonalize", "if real[i]:"): ITEM5,
-    ("linalg.py", "symplectic_diagonalize", "elif abs(mod - 1.0) <= match_tol:"): ITEM5,
+    ("linalg.py", "symplectic_diagonalize", "if not np.iscomplexobj(lam):"): ITEM5,
+    ("linalg.py", "symplectic_diagonalize", "elif b == a:"): ITEM5,
     ("cocycles.py", "direction_for", None): ITEM4,
     ("cocycles.py", "_bump_factors", "elif lam[j].imag == 0:"): ITEM4,
     ("cocycles.py", "_factor_gap", "if i:"): ITEM4,

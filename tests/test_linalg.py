@@ -52,14 +52,20 @@ def random_symplectic4(rng):
     return la.paired_rotation(theta, 1, 2, 2) @ shear @ scal
 
 
-# (lam, n, seed) of repeated_real_case; at the seeds other than 3, eig
-# returns the repeated eigenvalues as conjugate pairs 1e-18 to 2e-16 off
-# the real axis, whose eigenvectors' real parts span less than the eigenspace
+# (diagonal, seed) of repeated_real_case, the diagonal lam n times and then
+# 1/lam n times; at the seeds other than 3, eig returns the repeated
+# eigenvalues as conjugate pairs 1e-18 to 2e-16 off the real axis, whose
+# eigenvectors' real parts span less than the eigenspace
 REPEATED_REAL_CASES = [
-    pytest.param(2.0, 2, 3, id="2"), pytest.param(2.0, 3, 3, id="3"),
-    pytest.param(2.0, 2, 0, id="2-seed0"), pytest.param(2.0, 2, 8, id="2-seed8"),
-    pytest.param(3.0, 3, 6, id="3-lam3-seed6"), pytest.param(3.0, 3, 33, id="3-lam3-seed33"),
+    pytest.param([2.0] * 2 + [0.5] * 2, 3, id="2"), pytest.param([2.0] * 3 + [0.5] * 3, 3, id="3"),
+    pytest.param([2.0] * 2 + [0.5] * 2, 0, id="2-seed0"),
+    pytest.param([2.0] * 2 + [0.5] * 2, 8, id="2-seed8"),
+    pytest.param([3.0] * 3 + [1 / 3] * 3, 6, id="3-lam3-seed6"),
+    pytest.param([3.0] * 3 + [1 / 3] * 3, 33, id="3-lam3-seed33"),
 ]
+# a draw with condition number 1.1e4 and Frobenius norm 107, whose det 1
+# lies below 1e-12 * norm^6
+SEED_291_CASE = pytest.param([2.0, 2.0, 3.0, 0.5, 0.5, 1 / 3], 291, id="2-2-3-seed291")
 
 
 def block_moduli(form):
@@ -117,6 +123,13 @@ class TestSortedSpectrum:
     def test_singular_rejected(self):
         with pytest.raises(ValueError, match="non-invertible"):
             la.sorted_spectrum([[1.0, 1.0], [1.0, 1.0]])
+
+    def test_invertibility_is_relative(self):
+        # a scaled identity and a well-conditioned matrix of norm 107 are
+        # far from singular, though their determinants lie below 1e-12 *
+        # max(1, norm)^d
+        for M in (1e-5 * np.eye(4), repeated_real_case(*SEED_291_CASE.values)):
+            assert la.sorted_spectrum(M).dim == len(M)
 
     def test_log_moduli_sum_matches_determinant(self):
         for _ in range(50):
@@ -176,15 +189,15 @@ class TestSymplecticDiagonalize:
         assert la.is_symplectic(form.P)
         assert np.allclose(np.linalg.solve(form.P, M @ form.P), M, atol=1e-12)
 
-    @pytest.mark.parametrize("lam, n, seed", REPEATED_REAL_CASES)
-    def test_repeated_real_eigenspaces_paired_exactly(self, lam, n, seed):
+    @pytest.mark.parametrize("diagonal, seed", REPEATED_REAL_CASES)
+    def test_repeated_real_eigenspaces_paired_exactly(self, diagonal, seed):
         # diag(lam, .., lam, 1/lam, .., 1/lam) in a basis whose eigenvectors
         # do not pair one to one
-        M = repeated_real_case(lam, n, seed)
+        M = repeated_real_case(diagonal, seed)
         form = la.symplectic_diagonalize(M)
-        assert [b.kind for b in form.blocks] == ["real_pair"] * n
+        assert [b.kind for b in form.blocks] == ["real_pair"] * (len(diagonal) // 2)
         assert la.is_symplectic(form.P)
-        want = np.diag([lam] * n + [1.0 / lam] * n)
+        want = np.diag(diagonal)
         assert np.allclose(np.linalg.solve(form.P, M @ form.P), want, atol=1e-12)
 
     @pytest.mark.parametrize("lam", [1.0, -1.0])
@@ -222,6 +235,55 @@ class TestSymplecticDiagonalize:
         shear = np.array([[1.0, 1.0], [0.0, 1.0]])
         with pytest.raises(la.DegenerateSpectrumError):
             la.symplectic_diagonalize(shear)
+
+
+class TestEigenspaces:
+    def test_near_real_pair_is_one_real_cluster(self):
+        # a scaled rotation by 5.8e-10 rad: both eigenvalues lie within
+        # REAL_TOL of the axis, and their eig vectors share a real part
+        M = np.array([[4.82472164, 2.791e-9], [-2.791e-9, 4.82472164]])
+        ((lam, V),) = la._eigenspaces(M)
+        assert not np.iscomplexobj(lam) and lam == pytest.approx(4.82472164, rel=1e-15)
+        assert V.shape == (2, 2)
+        assert np.allclose(V.T @ V, np.eye(2), atol=1e-12)
+        out = la.moduli_separation_perturb(M, 1e-3)
+        rec = la.sorted_spectrum(out)
+        assert rec.all_real() and rec.min_relative_gap() > 1e-9
+
+    def test_repeated_real_clusters_span_their_eigenspaces(self):
+        # each eigenvalue twice: one null vector per member would take the
+        # same vector twice
+        S = np.eye(4) + 0.3 * np.random.default_rng(2).normal(size=(4, 4))
+        M = S @ np.diag([-0.14485, 0.01883, -0.14485, 0.01883]) @ np.linalg.inv(S)
+        spaces = la._eigenspaces(M)
+        assert sorted(round(float(lam), 5) for lam, _ in spaces) == [-0.14485, 0.01883]
+        for lam, V in spaces:
+            assert V.shape == (4, 2)
+            assert np.allclose(M @ V, lam * V, atol=1e-12)
+        assert np.linalg.matrix_rank(np.column_stack([V for _, V in spaces])) == 4
+
+    def test_conjugate_pair_takes_its_eig_vector(self):
+        M = RNG.normal(size=(5, 5))
+        eig, vec = np.linalg.eig(M)
+        for lam, V in la._eigenspaces(M):
+            if np.iscomplexobj(lam):
+                i = int(np.argmin(np.abs(eig - lam)))
+                assert np.array_equal(V, np.column_stack([vec[:, i].real, vec[:, i].imag]))
+
+    def test_repeated_complex_class_spans_both_planes(self):
+        S = np.eye(4) + 0.3 * np.random.default_rng(4).normal(size=(4, 4))
+        M = S @ np.kron(np.eye(2), 1.5 * rotation2(0.6)) @ np.linalg.inv(S)
+        ((lam, V),) = la._eigenspaces(M)
+        assert lam == pytest.approx(1.5 * np.exp(0.6j), abs=1e-12)
+        B = np.linalg.solve(V, M @ V)
+        want = np.kron(np.eye(2), [[lam.real, lam.imag], [-lam.imag, lam.real]])
+        assert np.allclose(B, want, atol=1e-10)
+
+    def test_defective_complex_class_rejected(self):
+        # a complex Jordan block: one eigenvector for a pair counted twice
+        M = np.block([[rotation2(0.6), np.eye(2)], [np.zeros((2, 2)), rotation2(0.6)]])
+        with pytest.raises(la.DegenerateSpectrumError, match="non-diagonalizable input"):
+            la._eigenspaces(M)
 
 
 class TestPairedRotation:
@@ -398,9 +460,9 @@ class TestModuliSeparation:
         rec = la.sorted_spectrum(out)
         assert rec.all_real() and rec.min_relative_gap() > 1e-9
 
-    @pytest.mark.parametrize("lam, n, seed", REPEATED_REAL_CASES)
-    def test_symplectic_repeated_real_conjugated_separated(self, lam, n, seed):
-        M = repeated_real_case(lam, n, seed)
+    @pytest.mark.parametrize("diagonal, seed", REPEATED_REAL_CASES + [SEED_291_CASE])
+    def test_symplectic_repeated_real_conjugated_separated(self, diagonal, seed):
+        M = repeated_real_case(diagonal, seed)
         out = la.moduli_separation_perturb(M, 0.05, constraint="symplectic")
         assert la.is_symplectic(out)
         assert np.linalg.norm(out - M, 2) <= 0.05
@@ -452,10 +514,10 @@ def symplectic_separation_case(kind):
     return symplectic_conjugate(M), kind.removesuffix("_snap")
 
 
-def repeated_real_case(lam, n, seed):
-    """diag(lam, .., lam, 1/lam, .., 1/lam) of size 2n in the basis of
+def repeated_real_case(diagonal, seed):
+    """diag(diagonal), a symplectic diagonal, in the basis of
     symplectic_conjugate at seed."""
-    return symplectic_conjugate(np.diag([lam] * n + [1.0 / lam] * n), seed)
+    return symplectic_conjugate(np.diag(diagonal), seed)
 
 
 def unit_real_case(lam):

@@ -132,8 +132,15 @@ class TestSymbolicPoint:
     def test_homoclinic_exit_rounds_up(self):
         _, N = sh.homoclinic_point(GOLDEN, "0", "101")
         assert N == 3
-        _, N2 = sh.homoclinic_point(FULL2, "01", "0")
-        assert N2 == 2
+        # a word that repeats a shorter one realigns after a partial copy
+        _, N2 = sh.homoclinic_point(FULL2, "0101", "11")
+        assert N2 == 4
+
+    def test_homoclinic_rejects_misaligned_bridge(self):
+        # the exit at time 2 lands out of phase: shift(z, 2) reads 1010...
+        # where the periodic point reads 0101...
+        with pytest.raises(ValueError, match="misaligned exit time"):
+            sh.homoclinic_point(FULL2, "01", "0")
 
     def test_homoclinic_rejects_power_bridge(self):
         with pytest.raises(ValueError, match="power"):
