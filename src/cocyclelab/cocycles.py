@@ -658,28 +658,18 @@ def periodic_eigendata(A: CocycleSpec, p: SymbolicPoint):
     return M, la.sorted_spectrum(M)
 
 
-PINCHING_GAP_TOL = 1e-9
-
-
-def _pinched(rec: la.SpectrumRecord) -> bool:
-    """Real spectrum with pairwise distinct moduli (relative gap tol)."""
-    return rec.all_real() and rec.min_relative_gap() > PINCHING_GAP_TOL
-
-
 def pinching_check(A: CocycleSpec, p: SymbolicPoint) -> bool:
-    """Real return spectrum with pairwise distinct moduli (relative gap tol)."""
-    return _pinched(periodic_eigendata(A, p)[1])
+    """Real return spectrum with pairwise distinct moduli, by the rule of
+    la._simple_spaces: the spectrum _normalized_eigenbasis reads a basis of."""
+    return _normalized_eigenbasis(periodic_eigendata(A, p)[0]) is not None
 
 
 def _normalized_eigenbasis(M: np.ndarray) -> np.ndarray | None:
-    """Real eigenbasis of la._eigenspaces ordered by decreasing modulus,
-    unit length, first nonzero coordinate positive; None unless M is
-    semisimple with real eigenvalues more than CLUSTER_TOL apart."""
-    try:
-        spaces = sorted(la._eigenspaces(M), key=lambda sp: -abs(sp[0]))
-    except la.DegenerateSpectrumError:
-        spaces = []
-    if len(spaces) < M.shape[0]:
+    """Real eigenbasis of la._simple_spaces, in decreasing modulus, unit
+    length, first nonzero coordinate positive; None unless M's spectrum is
+    simple and real."""
+    spaces = la._simple_spaces(M)
+    if spaces is None or len(spaces) < M.shape[0]:
         return None
     cols = []
     for _, V in spaces:
@@ -706,13 +696,11 @@ class SimplicityReport:
 def simplicity_check(A: CocycleSpec, p_word, bridge) -> SimplicityReport:
     """Pinching at the periodic word plus twisting of the bridge transition,
     the two halves of the simplicity criterion for the periodic pair.
-    Pinching also needs the eigenbasis twisting is read in: a return matrix
-    whose eigenvalues cluster (la.CLUSTER_TOL), or a defective one, is not
-    pinched."""
+    Pinching is pinching_check's rule, read off the eigenbasis twisting is
+    read in."""
     p = periodic_point(A.base, p_word)
     z, N = homoclinic_point(A.base, parse_word(p_word), parse_word(bridge))
-    M, rec = periodic_eigendata(A, p)
-    Q = _normalized_eigenbasis(M) if _pinched(rec) else None
+    Q = _normalized_eigenbasis(periodic_eigendata(A, p)[0])
     if Q is None:
         return SimplicityReport(False, False, False, None)
     psi_eig = np.linalg.solve(Q, psi_transition(A, p, z, N) @ Q)
@@ -766,24 +754,25 @@ class RotationFamily:
 
 def rotation_perturb_family(A: CocycleSpec, p_word, theta0: float) -> RotationFamily:
     """Family A_s inserting a rotation by s*theta0 of the first complex
-    eigenplane of the return matrix, in decreasing modulus, applied on the
-    support cylinder: the first A.window symbols of the periodic word.
+    eigenplane of the return matrix (largest modulus, then least |arg|),
+    applied on the support cylinder: the first A.window symbols of the
+    periodic word.
 
-    The plane is a block of the real Jordan basis or, for symplectic-valued
-    cocycles, of a symplectic block basis, where the rotation turns the
-    e-plane and its dual f-plane together (a unit pair's (e_i, f_i) plane)
-    so every A_s stays symplectic.  The block argument at p moves
+    The plane is a block of la._adapted_blocks: of the basis of
+    la._eigenspaces or, for symplectic-valued cocycles, of a symplectic
+    block basis, where the rotation turns the e-plane and its dual f-plane
+    together (a unit pair's (e_i, f_i) plane) so every A_s stays
+    symplectic.  The block argument at p moves
     continuously in s, exactly linearly in the conformal commuting case.
     """
     p = periodic_point(A.base, p_word)
-    M, rec = periodic_eigendata(A, p)
-    pairs = rec.complex_pairs
-    if not pairs:
-        raise ValueError("return matrix has real spectrum: no conformal block to rotate")
-    lam = pairs[0]
+    M, _ = periodic_eigendata(A, p)
     symplectic = all(la.is_symplectic(G) for G in A.generator.values())
     W, blocks = la._adapted_blocks(M, symplectic)
-    _, e, f, _ = min(blocks, key=lambda b: abs(b[3] - lam))
+    pairs = [b for b in blocks if np.iscomplexobj(b[3])]
+    if not pairs:
+        raise ValueError("return matrix has real spectrum: no conformal block to rotate")
+    _, e, f, _ = min(pairs, key=lambda b: (-abs(b[3]), abs(np.angle(b[3]))))
     planes = tuple((e + f)[k:k + 2] for k in range(0, len(e + f), 2))
     # the off-diagonal entry of the return block on its first plane carries
     # the sign of Im(lam)

@@ -257,10 +257,14 @@ _TOP = {
 
 
 def load_config(path: str) -> dict:
-    """Parse a JSON config file; parse errors carry file:line:column."""
+    """Parse a JSON config file; parse errors carry file:line:column, and
+    the non-finite constants NaN, Infinity and -Infinity are rejected."""
+    def non_finite(name):
+        raise ConfigError(f"{path}: {name} is not a finite number")
+
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=non_finite)
     except OSError as e:
         raise ConfigError(f"{path}: {e.strerror or e}") from None
     except json.JSONDecodeError as e:

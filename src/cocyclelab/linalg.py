@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Relative tolerance for treating an eigenvalue as real and for the
-# pairwise-distinct-moduli (pinching) gap test.
+# Relative tolerance for treating an eigenvalue as real.
 REAL_TOL = 1e-9
 # Residual allowed when checking that a matrix preserves a symplectic form.
 SYMPLECTIC_TOL = 1e-8
@@ -26,7 +25,9 @@ TWISTING_TOL = 1e-10
 INVERTIBILITY_TOL = 1e-12
 # Relative distance within which eigenvalues are one: real ones join one
 # cluster, and so do complex ones with Im > 0; a reciprocal or conjugate
-# partner matches its target within this times max(1, |target|).
+# partner matches its target within this times max(1, |target|); and two
+# clusters of a simple spectrum differ in modulus by more than this times
+# the larger.
 CLUSTER_TOL = 1e-6
 
 
@@ -61,21 +62,11 @@ class SpectrumRecord:
     """Eigenvalues sorted by decreasing modulus with deterministic tie-breaks."""
 
     eigenvalues: np.ndarray          # complex, length d
-    moduli: np.ndarray               # |eigenvalues|
-    moduli_gaps: np.ndarray          # length d-1, consecutive modulus gaps
     is_real: np.ndarray              # bool per eigenvalue
 
     @property
     def dim(self) -> int:
         return len(self.eigenvalues)
-
-    def all_real(self) -> bool:
-        return bool(np.all(self.is_real))
-
-    def min_relative_gap(self) -> float:
-        """Smallest consecutive modulus gap relative to the larger modulus."""
-        scale = np.maximum(self.moduli[:-1], 1e-300)
-        return float(np.min(self.moduli_gaps / scale))
 
     @property
     def complex_pairs(self) -> list:
@@ -102,7 +93,6 @@ def sorted_spectrum(M) -> SpectrumRecord:
         key=lambda i: (-mod[i], 0 if real[i] else 1, abs(np.angle(eig[i])), -eig[i].imag),
     )
     eig = eig[keys]
-    mod = mod[keys]
     real = real[keys]
     eig = np.where(real, eig.real + 0j, eig)
 
@@ -110,12 +100,7 @@ def sorted_spectrum(M) -> SpectrumRecord:
     logdet = float(np.log(abs(np.linalg.det(M))))
     if abs(np.sum(np.log(mod)) - logdet) > 1e-8 * max(1.0, abs(logdet)):
         raise ArithmeticError("eigenvalue moduli inconsistent with determinant")
-    return SpectrumRecord(
-        eigenvalues=eig,
-        moduli=mod,
-        moduli_gaps=mod[:-1] - mod[1:],
-        is_real=real,
-    )
+    return SpectrumRecord(eigenvalues=eig, is_real=real)
 
 
 def _eigenspaces(M) -> list:
@@ -153,6 +138,23 @@ def _eigenspaces(M) -> list:
             vs = vec[:, i:i + 1].T
         spaces.append((lam, np.column_stack(
             [v.real for v in vs] if real[i] else [p for v in vs for p in (v.real, v.imag)])))
+    return spaces
+
+
+def _simple_spaces(M) -> list | None:
+    """The clusters of _eigenspaces in decreasing modulus when M's spectrum
+    is simple: each cluster one real eigenvalue or one conjugate pair, and
+    any two clusters' moduli differ by more than CLUSTER_TOL times the
+    larger.  None otherwise, and for defective M."""
+    try:
+        spaces = sorted(_eigenspaces(M), key=lambda sp: -abs(sp[0]))
+    except DegenerateSpectrumError:
+        return None
+    if any(V.shape[1] != (2 if np.iscomplexobj(lam) else 1) for lam, V in spaces):
+        return None
+    mods = [abs(lam) for lam, _ in spaces]
+    if any(mods[a] - mods[a + 1] <= CLUSTER_TOL * mods[a] for a in range(len(mods) - 1)):
+        return None
     return spaces
 
 
@@ -474,20 +476,6 @@ def _adapted_blocks(M, symplectic: bool):
     return np.column_stack([V for _, V in spaces]), blocks
 
 
-def _gaps_ok_outside_pairs(rec: SpectrumRecord) -> bool:
-    """Accept zero modulus gaps only inside complex-conjugate pairs."""
-    eig = rec.eigenvalues
-    for i in range(len(eig) - 1):
-        gap = rec.moduli[i] - rec.moduli[i + 1]
-        if gap > REAL_TOL * max(rec.moduli[i], 1e-300):
-            continue
-        if rec.is_real[i] or rec.is_real[i + 1]:
-            return False
-        if abs(eig[i] - np.conj(eig[i + 1])) > CLUSTER_TOL * max(1.0, abs(eig[i])):
-            return False
-    return True
-
-
 def _is_near_real_pair(lam: complex, realify_tol: float) -> bool:
     ang = abs(np.angle(lam))
     return min(ang, np.pi - ang) <= realify_tol
@@ -509,22 +497,20 @@ def moduli_separation_perturb(
     moduli.  Under the symplectic constraint each e-side block sets its
     f-side partner to its inverse transpose, and a unit pair on its
     (e_i, f_i) plane keeps its rotation or snaps to diag(tm, 1/(tm)).
-    Returns M unchanged when the moduli of the blocks of _eigenspaces
-    already differ by more than CLUSTER_TOL relatively and no pair needs
-    snapping.
+    Accepts a spectrum that _simple_spaces calls simple: real eigenvalues
+    and conjugate pairs whose moduli differ by more than CLUSTER_TOL
+    relatively.  M is returned unchanged when its spectrum is simple and no
+    pair needs snapping; otherwise the first candidate within eps (and
+    symplectic under that constraint) with a simple spectrum is returned.
     """
     M = _as_matrix(M)
     if constraint not in ("none", "symplectic"):
         raise ValueError(f"unknown constraint {constraint!r}")
-    W, blocks = _adapted_blocks(M, False)
-    lams = [lam for *_, lam in blocks]
-    mods = sorted(map(abs, lams), reverse=True)
-    separated = all(mods[a] - mods[a + 1] > CLUSTER_TOL * mods[0] for a in range(len(mods) - 1))
-    if separated and not any(np.iscomplexobj(lam) and _is_near_real_pair(lam, realify_tol)
-                             for lam in lams):
+    spaces = _simple_spaces(M)
+    if spaces is not None and not any(np.iscomplexobj(lam) and _is_near_real_pair(lam, realify_tol)
+                                      for lam, _ in spaces):
         return M
-    if constraint == "symplectic":
-        W, blocks = _adapted_blocks(M, True)
+    W, blocks = _adapted_blocks(M, constraint == "symplectic")
     Winv = np.linalg.inv(W)
     # the two members of a symplectic block on +-1 (an identity block, or a
     # unit pair snapped to the real axis) coincide at factor 1
@@ -555,6 +541,6 @@ def moduli_separation_perturb(
         if float(np.linalg.norm(cand - M, 2)) > eps:
             continue
         kept = constraint == "none" or is_symplectic(cand, tol=1e-6)
-        if kept and _gaps_ok_outside_pairs(sorted_spectrum(cand)):
+        if kept and _simple_spaces(cand) is not None:
             return cand
     raise ArithmeticError("could not separate moduli within the budget")

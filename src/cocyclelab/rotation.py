@@ -246,10 +246,11 @@ def circle_cocycle(A: CocycleSpec, sys: SuspensionSystem, p: SymbolicPoint,
     (A.point_steps) and the roofs from one read of its windows.  In
     dimension two the step matrices act directly.  In higher dimension the
     return matrix is folded from those steps, and the invariant 2D block of
-    its first complex pair, in decreasing modulus, is transported with
-    orthonormal frames; the per-step maps are the triangular factors,
-    and the closing frame rotation is folded into the last step so the
-    composite equals the restriction of the return matrix.
+    its first complex pair (largest modulus, then least |arg|) among the
+    clusters of la._eigenspaces is transported with orthonormal frames; the
+    per-step maps are the triangular factors, and the closing frame
+    rotation is folded into the last step so the composite equals the
+    restriction of the return matrix.
     """
     steps = A.point_steps(p, 0, ell)
     rw = sys.roof.window
@@ -260,10 +261,10 @@ def circle_cocycle(A: CocycleSpec, sys: SuspensionSystem, p: SymbolicPoint,
     M = np.eye(A.dim)
     for S in steps:
         M = S @ M
-    pairs = la.sorted_spectrum(M).complex_pairs
+    pairs = [sp for sp in la._eigenspaces(M) if np.iscomplexobj(sp[0])]
     if not pairs:
         raise ValueError("return matrix has real spectrum: no complex pair to track")
-    V = min(la._eigenspaces(M), key=lambda sp: abs(sp[0] - pairs[0]))[1]
+    V = min(pairs, key=lambda sp: (-abs(sp[0]), abs(np.angle(sp[0]))))[1]
     Q, _ = np.linalg.qr(V[:, :2])
     frames = [Q]
     factors = []
@@ -390,9 +391,7 @@ def rho_periodic(C: CircleCocycle) -> float:
 def eigen_argument(M) -> float:
     """|arg| of the complex eigenvalue pair, in (0, pi)."""
     ev = np.linalg.eigvals(np.asarray(M, dtype=float))
-    im = np.abs(ev.imag)
-    scale = np.max(np.abs(ev))
-    if np.max(im) <= 1e-12 * max(scale, 1.0):
+    if la._is_real(ev).all():
         raise ValueError("real spectrum: no eigenvalue argument")
     lam = ev[int(np.argmax(ev.imag))]
     return float(abs(np.angle(lam)))

@@ -1169,7 +1169,7 @@ class TestPeriodicEigendata:
         A = lc(FULL2, 1.5 * rot(0.4), POS)
         _, rec = cc.periodic_eigendata(A, sh.periodic_point(FULL2, "0"))
         assert np.allclose(np.abs(rec.eigenvalues), 1.5, atol=1e-13)
-        assert not rec.all_real()
+        assert not rec.is_real.all()
 
     def test_base_point_independence(self):
         A = lc(FULL2, D2, POS)
@@ -1257,8 +1257,9 @@ class TestEigenbasisSamePath:
         for m in cfg["suite"] + [cfg["control"], cfg["informative"]]:
             A = cfgmod.build_cocycle(spec, m["cocycle"])
             for word in (m["p_word"], "01", "011"):
-                M, rec = cc.periodic_eigendata(A, sh.periodic_point(spec, word))
-                if cc._pinched(rec):
+                p = sh.periodic_point(spec, word)
+                if cc.pinching_check(A, p):
+                    M, _ = cc.periodic_eigendata(A, p)
                     assert np.array_equal(cc._normalized_eigenbasis(M), svd_eigenbasis(M))
                     compared.add((m["name"], word))
         assert {(m["name"], m["p_word"]) for m in cfg["suite"]} <= compared
@@ -1272,20 +1273,30 @@ class TestEigenbasisSamePath:
             S = rng.normal(size=(d, d))
             M = S @ np.diag(lams) @ np.linalg.inv(S)
             rec = la.sorted_spectrum(M)
-            if cc._pinched(rec) and rec.min_relative_gap() > 10 * la.CLUSTER_TOL:
+            mods = np.abs(rec.eigenvalues)
+            if rec.is_real.all() and np.all(mods[1:] < (1 - 10 * la.CLUSTER_TOL) * mods[:-1]):
                 assert np.array_equal(cc._normalized_eigenbasis(M), svd_eigenbasis(M))
 
     @pytest.mark.parametrize("g", [
         np.diag([2.0, 2.0 * (1 + 1e-7)]),
         rot(0.4) @ np.array([[2.0, 1.0], [0.0, 2.0]]) @ rot(0.4).T,
-    ], ids=["cluster", "jordan"])
+        np.diag([2.0, -2.0 * (1 + 1e-7)]),
+    ], ids=["cluster", "jordan", "opposite-signs"])
     def test_no_basis_within_the_cluster_tolerance(self, g):
-        # gaps of 1e-7 and, from eig's split of a Jordan block, 1e-8 pass the
-        # pinching gap, but one cluster has no eigenbasis: not pinched
-        assert cc._pinched(la.sorted_spectrum(g))
+        # relative modulus gaps of 1e-7 and, from eig's split of a Jordan
+        # block, 1e-8 lie within CLUSTER_TOL: neither check calls the
+        # return matrix pinched
+        A = lc(FULL2, g, POS)
+        assert not cc.pinching_check(A, sh.periodic_point(FULL2, "0"))
         assert cc._normalized_eigenbasis(g) is None
-        rep = cc.simplicity_check(lc(FULL2, g, POS), "0", "1")
+        rep = cc.simplicity_check(A, "0", "1")
         assert (rep.pinching, rep.twisting, rep.verdict, rep.psi) == (False, False, False, None)
+
+    def test_opposite_signs_beyond_the_cluster_tolerance_pinched(self):
+        # a relative modulus gap of 1e-5 separates 2 and -2(1 + 1e-5)
+        A = lc(FULL2, np.diag([2.0, -2.0 * (1 + 1e-5)]), POS)
+        assert cc.pinching_check(A, sh.periodic_point(FULL2, "0"))
+        assert cc.simplicity_check(A, "0", "1").pinching
 
 
 class TestPerturbations:

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cocyclelab.cocycles as cc
 import cocyclelab.experiments as ex
 import cocyclelab.experiments.cli as cli
 import cocyclelab.experiments.config as cf
@@ -51,6 +52,19 @@ class TestConfig:
     def test_missing_file(self):
         with pytest.raises(cf.ConfigError, match="nope.json"):
             cf.load_config("/nowhere/nope.json")
+
+    @pytest.mark.parametrize("value,name", [
+        (float("nan"), "NaN"), (float("inf"), "Infinity"), (-float("inf"), "-Infinity")])
+    def test_non_finite_number_rejected(self, tmp_path, value, name):
+        # Python's json reads these constants, which strict JSON lacks; a
+        # NaN generator entry used to end in an SVD that did not converge
+        cfg = load("e1.json")
+        cfg["suite"][0]["cocycle"]["generators"]["0"][0][0] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        with pytest.raises(cf.ConfigError) as err:
+            cf.load_config(str(bad))
+        assert str(err.value) == f"{bad}: {name} is not a finite number"
 
     def test_schema_violation_names_json_path(self):
         cfg = load("e3.json")
@@ -324,6 +338,25 @@ class TestRunners:
         s_expected = (2 * np.pi - theta_start) / 6.4
         assert row[2] == pytest.approx(s_expected, abs=1e-7)
 
+    def test_pinching_check_agrees_with_simplicity_check(self, monkeypatch):
+        # every E1 member at its own word and bridge, and the final cocycle
+        # of the symplectic E2 suite, whose simplicity-restored verdict
+        # reads simplicity_check
+        e1 = load("e1.json")
+        spec = cf.build_base(e1["base"])
+        cases = [(cf.build_cocycle(spec, m["cocycle"]), m["p_word"], m["bridge"])
+                 for m in e1["suite"] + [e1["control"], e1["informative"]]]
+        check = rn.simplicity_check
+        monkeypatch.setattr(rn, "simplicity_check",
+                            lambda A, w, b: cases.append((A, w, b)) or check(A, w, b))
+        e2 = cf.validate_config(load("e2.json"))
+        e2["suites"] = [s for s in e2["suites"] if s["kind"] == "symplectic"]
+        rn.run_e2(e2, 7)
+        assert len(cases) == len(e1["suite"]) + 3
+        for A, w, b in cases:
+            p = sh.periodic_point(A.base, w)
+            assert cc.pinching_check(A, p) == cc.simplicity_check(A, w, b).pinching
+
     def test_e3_shipped(self):
         _, out = run_shipped("e3.json")
         assert all(v["passed"] for v in out["verdicts"])
@@ -454,13 +487,13 @@ CONFIG_ERRORS = {
     "e2-separation-budget": ("e2.json", e2_suite(pinching_eps=1e-14),
                              "ArithmeticError: could not separate moduli within the budget"),
     # snapping the collided pair to the real axis takes most of the budget;
-    # the separation steps eps / 10 / 1.6^k that still fit are below 1e-9
-    # and leave its two reals closer than the gap tolerance
+    # the separation steps eps / 10 / 1.6^k that still fit are below
+    # CLUSTER_TOL and leave its two reals closer than it, relatively
     "e2-separation-real-gap": ("e2.json", e2_suite(pinching_eps=3.5e-8),
                                "ArithmeticError: could not separate moduli within the budget"),
     # two unit rotation pairs below the tracked pair share a modulus; the
     # tracked pair is not snapped, and steps of eps / 30 and below leave the
-    # two pairs closer than the gap tolerance
+    # two pairs' moduli closer than CLUSTER_TOL, relatively
     "e2-separation-equal-pairs": (
         "e2.json", e2_widened({"0": rotation_pairs(0.2, 0.5), "1": rotation_pairs(0.1, 0.3)},
                               pinching_eps=1e-8, realify_tol=1e-300),
@@ -541,6 +574,21 @@ class TestCli:
         bad.write_text("{broken")
         assert cli.main(["--config", str(bad), "--validate"]) == 1
         assert "bad.json:1:2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value,name", [(float("nan"), "NaN"), (float("inf"), "Infinity")])
+    @pytest.mark.parametrize("mode", [["--validate"], ["--out", "out"]], ids=["validate", "run"])
+    def test_non_finite_generator_entry(self, tmp_path, capsys, value, name, mode):
+        # used to pass --validate, and a run ended in a LinAlgError
+        cfg = load("e1.json")
+        cfg["suite"][0]["cocycle"]["generators"]["0"][0][0] = value
+        bad = tmp_path / "e1_bad.json"
+        bad.write_text(json.dumps(cfg))
+        args = ["--config", str(bad)] + [str(tmp_path / a) if a == "out" else a for a in mode]
+        assert cli.main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {bad}: {name} is not a finite number\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("member", ["control", "informative"])
     def test_e1_member_without_measures(self, tmp_path, capsys, member):

@@ -87,8 +87,8 @@ class TestSortedSpectrum:
         rec = la.sorted_spectrum([[2, 1], [1, 1]])
         expected = np.array([(3 + np.sqrt(5)) / 2, (3 - np.sqrt(5)) / 2])
         assert np.allclose(rec.eigenvalues.real, expected, atol=1e-12)
-        assert rec.all_real()
-        assert np.all(rec.moduli_gaps > 0)
+        assert rec.is_real.all()
+        assert np.all(np.diff(np.abs(rec.eigenvalues)) < 0)
 
     def test_complex_pairs_upper_members_by_modulus(self):
         M = np.zeros((5, 5))
@@ -102,8 +102,8 @@ class TestSortedSpectrum:
 
     def test_scaled_rotation_conjugate_pair(self):
         rec = la.sorted_spectrum(2.0 * rotation2(np.pi / 4))
-        assert np.allclose(rec.moduli, [2.0, 2.0], atol=1e-12)
-        assert np.allclose(rec.moduli_gaps, [0.0], atol=1e-12)
+        assert np.allclose(np.abs(rec.eigenvalues), [2.0, 2.0], atol=1e-12)
+        assert np.allclose(np.diff(np.abs(rec.eigenvalues)), [0.0], atol=1e-12)
         assert not rec.is_real.any()
         # positive imaginary part first within the pair
         assert rec.eigenvalues[0].imag > 0 > rec.eigenvalues[1].imag
@@ -138,7 +138,7 @@ class TestSortedSpectrum:
                 continue
             rec = la.sorted_spectrum(M)
             assert np.isclose(
-                np.sum(np.log(rec.moduli)),
+                np.sum(np.log(np.abs(rec.eigenvalues))),
                 np.log(abs(np.linalg.det(M))),
                 rtol=1e-8,
                 atol=1e-8,
@@ -247,8 +247,7 @@ class TestEigenspaces:
         assert V.shape == (2, 2)
         assert np.allclose(V.T @ V, np.eye(2), atol=1e-12)
         out = la.moduli_separation_perturb(M, 1e-3)
-        rec = la.sorted_spectrum(out)
-        assert rec.all_real() and rec.min_relative_gap() > 1e-9
+        assert la.sorted_spectrum(out).is_real.all() and la._simple_spaces(out) is not None
 
     def test_repeated_real_clusters_span_their_eigenspaces(self):
         # each eigenvalue twice: one null vector per member would take the
@@ -284,6 +283,30 @@ class TestEigenspaces:
         M = np.block([[rotation2(0.6), np.eye(2)], [np.zeros((2, 2)), rotation2(0.6)]])
         with pytest.raises(la.DegenerateSpectrumError, match="non-diagonalizable input"):
             la._eigenspaces(M)
+
+
+class TestSimpleSpaces:
+    def test_clusters_in_decreasing_modulus(self):
+        M = np.zeros((5, 5))
+        M[0, 0], M[1, 1] = 0.5, -3.0
+        M[2:4, 2:4] = 2.0 * rotation2(0.3)
+        M[4, 4] = 1.0 + 1e-5
+        spaces = la._simple_spaces(M)
+        assert [abs(lam) for lam, _ in spaces] == pytest.approx([3.0, 2.0, 1.0 + 1e-5, 0.5])
+        assert [V.shape[1] for _, V in spaces] == [1, 2, 1, 1]
+
+    @pytest.mark.parametrize("M", [
+        np.diag([2.0, 2.0 * (1 + 1e-7)]),
+        np.diag([2.0, -2.0 * (1 + 1e-7)]),
+        np.diag([3.0, 2.0, 2.0]),
+        np.kron(np.eye(2), 1.5 * rotation2(0.6)),
+        np.kron(np.diag([1.0, 1.0 + 1e-7]), rotation2(0.6)),
+        np.block([[2.0 * rotation2(0.6), np.zeros((2, 1))], [np.zeros((1, 2)), -2.0 * np.eye(1)]]),
+        np.array([[2.0, 1.0], [0.0, 2.0]]),
+    ], ids=["cluster", "opposite-signs", "repeated", "repeated-pair", "close-pairs",
+            "pair-and-real", "defective"])
+    def test_not_simple(self, M):
+        assert la._simple_spaces(M) is None
 
 
 class TestPairedRotation:
@@ -415,7 +438,7 @@ class TestModuliSeparation:
         out = la.moduli_separation_perturb(M, 0.1)
         rec = la.sorted_spectrum(out)
         assert np.linalg.norm(out - M, 2) <= 0.1
-        assert rec.moduli_gaps[0] >= 0.01 - 1e-12
+        assert abs(rec.eigenvalues[0]) - abs(rec.eigenvalues[1]) >= 0.01 - 1e-12
 
     def test_symplectic_distinct_noop(self):
         M = np.diag([2.0, 3.0, 0.5, 1.0 / 3.0])
@@ -426,16 +449,14 @@ class TestModuliSeparation:
         out = la.moduli_separation_perturb(M, 0.1, constraint="symplectic")
         assert la.is_symplectic(out)
         assert abs(np.linalg.det(out) - 1.0) < 1e-12
-        rec = la.sorted_spectrum(out)
-        assert rec.min_relative_gap() > 1e-9
+        assert la._simple_spaces(out) is not None
 
     def test_near_real_pair_snapped(self):
         # tiny-argument conformal block must become real with distinct moduli
         M = 1.5 * rotation2(1e-8)
         out = la.moduli_separation_perturb(M, 1e-3)
-        rec = la.sorted_spectrum(out)
-        assert rec.all_real()
-        assert rec.min_relative_gap() > 1e-9
+        assert la.sorted_spectrum(out).is_real.all()
+        assert la._simple_spaces(out) is not None
 
     def test_genuine_complex_pair_kept(self):
         M = np.zeros((4, 4))
@@ -445,7 +466,7 @@ class TestModuliSeparation:
         rec = la.sorted_spectrum(out)
         assert sorted(rec.is_real) == [False, False, True, True]
         # pair stays a pair; only cross-class moduli separate
-        assert la._gaps_ok_outside_pairs(rec)
+        assert la._simple_spaces(out) is not None
 
     def test_defective_rejected(self):
         with pytest.raises(ValueError, match="non-diagonalizable"):
@@ -457,8 +478,7 @@ class TestModuliSeparation:
         out = la.moduli_separation_perturb(M, 0.05, constraint="symplectic")
         assert la.is_symplectic(out)
         assert np.linalg.norm(out - M, 2) <= 0.05
-        rec = la.sorted_spectrum(out)
-        assert rec.all_real() and rec.min_relative_gap() > 1e-9
+        assert la.sorted_spectrum(out).is_real.all() and la._simple_spaces(out) is not None
 
     @pytest.mark.parametrize("diagonal, seed", REPEATED_REAL_CASES + [SEED_291_CASE])
     def test_symplectic_repeated_real_conjugated_separated(self, diagonal, seed):
@@ -466,8 +486,7 @@ class TestModuliSeparation:
         out = la.moduli_separation_perturb(M, 0.05, constraint="symplectic")
         assert la.is_symplectic(out)
         assert np.linalg.norm(out - M, 2) <= 0.05
-        rec = la.sorted_spectrum(out)
-        assert rec.all_real() and rec.min_relative_gap() > 1e-9
+        assert la.sorted_spectrum(out).is_real.all() and la._simple_spaces(out) is not None
 
     @pytest.mark.parametrize("lam", [1.0, -1.0])
     def test_symplectic_unit_real_eigenspace_separated(self, lam):
@@ -475,8 +494,7 @@ class TestModuliSeparation:
         out = la.moduli_separation_perturb(M, 0.05, constraint="symplectic")
         assert la.is_symplectic(out)
         assert np.linalg.norm(out - M, 2) <= 0.05
-        rec = la.sorted_spectrum(out)
-        assert rec.all_real() and rec.min_relative_gap() > 1e-9
+        assert la.sorted_spectrum(out).is_real.all() and la._simple_spaces(out) is not None
 
     @pytest.mark.parametrize("kind", ["real_pair", "unit_pair", "quad", "quad_snap"])
     def test_symplectic_simple_spectrum_separated(self, kind):
@@ -492,9 +510,8 @@ class TestModuliSeparation:
         assert out is not M
         assert la.is_symplectic(out)
         assert np.linalg.norm(out - M, 2) <= eps
-        rec = la.sorted_spectrum(out)
-        assert la._gaps_ok_outside_pairs(rec)
-        assert rec.all_real() == (kind != "quad")
+        assert la._simple_spaces(out) is not None
+        assert la.sorted_spectrum(out).is_real.all() == (kind != "quad")
 
 
 def symplectic_separation_case(kind):
